@@ -51,7 +51,6 @@ from .hypotheses import (
     margins,
     truncate,
 )
-from .kernels import active_backend
 from .lossmatrix import (
     LossMatrix,
     PeelingPartition,

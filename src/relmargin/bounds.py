@@ -20,8 +20,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ApplicabilityError, DomainError, InputError
+from .errors import ApplicabilityError, DataError, DomainError, InputError
 from .estimates import ComplexityEstimate
+from .fatdim import cover_log_bound_from_fat
 from .rademacher import rm_upper_smooth
 
 __all__ = [
@@ -54,16 +55,14 @@ FAMILIES = (
     "unbounded-uniform-rho",
 )
 
-ZERO_ONE_FAMILIES = frozenset(FAMILIES[:7])
-
 
 @dataclass(frozen=True)
 class BoundParams:
     """Shared bound parameters.
 
-    delta in (0, 1) is the guarantee regime; larger values are accepted and
-    evaluated literally (no guarantee), since degenerate-confidence cases
-    are useful for bookkeeping checks.
+    delta in (0, 1) is the guarantee regime; larger finite values are
+    accepted and evaluated literally (no guarantee), since
+    degenerate-confidence cases are useful for bookkeeping checks.
     """
 
     m: int
@@ -76,16 +75,16 @@ class BoundParams:
     def __post_init__(self):
         if self.m < 1:
             raise InputError("m must be at least 1")
-        if not (self.delta > 0):
-            raise InputError("delta must be positive")
+        if not (0 < self.delta < math.inf):
+            raise InputError(f"delta must be finite and positive, got {self.delta!r}")
         if not (1.0 < self.alpha <= 2.0):
             raise InputError("alpha must lie in (1, 2]")
-        if not (self.rho > 0):
-            raise InputError("rho must be positive")
-        if self.tau < 0:
-            raise InputError("tau must be nonnegative")
-        if self.r is not None and not (self.r > 0):
-            raise InputError("r must be positive when provided")
+        if not (0 < self.rho < math.inf):
+            raise InputError(f"rho must be finite and positive, got {self.rho!r}")
+        if not (0 <= self.tau < math.inf):
+            raise InputError(f"tau must be finite and nonnegative, got {self.tau!r}")
+        if self.r is not None and not (0 < self.r < math.inf):
+            raise InputError(f"r must be finite and positive when provided, got {self.r!r}")
 
     def to_json(self) -> dict:
         return {
@@ -133,6 +132,16 @@ class BoundReport:
         }
 
 
+def _empirical_input(emp, name: str = "emp", zero_one: bool = True) -> float:
+    """The empirical term as a float; rejects NaN, infinite and negative
+    values, and values above 1 for zero-one families."""
+    value = float(emp)
+    if not (math.isfinite(value) and 0.0 <= value <= (1.0 if zero_one else math.inf)):
+        expected = "a finite number in [0, 1]" if zero_one else "finite and nonnegative"
+        raise DataError(f"{name} must be {expected}, got {emp!r}")
+    return value
+
+
 def _complexity_input(x) -> tuple[float, str]:
     if isinstance(x, ComplexityEstimate):
         return float(x.value), x.method
@@ -159,40 +168,61 @@ def _finalize_zero_one(family, params, emp, complexity, raw, solver, method, bre
     )
 
 
-def solve_relative(b: float, c: float, alpha: float, rel_tol: float = 1e-12) -> float:
-    """Largest fixed point of x = b + c * x^{1/alpha}.
+def solve_relative(b, c: float, alpha: float, rel_tol: float = 1e-12):
+    """Largest fixed point of x = b + c * x^{1/alpha}, elementwise in ``b``.
 
     Any x satisfying x <= b + c x^{1/alpha} is at most this value, so it is
-    the sound explicit resolution of the implicit inequality.  Bisection on
-    the concave residual after geometric bracket growth.
+    the sound explicit resolution of the implicit inequality.  At alpha = 2
+    it is the closed form x = ((c + sqrt(c^2 + 4b)) / 2)^2; otherwise
+    bisection on the concave residual after geometric bracket growth, to
+    relative width ``rel_tol``.  A scalar ``b`` gives a float and an array
+    gives an array of its shape; fixed points that overflow doubles are inf.
     """
-    if b < 0 or c < 0:
-        raise InputError("b and c must be nonnegative")
+    scalar = np.ndim(b) == 0
+    x = np.array(b, dtype=np.float64, ndmin=1)
+    if not (np.all(x >= 0) and c >= 0):
+        raise InputError("b and c must be nonnegative (NaN is rejected)")
     if not (1.0 < alpha <= 2.0):
         raise InputError("alpha must lie in (1, 2]")
     if c == 0.0:
-        return float(b)
-    inv = 1.0 / alpha
-
-    def residual(x: float) -> float:
-        return b + c * x**inv - x
-
-    lo = b
-    hi = max(b, 1.0)
-    while residual(hi) >= 0.0:
-        hi *= 2.0
-        if hi > 1e300:
-            # the fixed point ~ max(2b, (2c)^{alpha/(alpha-1)}) overflows doubles
-            return math.inf
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if residual(mid) >= 0.0:
-            lo = mid
+        return float(b) if scalar else x.reshape(np.shape(b))
+    with np.errstate(over="ignore"):
+        if alpha == 2.0:
+            root = 0.5 * (c + np.sqrt(c * c + 4.0 * x))
+            x = root * root
         else:
-            hi = mid
-        if hi - lo <= rel_tol * max(hi, 1e-300):
+            x = _bisect_relative(x, c, alpha, rel_tol)
+    return float(x[0]) if scalar else x.reshape(np.shape(b))
+
+
+def _bisect_relative(b: np.ndarray, c: float, alpha: float, rel_tol: float) -> np.ndarray:
+    inv = 1.0 / alpha
+    lo = b.copy()
+    hi = np.maximum(b, 1.0)
+    grow = b + c * hi**inv - hi >= 0.0
+    overflow = np.zeros(b.shape, dtype=bool)
+    while grow.any():
+        hi[grow] *= 2.0
+        # the fixed point ~ max(2b, (2c)^{alpha/(alpha-1)}) overflows doubles
+        overflow |= grow & (hi > 1e300)
+        idx = np.flatnonzero(grow & ~overflow)
+        grow[:] = False
+        grow[idx] = b[idx] + c * hi[idx] ** inv - hi[idx] >= 0.0
+    active = ~overflow
+    for _ in range(200):
+        idx = np.flatnonzero(active)
+        if idx.size == 0:
             break
-    return 0.5 * (lo + hi)
+        low, high = lo[idx], hi[idx]
+        mid = 0.5 * (low + high)
+        feasible = b[idx] + c * mid**inv - mid >= 0.0
+        low = np.where(feasible, mid, low)
+        high = np.where(feasible, high, mid)
+        lo[idx], hi[idx] = low, high
+        active[idx] = ~(high - low <= rel_tol * np.maximum(high, 1e-300))
+    out = 0.5 * (lo + hi)
+    out[overflow] = math.inf
+    return out
 
 
 def explicit_lemma_d1(z: float, y: float, alpha: float) -> float:
@@ -232,6 +262,10 @@ def gamma_factor(alpha: float, eps: float, tau: float = 0.0) -> float:
 
 # ---------------------------------------------------------------------------
 # covering-number families
+#
+# The ``*_value`` functions hold each campaign family's formula once: they
+# take an array (or scalar) of empirical terms plus a scalar complexity and
+# return the raw, unclamped bound with the terms the reports break down.
 
 
 def _confidence_numerator(log_n: float, params: BoundParams, addend: float = 0.0) -> float:
@@ -241,28 +275,31 @@ def _confidence_numerator(log_n: float, params: BoundParams, addend: float = 0.0
     return total
 
 
-def _cov_alpha_coefficient(numerator: float, params: BoundParams) -> float:
+def cov_alpha_value(emp, log_n: float, params: BoundParams, addend: float = 0.0):
+    """Largest fixed point of x = emp + C x^{1/alpha} with
+    C = 2^{(alpha+2)/(2 alpha)} sqrt((logN + log(1/delta) + addend) / m^{2(alpha-1)/alpha})."""
     a = params.alpha
+    numerator = _confidence_numerator(log_n, params, addend)
     scale = params.m ** (2.0 * (a - 1.0) / a)
-    return 2.0 ** ((a + 2.0) / (2.0 * a)) * math.sqrt(numerator / scale)
+    coeff = 2.0 ** ((a + 2.0) / (2.0 * a)) * math.sqrt(numerator / scale)
+    return solve_relative(emp, coeff, a), {"coefficient": coeff, "numerator": numerator}
 
 
 def bound_cov_alpha(emp: float, log_n, params: BoundParams, solver: str = "root-find") -> BoundReport:
-    """General-moment cover bound: resolve x <= emp + C x^{1/alpha} with
-    C = 2^{(alpha+2)/(2 alpha)} sqrt((logN + log(1/delta)) / m^{2(alpha-1)/alpha}).
+    """General-moment cover bound: resolve x <= emp + C x^{1/alpha} (see
+    ``cov_alpha_value`` for C).
 
     The default solver is the largest fixed point; "lemma-D1" selects the
     looser explicit conversion instead.  Both values appear in the breakdown.
     """
     if solver not in ("root-find", "lemma-D1"):
         raise InputError("solver must be 'root-find' or 'lemma-D1'")
+    emp = _empirical_input(emp)
     log_n_value, method = _complexity_input(log_n)
     if log_n_value < 0:
         raise InputError("logN must be nonnegative")
-    numerator = _confidence_numerator(log_n_value, params)
-    coeff = _cov_alpha_coefficient(numerator, params)
-    solved = solve_relative(emp, coeff, params.alpha)
-    converted = explicit_lemma_d1(emp, coeff, params.alpha)
+    solved, terms = cov_alpha_value(emp, log_n_value, params)
+    converted = explicit_lemma_d1(emp, terms["coefficient"], params.alpha)
     raw = solved if solver == "root-find" else converted
     return _finalize_zero_one(
         "cov-alpha",
@@ -272,51 +309,50 @@ def bound_cov_alpha(emp: float, log_n, params: BoundParams, solver: str = "root-
         raw,
         solver,
         method,
-        {
-            "coefficient": coeff,
-            "numerator": numerator,
-            "fixed_point_value": solved,
-            "explicit_conversion_value": converted,
-        },
+        {**terms, "fixed_point_value": solved, "explicit_conversion_value": converted},
     )
 
 
-def cov_alpha2_value(emp, c):
-    """emp + 2 sqrt(emp c) + 4 c (array-capable)."""
-    return emp + 2.0 * np.sqrt(emp * c) + 4.0 * c
+def cov_alpha2_value(emp, log_n: float, params: BoundParams):
+    """emp + 2 sqrt(emp c) + 4 c with c = (logN + log(1/delta)) / m."""
+    c = _confidence_numerator(log_n, params) / params.m
+    return emp + 2.0 * np.sqrt(emp * c) + 4.0 * c, {"c": c}
 
 
 def bound_cov_alpha2(emp: float, log_n, params: BoundParams) -> BoundReport:
-    """Second-moment cover bound in closed form, with c = (logN + log(1/delta)) / m."""
+    """Second-moment cover bound in closed form (see ``cov_alpha2_value``)."""
     if params.alpha != 2.0:
         raise InputError("this family is the alpha = 2 specialization")
+    emp = _empirical_input(emp)
     log_n_value, method = _complexity_input(log_n)
     if log_n_value < 0:
         raise InputError("logN must be nonnegative")
-    c = _confidence_numerator(log_n_value, params) / params.m
-    raw = float(cov_alpha2_value(emp, c))
+    raw, terms = cov_alpha2_value(emp, log_n_value, params)
     return _finalize_zero_one(
-        "cov-alpha2", params, emp, log_n_value, raw, "closed-form", method, {"c": c}
+        "cov-alpha2", params, emp, log_n_value, float(raw), "closed-form", method, terms
     )
 
 
-def bound_cov_fat(emp: float, d: float, params: BoundParams) -> BoundReport:
-    """Fat-shattering cover bound: term = (1 + d log2(2 c^2 m) log2(2 c e m / d)
-    + log(1/delta)) / m; bound = emp + 2 sqrt(emp term) + term."""
-    from .fatdim import cover_log_bound_from_fat
+def cov_fat_value(emp, d: float, params: BoundParams):
+    """emp + 2 sqrt(emp term) + term with term = (1 + d log2(2 c^2 m)
+    log2(2 c e m / d) + log(1/delta)) / m."""
+    term = _confidence_numerator(cover_log_bound_from_fat(d, params.m), params) / params.m
+    return emp + 2.0 * np.sqrt(emp * term) + term, {"term": term, "fat_dimension": d}
 
-    log_cover = cover_log_bound_from_fat(d, params.m)
-    term = _confidence_numerator(log_cover, params) / params.m
-    raw = emp + 2.0 * math.sqrt(emp * term) + term
+
+def bound_cov_fat(emp: float, d: float, params: BoundParams) -> BoundReport:
+    """Fat-shattering cover bound (see ``cov_fat_value``)."""
+    emp = _empirical_input(emp)
+    raw, terms = cov_fat_value(emp, d, params)
     return _finalize_zero_one(
         "cov-fat",
         params,
         emp,
-        log_cover,
-        raw,
+        cover_log_bound_from_fat(d, params.m),
+        float(raw),
         "closed-form",
         "formula",
-        {"term": term, "fat_dimension": d},
+        terms,
     )
 
 
@@ -331,16 +367,15 @@ def bound_cov_uniform_rho(
         raise InputError("uniform-rho bounds need the range cap r")
     if not (0 < params.rho <= params.r):
         raise InputError("rho must lie in (0, r]")
+    emp = _empirical_input(emp)
     log_n_value, method = _complexity_input(
         log_n_at(params.rho / 4.0) if callable(log_n_at) else log_n_at
     )
     if log_n_value < 0:
         raise InputError("logN must be nonnegative")
     addend = math.log(math.log2(2.0 * params.r / params.rho))
-    numerator = _confidence_numerator(log_n_value, params, addend)
-    coeff = _cov_alpha_coefficient(numerator, params)
-    solved = solve_relative(emp, coeff, params.alpha)
-    converted = explicit_lemma_d1(emp, coeff, params.alpha)
+    solved, terms = cov_alpha_value(emp, log_n_value, params, addend)
+    converted = explicit_lemma_d1(emp, terms["coefficient"], params.alpha)
     raw = solved if solver == "root-find" else converted
     return _finalize_zero_one(
         "cov-uniform-rho",
@@ -351,8 +386,7 @@ def bound_cov_uniform_rho(
         solver,
         method,
         {
-            "coefficient": coeff,
-            "numerator": numerator,
+            **terms,
             "loglog_addend": addend,
             "fixed_point_value": solved,
             "explicit_conversion_value": converted,
@@ -373,36 +407,40 @@ def rad_budget(rm_value: float, params: BoundParams) -> float:
     return (rm_value + math.log(math.log(params.m)) + math.log(16.0 / params.delta)) / params.m
 
 
-def rad_value(emp, budget, alpha):
-    """emp + 32 emp^{1/alpha} B^{1-1/alpha} + 2 * 32^{alpha/(alpha-1)} B (array-capable).
+def rad_value(emp, rm: float, params: BoundParams):
+    """emp + 32 emp^{1/alpha} B^{1-1/alpha} + 2 * 32^{alpha/(alpha-1)} B with
+    the budget B of ``rad_budget``.
 
     The closed form caps the deviation from emp, so the risk bound adds emp back.
     """
+    budget = rad_budget(rm, params)
+    alpha = params.alpha
     inv = 1.0 / alpha
     deviation = 32.0 * np.power(emp, inv) * np.power(budget, 1.0 - inv) + (
         2.0 * 32.0 ** (alpha / (alpha - 1.0))
     ) * budget
-    return emp + deviation
+    return emp + deviation, {"budget": budget}
 
 
 def bound_rad(emp: float, rm, params: BoundParams) -> BoundReport:
-    """Peeling-complexity bound, explicit form, plus the implicit-form value
-    (coefficient 16 sqrt(2) on the true-risk root) resolved by fixed point."""
+    """Peeling-complexity bound, explicit form (see ``rad_value``), plus the
+    implicit-form value (coefficient 16 sqrt(2) on the true-risk root)
+    resolved by fixed point."""
+    emp = _empirical_input(emp)
     rm_value, method = _complexity_input(rm)
-    budget = rad_budget(rm_value, params)
-    raw = float(rad_value(emp, budget, params.alpha))
-    implicit_coeff = 16.0 * math.sqrt(2.0) * budget ** (1.0 - 1.0 / params.alpha)
+    raw, terms = rad_value(emp, rm_value, params)
+    implicit_coeff = 16.0 * math.sqrt(2.0) * terms["budget"] ** (1.0 - 1.0 / params.alpha)
     implicit_solved = solve_relative(emp, implicit_coeff, params.alpha)
     return _finalize_zero_one(
         "rad",
         params,
         emp,
         rm_value,
-        raw,
+        float(raw),
         "closed-form",
         method,
         {
-            "budget": budget,
+            **terms,
             "implicit_coefficient": implicit_coeff,
             "implicit_solved_value": implicit_solved,
         },
@@ -417,6 +455,7 @@ def bound_rad_all_alpha(emp: float, rm, params: BoundParams, alpha_grid) -> Boun
         raise InputError("alpha grid must be nonempty")
     if any(not (1.0 < a <= 2.0) for a in grid):
         raise InputError("alpha grid entries must lie in (1, 2]")
+    emp = _empirical_input(emp)
     rm_value, method = _complexity_input(rm)
     budget = rad_budget(rm_value, params)
     per_alpha = {}
@@ -446,6 +485,7 @@ def bound_rad_smooth(emp: float, rmax: float, params: BoundParams) -> BoundRepor
     value = emp + 32 sqrt(2) emp^{1/alpha} beta^{1-1/alpha} + 2 * 32^{alpha/(alpha-1)} beta."""
     if params.m < 3:
         raise InputError("needs m >= 3 so that log log m is defined")
+    emp = _empirical_input(emp)
     cap = rm_upper_smooth(params.rho, params.m, rmax)
     complexity_part = cap / params.m
     confidence_part = (math.log(math.log(params.m)) + math.log(16.0 / params.delta)) / params.m
@@ -497,6 +537,7 @@ def bound_unbounded(emp_loss: float, moment: float, log_n_loss, params: BoundPar
     moment^{1/alpha} * e + rho, where e is the covering deviation scale."""
     if not (moment >= 0 and math.isfinite(moment)):
         raise InputError("the loss moment must be finite and nonnegative")
+    emp_loss = _empirical_input(emp_loss, "emp_loss", zero_one=False)
     log_n_value, method = _complexity_input(log_n_loss)
     if log_n_value < 0:
         raise InputError("logN must be nonnegative")
@@ -527,6 +568,7 @@ def bound_unbounded_uniform_rho(
         raise InputError("every grid rho must lie in (0, r]")
     if not (moment >= 0 and math.isfinite(moment)):
         raise InputError("the loss moment must be finite and nonnegative")
+    emp_loss = _empirical_input(emp_loss, "emp_loss", zero_one=False)
     per_rho = {}
     failures = {}
     for rho in grid:

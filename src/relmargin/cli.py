@@ -47,7 +47,7 @@ from .rademacher import (
     rm_upper_smooth,
     worst_case_rademacher,
 )
-from .reportio import canonical_json, report_csv
+from .reportio import canonical, canonical_json, report_csv
 from .samples import LabeledSample
 from .training import train, train_bound_min
 from .validation import ExperimentConfig, validate_bounds
@@ -73,9 +73,7 @@ def _default_threads() -> int:
 
 def _emit(report, fmt: str, out: str | None) -> None:
     data = report.to_json() if hasattr(report, "to_json") else report
-    text = canonical_json(data) if fmt == "json" else report_csv(
-        json.loads(canonical_json(data))
-    )
+    text = canonical_json(data) if fmt == "json" else report_csv(canonical(data))
     if out:
         Path(out).write_text(text)
         print(f"wrote {out}", file=sys.stderr)

@@ -1,28 +1,19 @@
-"""Hot numeric kernels with two interchangeable backends.
+"""Hot numeric kernels, vectorized in numpy.
 
 The inner loops that dominate runtime (exhaustive sign-vector enumeration,
 Monte-Carlo sign correlations, pairwise column distances, projected
-subgradient descent) are implemented twice: once as numba ``@njit``
-functions and once in pure vectorized numpy.  The backend is chosen at
-import time from the ``RELMARGIN_BACKEND`` environment variable
-("numba" or "numpy"); when unset, numba is used if importable.
-
-Both backends enumerate or evaluate exactly the same quantities; results
-may differ in the last few ulps because floating-point summation order
-differs.  ``benchmarks/bench_backends.py`` compares their speed.
+subgradient descent) live here, one numpy implementation each.  Matrix
+products run on whatever BLAS numpy was built with, in the calling
+process's BLAS threads.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
 from .errors import InputError
 
 __all__ = [
-    "ACTIVE_BACKEND",
-    "active_backend",
     "exact_mean_sup_signed_sum",
     "sup_signed_sums",
     "pairwise_linf",
@@ -30,274 +21,6 @@ __all__ = [
     "ramp_descent",
     "ramp_objective",
 ]
-
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    _HAVE_NUMBA = False
-
-_requested = os.environ.get("RELMARGIN_BACKEND", "").strip().lower()
-if _requested not in ("", "numba", "numpy"):
-    raise InputError(f"RELMARGIN_BACKEND must be 'numba' or 'numpy', got {_requested!r}")
-if _requested == "numba" and not _HAVE_NUMBA:
-    raise InputError("RELMARGIN_BACKEND=numba but numba is not importable")
-
-ACTIVE_BACKEND = _requested or ("numba" if _HAVE_NUMBA else "numpy")
-
-
-def active_backend() -> str:
-    """Name of the kernel backend selected at import time."""
-    return ACTIVE_BACKEND
-
-
-# ---------------------------------------------------------------------------
-# numpy implementations
-
-
-def _exact_mean_sup_numpy(values: np.ndarray) -> float:
-    # Enumerates all 2^m sign vectors in chunked matrix products.
-    m, _ = values.shape
-    n_states = 1 << m
-    chunk = 1 << min(m, 13)
-    bit_shift = np.arange(m, dtype=np.int64)
-    total = 0.0
-    for start in range(0, n_states, chunk):
-        idx = np.arange(start, min(start + chunk, n_states), dtype=np.int64)
-        signs = (((idx[:, None] >> bit_shift) & 1) * 2.0) - 1.0
-        total += float((signs @ values).max(axis=1).sum())
-    return total / n_states
-
-
-def _sup_signed_sums_numpy(values: np.ndarray, signs: np.ndarray) -> np.ndarray:
-    return (signs @ values).max(axis=1)
-
-
-def _pairwise_linf_numpy(values: np.ndarray) -> np.ndarray:
-    p = values.shape[1]
-    out = np.zeros((p, p))
-    for j in range(p):
-        out[j] = np.abs(values - values[:, [j]]).max(axis=0)
-    return out
-
-
-def _pairwise_l2n_numpy(values: np.ndarray) -> np.ndarray:
-    p = values.shape[1]
-    out = np.zeros((p, p))
-    for j in range(p):
-        out[j] = np.sqrt(np.mean((values - values[:, [j]]) ** 2, axis=0))
-    return out
-
-
-def _ramp_descent_numpy(signed_x, w0, rho, lam, steps, step0):
-    m = signed_x.shape[0]
-    w = w0.copy()
-    nrm = np.sqrt(w @ w)
-    if nrm > 1.0:
-        w /= nrm
-    best_w = w.copy()
-    best_obj = _ramp_objective_numpy(signed_x, w, rho, lam)
-    for t in range(1, steps + 1):
-        margins = signed_x @ w
-        ramp = np.clip(1.0 - margins / rho, 0.0, 1.0)
-        r = float(ramp.mean())
-        active = (margins > 0.0) & (margins < rho)
-        grad = -signed_x[active].sum(axis=0) / (m * rho)
-        if r > 0.0:
-            grad = grad * (1.0 + lam / (rho * 2.0 * np.sqrt(r)))
-        w = w - (step0 / np.sqrt(t)) * grad
-        nrm = np.sqrt(w @ w)
-        if nrm > 1.0:
-            w /= nrm
-        obj = _ramp_objective_numpy(signed_x, w, rho, lam)
-        if obj < best_obj:
-            best_obj = obj
-            best_w = w.copy()
-    return best_w, best_obj
-
-
-def _ramp_objective_numpy(signed_x, w, rho, lam):
-    margins = signed_x @ w
-    r = float(np.clip(1.0 - margins / rho, 0.0, 1.0).mean())
-    return r + (lam / rho) * np.sqrt(r)
-
-
-# ---------------------------------------------------------------------------
-# numba implementations
-
-if _HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _exact_mean_sup_numba(values):  # pragma: no cover - driven via dispatch
-        m, p = values.shape
-        s = np.empty(p)
-        for j in range(p):
-            acc = 0.0
-            for i in range(m):
-                acc -= values[i, j]
-            s[j] = acc
-        best = s[0]
-        for j in range(1, p):
-            if s[j] > best:
-                best = s[j]
-        total = best
-        sign = np.full(m, -1.0)
-        n_states = 1 << m
-        # Gray-code walk: consecutive states differ in one flipped sign.
-        for c in range(1, n_states):
-            b = 0
-            cc = c
-            while cc & 1 == 0:
-                cc >>= 1
-                b += 1
-            sign[b] = -sign[b]
-            f = 2.0 * sign[b]
-            best = -1.0e300
-            for j in range(p):
-                s[j] += f * values[b, j]
-                if s[j] > best:
-                    best = s[j]
-            total += best
-        return total / n_states
-
-    @njit(cache=True)
-    def _sup_signed_sums_numba(values, signs):  # pragma: no cover
-        corr = signs @ values
-        n, p = corr.shape
-        out = np.empty(n)
-        for t in range(n):
-            best = corr[t, 0]
-            for j in range(1, p):
-                if corr[t, j] > best:
-                    best = corr[t, j]
-            out[t] = best
-        return out
-
-    @njit(cache=True)
-    def _pairwise_linf_numba(values):  # pragma: no cover
-        m, p = values.shape
-        out = np.zeros((p, p))
-        for a in range(p):
-            for b in range(a + 1, p):
-                d = 0.0
-                for i in range(m):
-                    v = abs(values[i, a] - values[i, b])
-                    if v > d:
-                        d = v
-                out[a, b] = d
-                out[b, a] = d
-        return out
-
-    @njit(cache=True)
-    def _pairwise_l2n_numba(values):  # pragma: no cover
-        m, p = values.shape
-        out = np.zeros((p, p))
-        for a in range(p):
-            for b in range(a + 1, p):
-                acc = 0.0
-                for i in range(m):
-                    v = values[i, a] - values[i, b]
-                    acc += v * v
-                d = np.sqrt(acc / m)
-                out[a, b] = d
-                out[b, a] = d
-        return out
-
-    @njit(cache=True)
-    def _ramp_objective_numba(signed_x, w, rho, lam):  # pragma: no cover
-        m, n = signed_x.shape
-        acc = 0.0
-        for i in range(m):
-            u = 0.0
-            for j in range(n):
-                u += signed_x[i, j] * w[j]
-            v = 1.0 - u / rho
-            if v < 0.0:
-                v = 0.0
-            elif v > 1.0:
-                v = 1.0
-            acc += v
-        r = acc / m
-        return r + (lam / rho) * np.sqrt(r)
-
-    @njit(cache=True)
-    def _ramp_descent_numba(signed_x, w0, rho, lam, steps, step0):  # pragma: no cover
-        m, n = signed_x.shape
-        w = w0.copy()
-        nrm = 0.0
-        for j in range(n):
-            nrm += w[j] * w[j]
-        nrm = np.sqrt(nrm)
-        if nrm > 1.0:
-            for j in range(n):
-                w[j] /= nrm
-        best_w = w.copy()
-        best_obj = _ramp_objective_numba(signed_x, w, rho, lam)
-        grad = np.empty(n)
-        for t in range(1, steps + 1):
-            for j in range(n):
-                grad[j] = 0.0
-            acc = 0.0
-            for i in range(m):
-                u = 0.0
-                for j in range(n):
-                    u += signed_x[i, j] * w[j]
-                v = 1.0 - u / rho
-                if v < 0.0:
-                    v = 0.0
-                elif v > 1.0:
-                    v = 1.0
-                acc += v
-                if 0.0 < u < rho:
-                    for j in range(n):
-                        grad[j] -= signed_x[i, j] / (m * rho)
-            r = acc / m
-            scale = 1.0
-            if r > 0.0:
-                scale = 1.0 + lam / (rho * 2.0 * np.sqrt(r))
-            eta = step0 / np.sqrt(t)
-            nrm = 0.0
-            for j in range(n):
-                w[j] -= eta * scale * grad[j]
-                nrm += w[j] * w[j]
-            nrm = np.sqrt(nrm)
-            if nrm > 1.0:
-                for j in range(n):
-                    w[j] /= nrm
-            obj = _ramp_objective_numba(signed_x, w, rho, lam)
-            if obj < best_obj:
-                best_obj = obj
-                best_w = w.copy()
-        return best_w, best_obj
-
-
-# ---------------------------------------------------------------------------
-# dispatch
-
-_NUMPY_IMPL = {
-    "exact_mean_sup": _exact_mean_sup_numpy,
-    "sup_signed_sums": _sup_signed_sums_numpy,
-    "pairwise_linf": _pairwise_linf_numpy,
-    "pairwise_l2n": _pairwise_l2n_numpy,
-    "ramp_descent": _ramp_descent_numpy,
-    "ramp_objective": _ramp_objective_numpy,
-}
-
-if _HAVE_NUMBA:
-    _NUMBA_IMPL = {
-        "exact_mean_sup": _exact_mean_sup_numba,
-        "sup_signed_sums": _sup_signed_sums_numba,
-        "pairwise_linf": _pairwise_linf_numba,
-        "pairwise_l2n": _pairwise_l2n_numba,
-        "ramp_descent": _ramp_descent_numba,
-        "ramp_objective": _ramp_objective_numba,
-    }
-else:  # pragma: no cover
-    _NUMBA_IMPL = _NUMPY_IMPL
-
-IMPLEMENTATIONS = {"numpy": _NUMPY_IMPL, "numba": _NUMBA_IMPL}
-_ACTIVE = IMPLEMENTATIONS[ACTIVE_BACKEND]
 
 
 def _as_matrix(values) -> np.ndarray:
@@ -309,26 +32,49 @@ def _as_matrix(values) -> np.ndarray:
 
 def exact_mean_sup_signed_sum(values) -> float:
     """Mean over all 2^m sign vectors of ``max_j sum_i sigma_i * values[i, j]``."""
-    return float(_ACTIVE["exact_mean_sup"](_as_matrix(values)))
+    # Enumerates all 2^m sign vectors in chunked matrix products.
+    values = _as_matrix(values)
+    m = values.shape[0]
+    n_states = 1 << m
+    chunk = 1 << min(m, 13)
+    bit_shift = np.arange(m, dtype=np.int64)
+    total = 0.0
+    for start in range(0, n_states, chunk):
+        idx = np.arange(start, min(start + chunk, n_states), dtype=np.int64)
+        signs = (((idx[:, None] >> bit_shift) & 1) * 2.0) - 1.0
+        total += float((signs @ values).max(axis=1).sum())
+    return total / n_states
 
 
 def sup_signed_sums(values, signs) -> np.ndarray:
     """Per sign vector: ``max_j sum_i signs[t, i] * values[i, j]``."""
-    return np.asarray(
-        _ACTIVE["sup_signed_sums"](
-            _as_matrix(values), np.ascontiguousarray(signs, dtype=np.float64)
-        )
-    )
+    return (np.ascontiguousarray(signs, dtype=np.float64) @ _as_matrix(values)).max(axis=1)
 
 
 def pairwise_linf(values) -> np.ndarray:
     """Column-to-column sup distances ``max_i |a_i - b_i|``."""
-    return np.asarray(_ACTIVE["pairwise_linf"](_as_matrix(values)))
+    values = _as_matrix(values)
+    p = values.shape[1]
+    out = np.zeros((p, p))
+    for j in range(p):
+        out[j] = np.abs(values - values[:, [j]]).max(axis=0)
+    return out
 
 
 def pairwise_l2n(values) -> np.ndarray:
     """Column-to-column normalized distances ``sqrt(mean_i (a_i - b_i)^2)``."""
-    return np.asarray(_ACTIVE["pairwise_l2n"](_as_matrix(values)))
+    values = _as_matrix(values)
+    p = values.shape[1]
+    out = np.zeros((p, p))
+    for j in range(p):
+        out[j] = np.sqrt(np.mean((values - values[:, [j]]) ** 2, axis=0))
+    return out
+
+
+def _ramp_objective(signed_x, w, rho, lam):
+    margins = signed_x @ w
+    r = float(np.clip(1.0 - margins / rho, 0.0, 1.0).mean())
+    return r + (lam / rho) * np.sqrt(r)
 
 
 def ramp_descent(signed_x, w0, rho, lam, steps, step0=1.0):
@@ -338,21 +84,38 @@ def ramp_descent(signed_x, w0, rho, lam, steps, step0=1.0):
     schedule; the iterate is projected onto the unit ball after every step;
     the best-so-far point is returned with its objective.
     """
-    w_best, obj_best = _ACTIVE["ramp_descent"](
-        np.ascontiguousarray(signed_x, dtype=np.float64),
-        np.ascontiguousarray(w0, dtype=np.float64),
-        float(rho),
-        float(lam),
-        int(steps),
-        float(step0),
-    )
-    return np.asarray(w_best), float(obj_best)
+    signed_x = np.ascontiguousarray(signed_x, dtype=np.float64)
+    rho, lam, step0 = float(rho), float(lam), float(step0)
+    m = signed_x.shape[0]
+    w = np.array(w0, dtype=np.float64)
+    nrm = np.sqrt(w @ w)
+    if nrm > 1.0:
+        w /= nrm
+    best_w = w.copy()
+    best_obj = _ramp_objective(signed_x, w, rho, lam)
+    for t in range(1, int(steps) + 1):
+        margins = signed_x @ w
+        ramp = np.clip(1.0 - margins / rho, 0.0, 1.0)
+        r = float(ramp.mean())
+        active = (margins > 0.0) & (margins < rho)
+        grad = -signed_x[active].sum(axis=0) / (m * rho)
+        if r > 0.0:
+            grad = grad * (1.0 + lam / (rho * 2.0 * np.sqrt(r)))
+        w = w - (step0 / np.sqrt(t)) * grad
+        nrm = np.sqrt(w @ w)
+        if nrm > 1.0:
+            w /= nrm
+        obj = _ramp_objective(signed_x, w, rho, lam)
+        if obj < best_obj:
+            best_obj = obj
+            best_w = w.copy()
+    return best_w, float(best_obj)
 
 
 def ramp_objective(signed_x, w, rho, lam) -> float:
     """Ramp margin loss plus (lam/rho) times its square root, at one point."""
     return float(
-        _ACTIVE["ramp_objective"](
+        _ramp_objective(
             np.ascontiguousarray(signed_x, dtype=np.float64),
             np.ascontiguousarray(w, dtype=np.float64),
             float(rho),

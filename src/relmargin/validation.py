@@ -3,9 +3,10 @@
 A campaign draws fresh samples, evaluates a bound family for every member
 of a fixed hypothesis pool, and counts trials where any member's true risk
 exceeds its bound (the uniform event a uniform-convergence guarantee
-protects against).  Complexity inputs are estimated once per family from
-their own substreams, so trials stay cheap and the whole report is
-reproducible bit-for-bit at any thread count.
+protects against).  Complexity inputs are estimated once per estimator
+from their own substreams (families that share an estimator share its
+value), so trials stay cheap and the whole report is reproducible
+bit-for-bit at any thread count.
 """
 
 from __future__ import annotations
@@ -18,12 +19,11 @@ import numpy as np
 from scipy.stats import beta as beta_dist
 
 from . import __version__ as _pkg_version
-from .bounds import BoundParams, cov_alpha2_value, rad_budget, rad_value, solve_relative
+from .bounds import BoundParams, cov_alpha2_value, cov_alpha_value, cov_fat_value, rad_value
 from .errors import InputError
 from .estimates import ComplexityEstimate
-from .fatdim import FatDimParams, cover_log_bound_from_fat, fat_dim_formula
+from .fatdim import FatDimParams, fat_dim_formula
 from .hypotheses import LinearHypothesis, truncate
-from .kernels import active_backend
 from .lossmatrix import LossMatrix, outputs_matrix, transform_matrix
 from .covers import covering_number_linf
 from .rademacher import peeling_complexity
@@ -33,8 +33,6 @@ from .training import train
 from .transforms import step
 
 __all__ = ["ExperimentConfig", "ValidityReport", "validate_bounds", "exact_binomial_ci"]
-
-SUPPORTED_FAMILIES = ("cov-alpha", "cov-alpha2", "cov-fat", "rad")
 
 _DEFAULT_COMPLEXITY = {
     "cover_draws": 64,
@@ -226,39 +224,28 @@ def _estimate_peeling(cfg, dist, pool) -> ComplexityEstimate:
     )
 
 
-def _family_complexity(cfg, dist, pool, family: str) -> ComplexityEstimate:
-    if family in ("cov-alpha", "cov-alpha2"):
-        return _estimate_log_cover(cfg, dist, pool)
-    if family == "cov-fat":
-        radius = float(getattr(dist, "radius"))
-        d = max(1.0, fat_dim_formula(FatDimParams(kind="linear", radius=radius, rho=cfg.params.rho)))
-        return ComplexityEstimate(value=d, method="formula", details={"class": "linear", "radius": radius})
-    if family == "rad":
-        return _estimate_peeling(cfg, dist, pool)
-    raise InputError(f"unsupported family {family!r}")
+def _estimate_fat_dimension(cfg, dist, pool) -> ComplexityEstimate:
+    radius = float(getattr(dist, "radius"))
+    d = max(1.0, fat_dim_formula(FatDimParams(kind="linear", radius=radius, rho=cfg.params.rho)))
+    return ComplexityEstimate(value=d, method="formula", details={"class": "linear", "radius": radius})
+
+
+# family -> (complexity estimator, bound formula from ``bounds``)
+_FAMILIES = {
+    "cov-alpha": (_estimate_log_cover, cov_alpha_value),
+    "cov-alpha2": (_estimate_log_cover, cov_alpha2_value),
+    "cov-fat": (_estimate_fat_dimension, cov_fat_value),
+    "rad": (_estimate_peeling, rad_value),
+}
+SUPPORTED_FAMILIES = tuple(_FAMILIES)
 
 
 def family_bound_values(family: str, emp: np.ndarray, complexity_value: float, p: BoundParams) -> np.ndarray:
-    """Vectorized bound values for a family; identical to the per-report
-    formulas (asserted by tests) and clamped at 1 like the reports."""
-    emp = np.asarray(emp, dtype=np.float64)
-    if family == "cov-alpha2":
-        c = (complexity_value + math.log(1.0 / p.delta)) / p.m
-        raw = cov_alpha2_value(emp, c)
-    elif family == "cov-alpha":
-        a = p.alpha
-        coeff = 2.0 ** ((a + 2.0) / (2.0 * a)) * math.sqrt(
-            (complexity_value + math.log(1.0 / p.delta)) / p.m ** (2.0 * (a - 1.0) / a)
-        )
-        raw = np.array([solve_relative(float(e), coeff, a) for e in np.atleast_1d(emp)])
-        raw = raw.reshape(emp.shape)
-    elif family == "cov-fat":
-        term = (cover_log_bound_from_fat(complexity_value, p.m) + math.log(1.0 / p.delta)) / p.m
-        raw = emp + 2.0 * np.sqrt(emp * term) + term
-    elif family == "rad":
-        raw = rad_value(emp, rad_budget(complexity_value, p), p.alpha)
-    else:
+    """Vectorized bound values for a family: the per-report formula applied
+    to an array of empirical terms, clamped at 1 like the reports."""
+    if family not in _FAMILIES:
         raise InputError(f"unsupported family {family!r}")
+    raw, _ = _FAMILIES[family][1](np.asarray(emp, dtype=np.float64), complexity_value, p)
     return np.minimum(raw, 1.0)
 
 
@@ -268,7 +255,12 @@ def validate_bounds(cfg: ExperimentConfig, threads: int = 1) -> ValidityReport:
     dist = make_distribution(cfg.distribution)
     pool = _build_pool(cfg)
     p = cfg.params
-    complexities = {fam: _family_complexity(cfg, dist, pool, fam) for fam in cfg.families}
+    estimates = {}
+    for fam in cfg.families:
+        estimator = _FAMILIES[fam][0]
+        if estimator not in estimates:
+            estimates[estimator] = estimator(cfg, dist, pool)
+    complexities = {fam: estimates[_FAMILIES[fam][0]] for fam in cfg.families}
 
     if cfg.mode == "uniform-pool":
         true_risks = _pool_true_risks(cfg, dist, pool)
@@ -341,7 +333,7 @@ def validate_bounds(cfg: ExperimentConfig, threads: int = 1) -> ValidityReport:
     environment = {
         "seed": cfg.seed,
         "package_version": _pkg_version,
-        "backend": active_backend(),
+        "backend": "numpy",
         "delta": p.delta,
     }
     return ValidityReport(families=families_out, rows=tuple(rows), environment=environment)

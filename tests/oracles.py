@@ -71,3 +71,33 @@ def packing_lower_bound(dist_rows, eps: float) -> int:
         if all(dist_rows[j][i] > 2 * eps for i in chosen):
             chosen.append(j)
     return len(chosen)
+
+
+def bisect_relative(b: float, c: float, alpha: float, rel_tol: float = 1e-12) -> float:
+    """Largest fixed point of x = b + c x^{1/alpha} by scalar bisection.
+
+    Geometric bracket growth from max(b, 1), then bisection on the concave
+    residual to relative width ``rel_tol``; inf once the bracket passes 1e300.
+    """
+    if c == 0.0:
+        return float(b)
+    inv = 1.0 / alpha
+
+    def residual(x: float) -> float:
+        return b + c * x**inv - x
+
+    lo = b
+    hi = max(b, 1.0)
+    while residual(hi) >= 0.0:
+        hi *= 2.0
+        if hi > 1e300:
+            return math.inf
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if residual(mid) >= 0.0:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= rel_tol * max(hi, 1e-300):
+            break
+    return 0.5 * (lo + hi)

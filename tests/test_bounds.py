@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import bisect_relative
 
 from relmargin import (
     ApplicabilityError,
     BoundParams,
+    DataError,
     DomainError,
     InputError,
     bound_cov_alpha,
@@ -65,6 +67,48 @@ def test_solve_relative_dominates_feasible_points(b, c, alpha):
     for x in (0.0, b, 0.5 * x_star):
         if x <= b + c * x ** (1 / alpha):
             assert x <= x_star + 1e-9
+
+
+def test_solve_relative_array_matches_scalar_bisection():
+    rng = np.random.default_rng(11)
+    b = np.concatenate([[0.0, 5.0], rng.uniform(0.0, 5.0, 60)])
+    alphas = np.concatenate([[2.0], rng.uniform(1.0, 2.0, 11)])
+    for alpha in alphas:
+        alpha = float(max(alpha, 1.001))
+        for c in np.concatenate([[5.0], rng.uniform(0.0, 5.0, 4)]):
+            c = float(c)
+            got = solve_relative(b, c, alpha)
+            assert isinstance(got, np.ndarray) and got.shape == b.shape
+            for bi, gi in zip(b, got):
+                assert gi == pytest.approx(bisect_relative(float(bi), c, alpha), rel=1e-11)
+                assert solve_relative(float(bi), c, alpha) == gi
+
+
+def test_solve_relative_zero_coefficient_returns_b():
+    b = np.array([[0.0, 0.25], [1.5, 4.0]])
+    for alpha in (1.3, 2.0):
+        assert np.array_equal(solve_relative(b, 0.0, alpha), b)
+        assert solve_relative(0.37, 0.0, alpha) == 0.37
+
+
+def test_solve_relative_overflow_is_inf():
+    assert solve_relative(0.5, 1e200, 2.0) == math.inf
+    assert solve_relative(0.5, 1e20, 1.05) == math.inf == bisect_relative(0.5, 1e20, 1.05)
+    mixed = solve_relative(np.array([0.5, 1e300]), 1.0, 1.5)
+    assert mixed[0] == pytest.approx(bisect_relative(0.5, 1.0, 1.5), rel=1e-11)
+    assert mixed[1] == math.inf == bisect_relative(1e300, 1.0, 1.5)
+
+
+def test_solve_relative_rejects_negative_or_nan_inputs():
+    for b, c in ((-0.1, 1.0), (np.array([0.1, math.nan]), 1.0), (0.1, -1.0), (0.1, math.nan)):
+        with pytest.raises(InputError, match="nonnegative"):
+            solve_relative(b, c, 1.5)
+
+
+def test_solve_relative_scalar_input_returns_float():
+    for b, c, alpha in ((0.1, 0.2, 2.0), (0.1, 0.2, 1.5), (0.1, 0.0, 1.5), (np.float64(0.3), 1.0, 2.0)):
+        assert type(solve_relative(b, c, alpha)) is float
+    assert type(solve_relative(0.5, 1e20, 1.05)) is float
 
 
 def test_lemma_d1_examples():
@@ -418,3 +462,50 @@ def test_tightness_identity_small_beta():
     # with emp = 0 and beta <= 1 the factored form beta is at most sqrt(beta)
     for beta in (1e-6, 1e-3, 0.1, 0.5, 1.0):
         assert 0.0 + 2 * math.sqrt(0.0 * beta) + beta <= math.sqrt(beta) + 1e-15
+
+
+# ---------------------------------------------------------------------------
+# input validation at the report builders
+
+_ZERO_ONE_BUILDERS = {
+    "cov-alpha": lambda emp: bound_cov_alpha(emp, 3.0, P()),
+    "cov-alpha2": lambda emp: bound_cov_alpha2(emp, 3.0, P()),
+    "cov-fat": lambda emp: bound_cov_fat(emp, 4.0, P()),
+    "cov-uniform-rho": lambda emp: bound_cov_uniform_rho(emp, 3.0, P(rho=0.5, r=1.0)),
+    "rad": lambda emp: bound_rad(emp, 0.5, P()),
+    "rad-all-alpha": lambda emp: bound_rad_all_alpha(emp, 0.5, P(), [1.5, 2.0]),
+    "rad-smooth": lambda emp: bound_rad_smooth(emp, 1.0, P(rho=0.5)),
+}
+
+
+@pytest.mark.parametrize("family", sorted(_ZERO_ONE_BUILDERS))
+@pytest.mark.parametrize("emp", [math.nan, math.inf, -math.inf, -0.1, 1.5])
+def test_zero_one_builders_reject_bad_empirical_term(family, emp):
+    with pytest.raises(DataError, match="emp must be"):
+        _ZERO_ONE_BUILDERS[family](emp)
+
+
+@pytest.mark.parametrize("family", sorted(_ZERO_ONE_BUILDERS))
+def test_zero_one_builders_accept_empirical_range_ends(family):
+    for emp in (0.0, 1.0):
+        assert _ZERO_ONE_BUILDERS[family](emp).bound_value <= 1.0
+
+
+@pytest.mark.parametrize("emp_loss", [math.nan, math.inf, -0.5])
+def test_unbounded_builders_reject_bad_empirical_loss(emp_loss):
+    p = P(m=10**6, alpha=2.0, rho=0.5, r=4.0)
+    with pytest.raises(DataError, match="emp_loss must be"):
+        bound_unbounded(emp_loss, 1.0, 5.0, p)
+    with pytest.raises(DataError, match="emp_loss must be"):
+        bound_unbounded_uniform_rho(emp_loss, 1.0, 5.0, [0.5, 1.0], p)
+    assert bound_unbounded(2.5, 1.0, 5.0, p).bound_value > 2.5  # above 1 is fine
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [("delta", math.inf), ("delta", math.nan), ("rho", math.inf), ("tau", math.inf),
+     ("tau", math.nan), ("r", math.inf)],
+)
+def test_params_require_finite_values(field, value):
+    with pytest.raises(InputError, match=field):
+        BoundParams(**{"m": 100, "delta": 0.05, "rho": 0.5, "r": 1.0, field: value})

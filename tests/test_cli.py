@@ -322,3 +322,66 @@ def test_explain_goes_to_stderr():
     assert code == 0
     assert "empirical_term" in err and "bound_value" in err
     json.loads(out)  # stdout still carries exactly the report
+
+
+_BOUND_ARGV = {
+    "cov-alpha2": ["--logN", "3"],
+    "cov-alpha": ["--logN", "3"],
+    "rad": ["--rm", "0.5"],
+}
+
+
+@pytest.mark.parametrize("family", sorted(_BOUND_ARGV))
+@pytest.mark.parametrize(
+    "flag,value,field",
+    [("--emp", "nan", "emp"), ("--emp", "inf", "emp"), ("--emp", "-0.1", "emp"),
+     ("--emp", "2", "emp"), ("--delta", "inf", "delta"), ("--rho", "inf", "rho"),
+     ("--tau", "inf", "tau"), ("--r", "inf", "r")],
+)
+def test_bad_bound_inputs_exit_2_naming_the_field(capsys, family, flag, value, field):
+    argv = {"--emp": "0.1", "--m": "1000", "--delta": "0.05", flag: value}
+    args = ["bound", "--family", family, *_BOUND_ARGV[family]]
+    for key, val in argv.items():
+        args.append(f"{key}={val}")
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and f"{field} must be" in err
+
+
+def test_bad_empirical_loss_exits_2(capsys):
+    rc = main(["bound", "--family", "unbounded", "--emp-loss=-1", "--moment", "1",
+               "--logN", "5", "--m", "1000000", "--delta", "0.05"])
+    assert rc == 2
+    assert "emp_loss must be" in capsys.readouterr().err
+
+
+def test_csv_emit_matches_json_round_trip(capsys):
+    from relmargin import BoundParams, ExperimentConfig, bound_rad, compare_tightness_direct
+    from relmargin.cli import _emit
+    from relmargin.reportio import canonical_json, report_csv
+    from relmargin.validation import validate_bounds
+
+    cfg = ExperimentConfig.from_json({
+        "distribution": {"kind": "two-gaussian-mixture", "dim": 2, "separation": 1.0, "sigma": 1.0},
+        "pool": {"kind": "linear", "size": 5},
+        "params": {"m": 40, "delta": 0.05, "alpha": 2.0, "rho": 0.2},
+        "families": ["cov-alpha2", "rad"],
+        "trials": 4,
+        "seed": 3,
+        "complexity": {"cover_draws": 3, "peel_draws": 3, "n_sigma": 64},
+    })
+    tightness = compare_tightness_direct([0.0, 0.1], [0.01, 0.2])
+    tightness["schema"] = "relmargin/tightness-report/v1"
+    reports = [
+        bound_rad(0.1, 0.7, BoundParams(m=1000, delta=0.05)),
+        validate_bounds(cfg),
+        tightness,
+        {"schema": "relmargin/value/v1", "op": "x", "value": math.inf,
+         "nested": {"b": [1.0, -math.inf, 2], "a": 1 / 3}},
+    ]
+    for report in reports:
+        data = report.to_json() if hasattr(report, "to_json") else report
+        _emit(report, "csv", None)
+        out = capsys.readouterr().out
+        assert out == report_csv(json.loads(canonical_json(data)))
+    assert "value,Infinity" in out and "nested.b,1;-Infinity;2" in out

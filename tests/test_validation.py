@@ -122,3 +122,24 @@ def test_rows_csv_schema_shape():
         assert 0.0 <= bound <= 1.0
         assert 0.0 <= risk <= 1.0
         assert violated in (0, 1)
+
+
+def test_shared_cover_estimate_runs_once_and_keeps_bytes(monkeypatch):
+    from relmargin import validation
+
+    calls = []
+    real = validation.covering_number_linf
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(validation, "covering_number_linf", counting)
+    both = validate_bounds(_config(trials=5, families=("cov-alpha", "cov-alpha2"))).to_json()
+    assert len(calls) == 8  # cover_draws, not 2 x cover_draws
+    for fam in ("cov-alpha", "cov-alpha2"):
+        alone = validate_bounds(_config(trials=5, families=(fam,))).to_json()
+        assert canonical_json(both["families"][fam]) == canonical_json(alone["families"][fam])
+        rows = [r for r in both["rows"] if r[0] == fam]
+        assert canonical_json(rows) == canonical_json(alone["rows"])
+    assert both["environment"]["backend"] == "numpy"
