@@ -16,7 +16,7 @@ values at or above 1 are additionally flagged vacuous.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -142,10 +142,14 @@ def _empirical_input(emp, name: str = "emp", zero_one: bool = True) -> float:
     return value
 
 
-def _complexity_input(x) -> tuple[float, str]:
-    if isinstance(x, ComplexityEstimate):
-        return float(x.value), x.method
-    return float(x), "given"
+def _complexity_input(x, name: str) -> tuple[float, str]:
+    """The complexity term as a float with its method; rejects NaN, infinite
+    and negative values."""
+    value, method = (x.value, x.method) if isinstance(x, ComplexityEstimate) else (x, "given")
+    value = float(value)
+    if not (math.isfinite(value) and value >= 0.0):
+        raise DataError(f"{name} must be finite and nonnegative, got {value!r}")
+    return value, method
 
 
 def _finalize_zero_one(family, params, emp, complexity, raw, solver, method, breakdown):
@@ -285,6 +289,20 @@ def cov_alpha_value(emp, log_n: float, params: BoundParams, addend: float = 0.0)
     return solve_relative(emp, coeff, a), {"coefficient": coeff, "numerator": numerator}
 
 
+def _cov_alpha_report(family, emp, log_n, params, solver, addend=0.0, **extra) -> BoundReport:
+    """Shared body of the cov-alpha and cov-uniform-rho reports: both the
+    fixed point and the explicit conversion, with ``solver`` picking one."""
+    if solver not in ("root-find", "lemma-D1"):
+        raise InputError("solver must be 'root-find' or 'lemma-D1'")
+    emp = _empirical_input(emp)
+    log_n_value, method = _complexity_input(log_n, "logN")
+    solved, terms = cov_alpha_value(emp, log_n_value, params, addend)
+    converted = explicit_lemma_d1(emp, terms["coefficient"], params.alpha)
+    raw = solved if solver == "root-find" else converted
+    breakdown = dict(terms, **extra, fixed_point_value=solved, explicit_conversion_value=converted)
+    return _finalize_zero_one(family, params, emp, log_n_value, raw, solver, method, breakdown)
+
+
 def bound_cov_alpha(emp: float, log_n, params: BoundParams, solver: str = "root-find") -> BoundReport:
     """General-moment cover bound: resolve x <= emp + C x^{1/alpha} (see
     ``cov_alpha_value`` for C).
@@ -292,25 +310,7 @@ def bound_cov_alpha(emp: float, log_n, params: BoundParams, solver: str = "root-
     The default solver is the largest fixed point; "lemma-D1" selects the
     looser explicit conversion instead.  Both values appear in the breakdown.
     """
-    if solver not in ("root-find", "lemma-D1"):
-        raise InputError("solver must be 'root-find' or 'lemma-D1'")
-    emp = _empirical_input(emp)
-    log_n_value, method = _complexity_input(log_n)
-    if log_n_value < 0:
-        raise InputError("logN must be nonnegative")
-    solved, terms = cov_alpha_value(emp, log_n_value, params)
-    converted = explicit_lemma_d1(emp, terms["coefficient"], params.alpha)
-    raw = solved if solver == "root-find" else converted
-    return _finalize_zero_one(
-        "cov-alpha",
-        params,
-        emp,
-        log_n_value,
-        raw,
-        solver,
-        method,
-        {**terms, "fixed_point_value": solved, "explicit_conversion_value": converted},
-    )
+    return _cov_alpha_report("cov-alpha", emp, log_n, params, solver)
 
 
 def cov_alpha2_value(emp, log_n: float, params: BoundParams):
@@ -324,9 +324,7 @@ def bound_cov_alpha2(emp: float, log_n, params: BoundParams) -> BoundReport:
     if params.alpha != 2.0:
         raise InputError("this family is the alpha = 2 specialization")
     emp = _empirical_input(emp)
-    log_n_value, method = _complexity_input(log_n)
-    if log_n_value < 0:
-        raise InputError("logN must be nonnegative")
+    log_n_value, method = _complexity_input(log_n, "logN")
     raw, terms = cov_alpha2_value(emp, log_n_value, params)
     return _finalize_zero_one(
         "cov-alpha2", params, emp, log_n_value, float(raw), "closed-form", method, terms
@@ -343,6 +341,7 @@ def cov_fat_value(emp, d: float, params: BoundParams):
 def bound_cov_fat(emp: float, d: float, params: BoundParams) -> BoundReport:
     """Fat-shattering cover bound (see ``cov_fat_value``)."""
     emp = _empirical_input(emp)
+    d, _ = _complexity_input(d, "fat_d")
     raw, terms = cov_fat_value(emp, d, params)
     return _finalize_zero_one(
         "cov-fat",
@@ -361,36 +360,14 @@ def bound_cov_uniform_rho(
 ) -> BoundReport:
     """Uniform-margin cover bound: cover radius rho/4 and a log(log2(2r/rho))
     confidence addend, valid simultaneously for all rho in (0, r]."""
-    if solver not in ("root-find", "lemma-D1"):
-        raise InputError("solver must be 'root-find' or 'lemma-D1'")
     if params.r is None:
         raise InputError("uniform-rho bounds need the range cap r")
     if not (0 < params.rho <= params.r):
         raise InputError("rho must lie in (0, r]")
-    emp = _empirical_input(emp)
-    log_n_value, method = _complexity_input(
-        log_n_at(params.rho / 4.0) if callable(log_n_at) else log_n_at
-    )
-    if log_n_value < 0:
-        raise InputError("logN must be nonnegative")
     addend = math.log(math.log2(2.0 * params.r / params.rho))
-    solved, terms = cov_alpha_value(emp, log_n_value, params, addend)
-    converted = explicit_lemma_d1(emp, terms["coefficient"], params.alpha)
-    raw = solved if solver == "root-find" else converted
-    return _finalize_zero_one(
-        "cov-uniform-rho",
-        params,
-        emp,
-        log_n_value,
-        raw,
-        solver,
-        method,
-        {
-            **terms,
-            "loglog_addend": addend,
-            "fixed_point_value": solved,
-            "explicit_conversion_value": converted,
-        },
+    log_n = log_n_at(params.rho / 4.0) if callable(log_n_at) else log_n_at
+    return _cov_alpha_report(
+        "cov-uniform-rho", emp, log_n, params, solver, addend, loglog_addend=addend
     )
 
 
@@ -427,7 +404,7 @@ def bound_rad(emp: float, rm, params: BoundParams) -> BoundReport:
     implicit-form value (coefficient 16 sqrt(2) on the true-risk root)
     resolved by fixed point."""
     emp = _empirical_input(emp)
-    rm_value, method = _complexity_input(rm)
+    rm_value, method = _complexity_input(rm, "rm")
     raw, terms = rad_value(emp, rm_value, params)
     implicit_coeff = 16.0 * math.sqrt(2.0) * terms["budget"] ** (1.0 - 1.0 / params.alpha)
     implicit_solved = solve_relative(emp, implicit_coeff, params.alpha)
@@ -456,7 +433,7 @@ def bound_rad_all_alpha(emp: float, rm, params: BoundParams, alpha_grid) -> Boun
     if any(not (1.0 < a <= 2.0) for a in grid):
         raise InputError("alpha grid entries must lie in (1, 2]")
     emp = _empirical_input(emp)
-    rm_value, method = _complexity_input(rm)
+    rm_value, method = _complexity_input(rm, "rm")
     budget = rad_budget(rm_value, params)
     per_alpha = {}
     for a in grid:
@@ -538,9 +515,7 @@ def bound_unbounded(emp_loss: float, moment: float, log_n_loss, params: BoundPar
     if not (moment >= 0 and math.isfinite(moment)):
         raise InputError("the loss moment must be finite and nonnegative")
     emp_loss = _empirical_input(emp_loss, "emp_loss", zero_one=False)
-    log_n_value, method = _complexity_input(log_n_loss)
-    if log_n_value < 0:
-        raise InputError("logN must be nonnegative")
+    log_n_value, method = _complexity_input(log_n_loss, "logN")
     eps_hat, gamma, value = _unbounded_single(emp_loss, moment, log_n_value, params)
     return BoundReport(
         family="unbounded",
@@ -572,11 +547,10 @@ def bound_unbounded_uniform_rho(
     per_rho = {}
     failures = {}
     for rho in grid:
-        p_rho = BoundParams(
-            m=params.m, delta=params.delta, alpha=params.alpha, rho=rho, tau=params.tau, r=params.r
-        )
+        p_rho = replace(params, rho=rho)
         addend = math.log(math.log(2.0 * params.r / rho))
-        log_n_value = float(log_n_at(rho / 2.0) if callable(log_n_at) else log_n_at)
+        log_n = log_n_at(rho / 2.0) if callable(log_n_at) else log_n_at
+        log_n_value, _ = _complexity_input(log_n, "logN")
         try:
             eps_hat, gamma, value = _unbounded_single(emp_loss, moment, log_n_value, p_rho, addend)
         except (ApplicabilityError, DomainError) as exc:

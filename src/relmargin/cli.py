@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -58,19 +57,6 @@ EXIT_CAPABILITY = 3
 EXIT_APPLICABILITY = 4
 
 
-def _default_threads() -> int:
-    raw = os.environ.get("RELMARGIN_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise InputError(f"RELMARGIN_THREADS must be an integer, got {raw!r}") from exc
-    if value < 1:
-        raise InputError("RELMARGIN_THREADS must be at least 1")
-    return value
-
-
 def _emit(report, fmt: str, out: str | None) -> None:
     data = report.to_json() if hasattr(report, "to_json") else report
     text = canonical_json(data) if fmt == "json" else report_csv(canonical(data))
@@ -100,61 +86,57 @@ def _load_matrix(path: str, range_tag: str) -> LossMatrix:
     return LossMatrix.from_csv(p.read_text(), range_tag)
 
 
-def _value_report(op: str, value: float, extra: dict | None = None) -> dict:
-    out = {"schema": "relmargin/value/v1", "op": op, "value": float(value)}
-    if extra:
-        out.update(extra)
-    return out
+def _value_report(op: str, value: float, **extra) -> dict:
+    return {"schema": "relmargin/value/v1", "op": op, "value": float(value), **extra}
+
+
+def _require(args, flags, what: str) -> None:
+    missing = [f for f in flags if getattr(args, f) in (None, "", [])]
+    if missing:
+        names = ", ".join("--" + f.replace("_", "-") for f in missing)
+        raise InputError(f"{names} required for {what}")
 
 
 # ---------------------------------------------------------------------------
 # bound
+#
+# family -> (flags it needs beyond --emp/--m/--delta, call(args, params)).
+# The calls look the builders up when they run, so patched module names win.
+
+_BOUND_FAMILIES = {
+    "cov-alpha": (("logN",), lambda a, p: bound_cov_alpha(a.emp, a.logN, p, solver=a.solver)),
+    "cov-alpha2": (("logN",), lambda a, p: bound_cov_alpha2(a.emp, a.logN, p)),
+    "cov-fat": (("fat_d",), lambda a, p: bound_cov_fat(a.emp, a.fat_d, p)),
+    "cov-uniform-rho": (
+        ("logN", "r"),
+        lambda a, p: bound_cov_uniform_rho(a.emp, lambda _radius: a.logN, p, solver=a.solver),
+    ),
+    "rad": (("rm",), lambda a, p: bound_rad(a.emp, a.rm, p)),
+    "rad-all-alpha": (
+        ("rm", "alpha_grid"),
+        lambda a, p: bound_rad_all_alpha(a.emp, a.rm, p, _float_list(a.alpha_grid)),
+    ),
+    "rad-smooth": (("rmax",), lambda a, p: bound_rad_smooth(a.emp, a.rmax, p)),
+    "unbounded": (
+        ("emp_loss", "moment", "logN"),
+        lambda a, p: bound_unbounded(a.emp_loss, a.moment, a.logN, p),
+    ),
+    "unbounded-uniform-rho": (
+        ("emp_loss", "moment", "logN", "rho_grid", "r"),
+        lambda a, p: bound_unbounded_uniform_rho(
+            a.emp_loss, a.moment, lambda _radius: a.logN, _float_list(a.rho_grid), p
+        ),
+    ),
+}
 
 
 def _cmd_bound(args) -> int:
     params = BoundParams(
         m=args.m, delta=args.delta, alpha=args.alpha, rho=args.rho, tau=args.tau, r=args.r
     )
-    fam = args.family
-    if fam in ("cov-alpha", "cov-alpha2", "cov-uniform-rho"):
-        if args.logN is None:
-            raise InputError("--logN is required for covering-number families")
-        if fam == "cov-alpha":
-            report = bound_cov_alpha(args.emp, args.logN, params, solver=args.solver)
-        elif fam == "cov-alpha2":
-            report = bound_cov_alpha2(args.emp, args.logN, params)
-        else:
-            report = bound_cov_uniform_rho(
-                args.emp, lambda _radius: args.logN, params, solver=args.solver
-            )
-    elif fam == "cov-fat":
-        if args.fat_d is None:
-            raise InputError("--fat-d is required for the fat-shattering family")
-        report = bound_cov_fat(args.emp, args.fat_d, params)
-    elif fam == "rad":
-        if args.rm is None:
-            raise InputError("--rm is required for the peeling-complexity family")
-        report = bound_rad(args.emp, args.rm, params)
-    elif fam == "rad-all-alpha":
-        if args.rm is None or not args.alpha_grid:
-            raise InputError("--rm and --alpha-grid are required for this family")
-        report = bound_rad_all_alpha(args.emp, args.rm, params, _float_list(args.alpha_grid))
-    elif fam == "rad-smooth":
-        if args.rmax is None:
-            raise InputError("--rmax is required for the smoothed-loss family")
-        report = bound_rad_smooth(args.emp, args.rmax, params)
-    elif fam == "unbounded":
-        if args.moment is None or args.emp_loss is None or args.logN is None:
-            raise InputError("--emp-loss, --moment and --logN are required for this family")
-        report = bound_unbounded(args.emp_loss, args.moment, args.logN, params)
-    elif fam == "unbounded-uniform-rho":
-        if args.moment is None or args.emp_loss is None or args.logN is None or not args.rho_grid:
-            raise InputError("--emp-loss, --moment, --logN and --rho-grid are required")
-        report = bound_unbounded_uniform_rho(
-            args.emp_loss, args.moment, lambda _radius: args.logN, _float_list(args.rho_grid), params
-        )
-    else:
-        raise InputError(f"unknown family {fam!r}")
+    flags, call = _BOUND_FAMILIES[args.family]
+    _require(args, flags, f"family {args.family}")
+    report = call(args, params)
     if args.explain:
         data = report.to_json()
         print(f"family {data['family']}:", file=sys.stderr)
@@ -171,93 +153,98 @@ def _cmd_bound(args) -> int:
 # complexity
 
 
+# FatDimParams field -> (type, default) of its flag; --class-kind is the kind
+_CLASS_FIELDS = {
+    "radius": (float, None),
+    "rho": (float, None),
+    "vc_dim": (float, None),
+    "constant": (float, 1.0),
+    "lipschitz": (float, None),
+    "depth": (int, None),
+    "input_dim": (float, None),
+    "r21": (float, None),
+}
+
+
 def _class_params(args) -> FatDimParams:
-    if args.class_kind is None:
-        raise InputError("--class-kind is required for this op")
-    return FatDimParams(
-        kind=args.class_kind,
-        radius=args.radius,
-        rho=args.rho,
-        vc_dim=args.vc_dim,
-        constant=args.constant,
-        lipschitz=args.lipschitz,
-        depth=args.depth,
-        input_dim=args.input_dim,
-        r21=args.r21,
-    )
+    fields = {name: getattr(args, name) for name in _CLASS_FIELDS}
+    return FatDimParams(kind=args.class_kind, **fields)
+
+
+def _peel_report(op: str, part) -> dict:
+    buckets = {str(k): list(v) for k, v in part.buckets.items()}
+    return {"schema": "relmargin/value/v1", "op": op, "m": part.m, "buckets": buckets}
+
+
+# op -> (needs --matrix, other flags it needs, call(args, matrices)); like the
+# bound table, the calls look the library up when they run.
+_COMPLEXITY_OPS = {
+    "cover-linf": (
+        True,
+        ("eps",),
+        lambda a, ms: covering_number_linf(ms[0], a.eps, mode=a.mode, exact_cap=a.exact_cap),
+    ),
+    "cover-l2": (
+        True,
+        ("eps",),
+        lambda a, ms: covering_number_l2(ms[0], a.eps, mode=a.mode, exact_cap=a.exact_cap),
+    ),
+    "dichotomies": (True, (), lambda a, ms: _value_report(a.op, count_dichotomies(ms[0]))),
+    "rademacher-exact": (True, (), lambda a, ms: rademacher_exact(ms[0])),
+    "rademacher-mc": (True, ("seed",), lambda a, ms: rademacher_mc(ms[0], a.n_sigma, a.seed)),
+    "peel": (True, (), lambda a, ms: _peel_report(a.op, peel(ms[0]))),
+    "rm-peeling": (
+        True,
+        ("seed",),
+        lambda a, ms: peeling_complexity_for_matrices(ms, n_sigma=a.n_sigma, seed=a.seed),
+    ),
+    "rm-dudley": (
+        True,
+        ("k", "eps_grid"),
+        lambda a, ms: _value_report(
+            a.op,
+            rm_upper_dudley(ms[0], a.k, _float_list(a.eps_grid), exact_cap=a.exact_cap),
+            k=a.k,
+        ),
+    ),
+    "rm-smooth": (
+        False,
+        ("rho", "m", "rmax"),
+        lambda a, ms: _value_report(a.op, rm_upper_smooth(a.rho, a.m, a.rmax)),
+    ),
+    "worst-case": (
+        False,
+        ("class_kind", "m"),
+        lambda a, ms: _value_report(a.op, worst_case_rademacher(_class_params(a), a.m)),
+    ),
+    "fat-formula": (
+        False,
+        ("class_kind",),
+        lambda a, ms: _value_report(a.op, fat_dim_formula(_class_params(a))),
+    ),
+    "cover-log-fat": (
+        False,
+        ("fat_d", "m"),
+        lambda a, ms: _value_report(a.op, cover_log_bound_from_fat(a.fat_d, a.m)),
+    ),
+    "fat-exact": (
+        True,
+        ("gamma",),
+        lambda a, ms: _value_report(
+            a.op,
+            fat_shattering_exact(
+                ms[0], a.gamma, _float_list(a.witness_grid) if a.witness_grid else None
+            ),
+        ),
+    ),
+}
 
 
 def _cmd_complexity(args) -> int:
-    op = args.op
-    needs_matrix = op in (
-        "cover-linf",
-        "cover-l2",
-        "dichotomies",
-        "rademacher-exact",
-        "rademacher-mc",
-        "peel",
-        "rm-peeling",
-        "rm-dudley",
-        "fat-exact",
-    )
-    matrices = []
-    if needs_matrix:
-        if not args.matrix:
-            raise InputError(f"--matrix is required for op {op!r}")
-        matrices = [_load_matrix(p, args.range_tag) for p in args.matrix]
-    mat = matrices[0] if matrices else None
-
-    if op in ("cover-linf", "cover-l2"):
-        if args.eps is None:
-            raise InputError("--eps is required for cover ops")
-        fn = covering_number_linf if op == "cover-linf" else covering_number_l2
-        report = fn(mat, args.eps, mode=args.mode, exact_cap=args.exact_cap)
-    elif op == "dichotomies":
-        report = _value_report(op, count_dichotomies(mat))
-    elif op == "rademacher-exact":
-        report = rademacher_exact(mat)
-    elif op == "rademacher-mc":
-        if args.seed is None:
-            raise InputError("--seed is required for randomized ops")
-        report = rademacher_mc(mat, args.n_sigma, args.seed)
-    elif op == "peel":
-        part = peel(mat)
-        report = {
-            "schema": "relmargin/value/v1",
-            "op": "peel",
-            "m": part.m,
-            "buckets": {str(k): list(v) for k, v in part.buckets.items()},
-        }
-    elif op == "rm-peeling":
-        if args.seed is None:
-            raise InputError("--seed is required for randomized ops")
-        report = peeling_complexity_for_matrices(matrices, n_sigma=args.n_sigma, seed=args.seed)
-    elif op == "rm-dudley":
-        if args.k is None or not args.eps_grid:
-            raise InputError("--k and --eps-grid are required for the entropy-integral cap")
-        value = rm_upper_dudley(mat, args.k, _float_list(args.eps_grid), exact_cap=args.exact_cap)
-        report = _value_report(op, value, {"k": args.k})
-    elif op == "rm-smooth":
-        if args.rho is None or args.m is None or args.rmax is None:
-            raise InputError("--rho, --m and --rmax are required for the smoothed cap")
-        report = _value_report(op, rm_upper_smooth(args.rho, args.m, args.rmax))
-    elif op == "worst-case":
-        if args.m is None:
-            raise InputError("--m is required for the worst-case formula")
-        report = _value_report(op, worst_case_rademacher(_class_params(args), args.m))
-    elif op == "fat-formula":
-        report = _value_report(op, fat_dim_formula(_class_params(args)))
-    elif op == "cover-log-fat":
-        if args.fat_d is None or args.m is None:
-            raise InputError("--fat-d and --m are required for the cover-log formula")
-        report = _value_report(op, cover_log_bound_from_fat(args.fat_d, args.m))
-    elif op == "fat-exact":
-        if args.gamma is None:
-            raise InputError("--gamma is required for the exact shattering search")
-        grid = _float_list(args.witness_grid) if args.witness_grid else None
-        report = _value_report(op, fat_shattering_exact(mat, args.gamma, grid))
-    else:
-        raise InputError(f"unknown complexity op {op!r}")
+    needs_matrix, flags, call = _COMPLEXITY_OPS[args.op]
+    _require(args, (("matrix",) if needs_matrix else ()) + flags, f"op {args.op}")
+    matrices = [_load_matrix(p, args.range_tag) for p in args.matrix] if needs_matrix else []
+    report = call(args, matrices)
     _emit(report, args.format, args.out)
     return EXIT_OK
 
@@ -286,6 +273,8 @@ def _apply_overrides(data: dict, overrides) -> dict:
 
 
 def _cmd_validate(args) -> int:
+    if args.threads < 1:
+        raise InputError(f"--threads must be at least 1, got {args.threads}")
     path = Path(args.config)
     if not path.exists():
         raise InputError(f"config file not found: {args.config}")
@@ -294,22 +283,19 @@ def _cmd_validate(args) -> int:
     if args.seed is not None:
         data["seed"] = args.seed
     cfg = ExperimentConfig.from_json(data)
-    threads = args.threads if args.threads is not None else _default_threads()
-    report = validate_bounds(cfg, threads=threads)
+    report = validate_bounds(cfg, threads=args.threads)
     _emit(report, args.format, args.out)
     return EXIT_OK
 
 
 def _cmd_compare(args) -> int:
     if args.direct:
-        if not args.emp_grid or not args.beta_grid:
-            raise InputError("--emp-grid and --beta-grid are required in direct mode")
+        _require(args, ("emp_grid", "beta_grid"), "direct mode")
         report = compare_tightness_direct(
             _float_list(args.emp_grid), _float_list(args.beta_grid), c_prime=args.c_prime
         )
     else:
-        if not (args.m_grid and args.rho_grid and args.emp_grid):
-            raise InputError("--m-grid, --rho-grid and --emp-grid are required")
+        _require(args, ("m_grid", "rho_grid", "emp_grid", "class_kind"), "compare")
         report = compare_tightness(
             _class_params(args),
             [int(v) for v in _float_list(args.m_grid)],
@@ -329,8 +315,7 @@ def _cmd_train(args) -> int:
         raise InputError(f"sample file not found: {args.data}")
     sample = LabeledSample.from_json(json.loads(path.read_text()))
     if args.method == "bound-min":
-        if args.rho_grid is None:
-            raise InputError("--rho-grid is required for bound-min training")
+        _require(args, ("rho_grid",), "bound-min training")
         h, rho, info = train_bound_min(
             sample,
             lam=args.lam,
@@ -369,8 +354,7 @@ def _cmd_verify(args) -> int:
         report = verify_binomial_lemma(args.m_max, grid_size=args.grid_size)
         report = {"schema": "relmargin/verify-report/v1", "target": "binomial", **report}
     else:
-        if args.seed is None:
-            raise InputError("--seed is required for randomized ops")
+        _require(args, ("seed",), "verify monotone")
         report = verify_monotone_ratio(n_points=args.n, delta=args.delta, seed=args.seed)
         report = {"schema": "relmargin/verify-report/v1", "target": "monotone", **report}
     _emit(report, args.format, args.out)
@@ -386,13 +370,19 @@ def _add_common_output(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default=None, help="output path; stdout when omitted")
 
 
+def _add_class_args(p: argparse.ArgumentParser, kinds) -> None:
+    p.add_argument("--class-kind", choices=kinds, default=None)
+    for name, (kind, default) in _CLASS_FIELDS.items():
+        p.add_argument("--" + name.replace("_", "-"), type=kind, default=default)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="relmargin", description=__doc__)
     parser.add_argument("--version", action="version", version=f"relmargin {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
     b = sub.add_parser("bound", help="evaluate one bound family")
-    b.add_argument("--family", required=True)
+    b.add_argument("--family", required=True, choices=_BOUND_FAMILIES)
     b.add_argument("--emp", type=float, default=0.0, help="empirical margin loss")
     b.add_argument("--emp-loss", type=float, default=None, help="empirical unbounded loss")
     b.add_argument("--logN", type=float, default=None)
@@ -412,32 +402,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--solver",
         choices=("root-find", "lemma-D1"),
         default="root-find",
-        help="implicit-inequality resolution for the cov-alpha families",
+        help="how the fixed-point cover families resolve their implicit inequality",
     )
     b.add_argument("--explain", action="store_true", help="print the per-term breakdown to stderr")
     _add_common_output(b)
     b.set_defaults(func=_cmd_bound)
 
     c = sub.add_parser("complexity", help="complexity estimation and formulas")
-    c.add_argument(
-        "--op",
-        required=True,
-        choices=(
-            "cover-linf",
-            "cover-l2",
-            "dichotomies",
-            "rademacher-exact",
-            "rademacher-mc",
-            "peel",
-            "rm-peeling",
-            "rm-dudley",
-            "rm-smooth",
-            "worst-case",
-            "fat-formula",
-            "cover-log-fat",
-            "fat-exact",
-        ),
-    )
+    c.add_argument("--op", required=True, choices=_COMPLEXITY_OPS)
     c.add_argument("--matrix", nargs="*", default=None, help="loss matrix file(s), .csv or .json")
     c.add_argument("--range-tag", choices=("binary", "unit-interval", "real"), default="real")
     c.add_argument("--eps", type=float, default=None)
@@ -447,20 +419,12 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--seed", type=int, default=None)
     c.add_argument("--k", type=int, default=None)
     c.add_argument("--eps-grid", default=None)
-    c.add_argument("--rho", type=float, default=None)
     c.add_argument("--m", type=int, default=None)
     c.add_argument("--rmax", type=float, default=None)
     c.add_argument("--fat-d", type=float, default=None)
     c.add_argument("--gamma", type=float, default=None)
     c.add_argument("--witness-grid", default=None)
-    c.add_argument("--class-kind", choices=("linear", "ensemble", "ffnn-fat", "ffnn-spectral"), default=None)
-    c.add_argument("--radius", type=float, default=None)
-    c.add_argument("--vc-dim", type=float, default=None)
-    c.add_argument("--constant", type=float, default=1.0)
-    c.add_argument("--lipschitz", type=float, default=None)
-    c.add_argument("--depth", type=int, default=None)
-    c.add_argument("--input-dim", type=float, default=None)
-    c.add_argument("--r21", type=float, default=None)
+    _add_class_args(c, ("linear", "ensemble", "ffnn-fat", "ffnn-spectral"))
     _add_common_output(c)
     c.set_defaults(func=_cmd_complexity)
 
@@ -469,7 +433,11 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--set", action="append", default=[], help="override section.key=value")
     v.add_argument("--seed", type=int, default=None, help="override the config seed")
     v.add_argument(
-        "--threads", type=int, default=None, help="worker threads (default: RELMARGIN_THREADS or 1)"
+        "--threads",
+        type=int,
+        default=1,
+        help="worker threads (default 1); they never change the report bytes, and on a"
+        " 2-core machine they did not make campaigns faster",
     )
     _add_common_output(v)
     v.set_defaults(func=_cmd_validate)
@@ -482,15 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--rho-grid", default=None)
     t.add_argument("--delta", type=float, default=0.05)
     t.add_argument("--c-prime", type=float, default=1.0)
-    t.add_argument("--class-kind", choices=("linear", "ensemble", "ffnn-fat"), default=None)
-    t.add_argument("--radius", type=float, default=None)
-    t.add_argument("--rho", type=float, default=None)
-    t.add_argument("--vc-dim", type=float, default=None)
-    t.add_argument("--constant", type=float, default=1.0)
-    t.add_argument("--lipschitz", type=float, default=None)
-    t.add_argument("--depth", type=int, default=None)
-    t.add_argument("--input-dim", type=float, default=None)
-    t.add_argument("--r21", type=float, default=None)
+    _add_class_args(t, ("linear", "ensemble", "ffnn-fat"))
     _add_common_output(t)
     t.set_defaults(func=_cmd_compare)
 

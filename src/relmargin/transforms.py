@@ -33,6 +33,7 @@ __all__ = [
     "empirical_risk",
     "RiskEstimate",
     "true_risk",
+    "holdout_error_rate",
     "loss_moment",
     "hypothesis_losses",
 ]
@@ -109,13 +110,25 @@ def true_risk(h: Hypothesis, dist, mode: str = "analytic", n: int | None = None,
     if mode == "holdout":
         if n is None or n < 1 or seed is None:
             raise InputError("holdout mode requires n >= 1 and a seed")
-        rng = substream(seed, "holdout")
-        x, y = dist.sample(int(n), rng)
-        errs = (y * h.predict(x)) <= 0.0
-        value = float(errs.mean())
+        value = float(holdout_error_rate(h.predict, dist, int(n), substream(seed, "holdout")))
         stderr = float(np.sqrt(value * (1.0 - value) / n))
         return RiskEstimate(value=value, stderr=stderr, method=f"holdout(n={n})")
     raise CapabilityError(f"unknown true-risk mode {mode!r}")
+
+
+_HOLDOUT_BLOCK = 100_000  # rows per draw: bounds the rows x hypotheses predictions held at once
+
+
+def holdout_error_rate(predict, dist, n: int, rng):
+    """Tie-inclusive zero-one error rate of ``predict`` on ``n`` fresh draws
+    from ``dist``, drawn from ``rng`` in blocks of at most 10^5 rows.
+    Predictions have one row per point, and one column per hypothesis when
+    ``predict`` evaluates several (one rate each)."""
+    errors = 0
+    for start in range(0, n, _HOLDOUT_BLOCK):
+        x, y = dist.sample(min(_HOLDOUT_BLOCK, n - start), rng)
+        errors = errors + ((y * predict(x).T) <= 0.0).sum(axis=-1)
+    return errors / n
 
 
 def loss_moment(losses, alpha: float) -> float:

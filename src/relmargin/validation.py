@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy.stats import beta as beta_dist
@@ -30,7 +30,7 @@ from .rademacher import peeling_complexity
 from .rng import child_seed, substream
 from .samples import LabeledSample, make_distribution
 from .training import train
-from .transforms import step
+from .transforms import holdout_error_rate, step
 
 __all__ = ["ExperimentConfig", "ValidityReport", "validate_bounds", "exact_binomial_ci"]
 
@@ -84,19 +84,7 @@ class ExperimentConfig:
     @classmethod
     def from_json(cls, data: dict) -> "ExperimentConfig":
         data = dict(data)
-        known = {
-            "distribution",
-            "pool",
-            "params",
-            "families",
-            "trials",
-            "seed",
-            "mode",
-            "trainer",
-            "complexity",
-            "risk",
-        }
-        unknown = set(data) - known
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise InputError(f"unknown config keys {sorted(unknown)}")
         missing = {"distribution", "pool", "params", "families", "trials", "seed"} - set(data)
@@ -166,17 +154,9 @@ def _pool_true_risks(cfg, dist, pool) -> np.ndarray:
     if mode == "analytic":
         return np.array([dist.analytic_risk(h) for h in pool])
     if mode == "holdout":
-        n = int(cfg.risk.get("n", 10**6))
-        rng = substream(cfg.seed, "risk")
         w_stack = np.stack([h.w for h in pool], axis=0)
-        errors = np.zeros(len(pool))
-        remaining = n
-        while remaining > 0:  # chunked: n * pool predictions can be large
-            block = min(remaining, 100_000)
-            x, y = dist.sample(block, rng)
-            errors += ((y[:, None] * (x @ w_stack.T)) <= 0.0).sum(axis=0)
-            remaining -= block
-        return errors / n
+        n = int(cfg.risk.get("n", 10**6))
+        return holdout_error_rate(lambda x: x @ w_stack.T, dist, n, substream(cfg.seed, "risk"))
     raise InputError(f"unknown risk mode {mode!r}")
 
 
@@ -295,8 +275,8 @@ def validate_bounds(cfg: ExperimentConfig, threads: int = 1) -> ValidityReport:
             if cfg.risk.get("mode", "analytic") == "analytic":
                 risk = dist.analytic_risk(h)
             else:
-                hx, hy = dist.sample(holdout_n, substream(cfg.seed, "trial-risk", t))
-                risk = float(((hy * h.predict(hx)) <= 0.0).mean())
+                rng = substream(cfg.seed, "trial-risk", t)
+                risk = float(holdout_error_rate(h.predict, dist, holdout_n, rng))
             out = {}
             for fam in cfg.families:
                 bound = float(

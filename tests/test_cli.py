@@ -256,28 +256,11 @@ def test_validate_threads_do_not_change_bytes(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_thread_env_var_default(tmp_path):
-    import os
-
-    path = _write_campaign_config(tmp_path, trials=4)
-    env = dict(os.environ, RELMARGIN_THREADS="2")
-    proc = subprocess.run(
-        [sys.executable, "-m", "relmargin.cli", "validate", "--config", str(path)],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
-    assert proc.returncode == 0
-    baseline = run_cli("validate", "--config", str(path))[1]
-    assert proc.stdout == baseline  # thread count never reaches the report
-    env_bad = dict(os.environ, RELMARGIN_THREADS="zero")
-    proc_bad = subprocess.run(
-        [sys.executable, "-m", "relmargin.cli", "validate", "--config", str(path)],
-        capture_output=True,
-        text=True,
-        env=env_bad,
-    )
-    assert proc_bad.returncode == 2
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_validate_rejects_thread_count_below_1(tmp_path, capsys, threads):
+    path = _write_campaign_config(tmp_path, trials=2)
+    assert main(["validate", "--config", str(path), "--threads", threads]) == 2
+    assert "--threads must be at least 1" in capsys.readouterr().err
 
 
 def test_validate_rerun_identical_and_overrides(tmp_path):
@@ -348,6 +331,25 @@ def test_bad_bound_inputs_exit_2_naming_the_field(capsys, family, flag, value, f
     assert err.startswith("input error: ") and f"{field} must be" in err
 
 
+@pytest.mark.parametrize(
+    "family,argv,field",
+    [("cov-alpha", ["--logN"], "logN"), ("cov-alpha2", ["--logN"], "logN"),
+     ("cov-uniform-rho", ["--r", "1", "--rho", "0.5", "--logN"], "logN"),
+     ("cov-fat", ["--fat-d"], "fat_d"), ("rad", ["--rm"], "rm"),
+     ("rad-all-alpha", ["--alpha-grid", "1.5,2", "--rm"], "rm"),
+     ("unbounded", ["--emp-loss", "0.1", "--moment", "1", "--logN"], "logN"),
+     ("unbounded-uniform-rho",
+      ["--emp-loss", "0.1", "--moment", "1", "--r", "1", "--rho-grid", "0.5,1", "--logN"], "logN")],
+)
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+def test_bad_complexity_inputs_exit_2_naming_the_field(capsys, family, argv, field, value):
+    args = ["bound", "--family", family, "--emp", "0.1", "--m", "1000000", "--delta", "0.05"]
+    *flags, last = argv
+    assert main([*args, *flags, f"{last}={value}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and f"{field} must be" in err
+
+
 def test_bad_empirical_loss_exits_2(capsys):
     rc = main(["bound", "--family", "unbounded", "--emp-loss=-1", "--moment", "1",
                "--logN", "5", "--m", "1000000", "--delta", "0.05"])
@@ -385,3 +387,106 @@ def test_csv_emit_matches_json_round_trip(capsys):
         out = capsys.readouterr().out
         assert out == report_csv(json.loads(canonical_json(data)))
     assert "value,Infinity" in out and "nested.b,1;-Infinity;2" in out
+
+
+# ---------------------------------------------------------------------------
+# the family and op tables (in-process: each subprocess pays the import)
+
+# family -> a complete argv beyond --family; it must succeed as given
+_FULL_BOUND_ARGV = {
+    "cov-alpha": ["--logN", "3"],
+    "cov-alpha2": ["--logN", "3"],
+    "cov-fat": ["--fat-d", "2"],
+    "cov-uniform-rho": ["--logN", "3", "--rho", "0.25", "--r", "0.5"],
+    "rad": ["--rm", "0.5"],
+    "rad-all-alpha": ["--rm", "0.5", "--alpha-grid", "1.5,2"],
+    "rad-smooth": ["--rmax", "0.015625", "--rho", "0.5"],
+    "unbounded": ["--emp-loss", "0.1", "--moment", "1", "--logN", "5"],
+    "unbounded-uniform-rho": [
+        "--emp-loss", "0.1", "--moment", "1", "--logN", "5", "--r", "1", "--rho-grid", "0.5,1",
+    ],
+}
+
+
+def _drop_flag(argv, flag):
+    i = argv.index(flag)
+    return argv[:i] + argv[i + 2:]
+
+
+def test_bound_table_lists_every_family():
+    from relmargin.bounds import FAMILIES
+    from relmargin.cli import _BOUND_FAMILIES
+
+    assert tuple(_BOUND_FAMILIES) == FAMILIES == tuple(_FULL_BOUND_ARGV)
+
+
+@pytest.mark.parametrize("family", sorted(_FULL_BOUND_ARGV))
+def test_bound_family_required_flags(capsys, family):
+    from relmargin.cli import _BOUND_FAMILIES
+
+    base = ["bound", "--family", family, "--emp", "0.1", "--m", "1000000", "--delta", "0.05"]
+    full = base + _FULL_BOUND_ARGV[family]
+    assert main(full) == 0
+    capsys.readouterr()
+    flags = _BOUND_FAMILIES[family][0]
+    assert flags
+    for attr in flags:
+        flag = "--" + attr.replace("_", "-")
+        assert main(_drop_flag(full, flag)) == 2
+        err = capsys.readouterr().err
+        assert f"{flag} required for family {family}" in err
+
+
+# op -> a complete argv beyond --op, with MATRIX standing for a matrix file
+_FULL_OP_ARGV = {
+    "cover-linf": ["--matrix", "MATRIX", "--eps", "0.5"],
+    "cover-l2": ["--matrix", "MATRIX", "--eps", "0.5"],
+    "dichotomies": ["--matrix", "MATRIX", "--range-tag", "binary"],
+    "rademacher-exact": ["--matrix", "MATRIX"],
+    "rademacher-mc": ["--matrix", "MATRIX", "--seed", "3", "--n-sigma", "64"],
+    "peel": ["--matrix", "MATRIX"],
+    "rm-peeling": ["--matrix", "MATRIX", "--seed", "3", "--n-sigma", "64"],
+    "rm-dudley": ["--matrix", "MATRIX", "--k", "1", "--eps-grid", "0.5,0.75,1.0"],
+    "rm-smooth": ["--rho", "0.5", "--m", "1024", "--rmax", "1"],
+    "worst-case": ["--class-kind", "linear", "--radius", "1", "--m", "100"],
+    "fat-formula": ["--class-kind", "linear", "--radius", "1", "--rho", "0.5"],
+    "cover-log-fat": ["--fat-d", "1", "--m", "1"],
+    "fat-exact": ["--matrix", "MATRIX", "--gamma", "0.3", "--witness-grid", "0.55"],
+}
+
+
+@pytest.mark.parametrize("op", sorted(_FULL_OP_ARGV))
+def test_complexity_op_required_flags(tmp_path, capsys, op):
+    from relmargin.cli import _COMPLEXITY_OPS
+
+    path = tmp_path / "m.json"
+    values = [[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]]
+    path.write_text(json.dumps({"values": values, "range_tag": "unit-interval"}))
+    extra = [str(path) if a == "MATRIX" else a for a in _FULL_OP_ARGV[op]]
+    full = ["complexity", "--op", op, *extra]
+    assert main(full) == 0
+    capsys.readouterr()
+    needs_matrix, flags, _ = _COMPLEXITY_OPS[op]
+    assert needs_matrix == ("--matrix" in full)
+    for attr in (("matrix",) if needs_matrix else ()) + flags:
+        flag = "--" + attr.replace("_", "-")
+        assert main(_drop_flag(full, flag)) == 2
+        assert f"{flag} required for op {op}" in capsys.readouterr().err
+
+
+def test_op_table_lists_every_op():
+    from relmargin.cli import _COMPLEXITY_OPS
+
+    assert set(_COMPLEXITY_OPS) == set(_FULL_OP_ARGV)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["bound", "--family", "cov-beta", "--emp", "0", "--logN", "1", "--m", "10", "--delta", "0.1"],
+     ["complexity", "--op", "cover-linf3", "--eps", "0.1"]],
+)
+def test_unknown_family_or_op_exits_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err

@@ -89,6 +89,22 @@ def test_holdout_single_point_is_zero_or_one():
     assert est.value in (0.0, 1.0)
 
 
+def test_holdout_error_rate_pool_columns_match_single_hypotheses():
+    from relmargin.rng import substream
+    from relmargin.transforms import holdout_error_rate
+
+    dist = TwoGaussianMixture(dim=3)
+    ws = np.random.default_rng(2).standard_normal((4, 3))
+    n = 100_000 + 1234  # one full block and one partial block
+    pooled = holdout_error_rate(lambda x: x @ ws.T, dist, n, substream(5, "holdout"))
+    assert pooled.shape == (4,)
+    for w, rate in zip(ws, pooled):
+        h = LinearHypothesis(w)
+        single = holdout_error_rate(h.predict, dist, n, substream(5, "holdout"))
+        assert single == rate
+        assert true_risk(h, dist, mode="holdout", n=n, seed=5).value == rate
+
+
 def test_analytic_mode_rejected_when_unavailable():
     dist = MarginSeparable(dim=2, gap=0.1)
     with pytest.raises(CapabilityError):
