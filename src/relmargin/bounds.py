@@ -172,60 +172,63 @@ def _finalize_zero_one(family, params, emp, complexity, raw, solver, method, bre
     )
 
 
-def solve_relative(b, c: float, alpha: float, rel_tol: float = 1e-12):
+def solve_relative(b, c: float, alpha: float):
     """Largest fixed point of x = b + c * x^{1/alpha}, elementwise in ``b``.
 
     Any x satisfying x <= b + c x^{1/alpha} is at most this value, so it is
     the sound explicit resolution of the implicit inequality.  At alpha = 2
-    it is the closed form x = ((c + sqrt(c^2 + 4b)) / 2)^2; otherwise
-    bisection on the concave residual after geometric bracket growth, to
-    relative width ``rel_tol``.  A scalar ``b`` gives a float and an array
-    gives an array of its shape; fixed points that overflow doubles are inf.
+    it is the closed form x = ((c + sqrt(c^2 + 4b)) / 2)^2; otherwise Newton
+    steps in u = x^{1/alpha} down to a relative step of 1e-12 (see
+    ``_newton_relative``).  A scalar ``b`` gives a float and an array of any
+    shape gives an array of that shape; fixed points above 1e300 are inf.
     """
     scalar = np.ndim(b) == 0
-    x = np.array(b, dtype=np.float64, ndmin=1)
+    x = np.array(b, dtype=np.float64, ndmin=1).ravel()
     if not (np.all(x >= 0) and c >= 0):
         raise InputError("b and c must be nonnegative (NaN is rejected)")
     if not (1.0 < alpha <= 2.0):
         raise InputError("alpha must lie in (1, 2]")
     if c == 0.0:
         return float(b) if scalar else x.reshape(np.shape(b))
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         if alpha == 2.0:
             root = 0.5 * (c + np.sqrt(c * c + 4.0 * x))
             x = root * root
         else:
-            x = _bisect_relative(x, c, alpha, rel_tol)
+            x = _newton_relative(x, c, alpha)
     return float(x[0]) if scalar else x.reshape(np.shape(b))
 
 
-def _bisect_relative(b: np.ndarray, c: float, alpha: float, rel_tol: float) -> np.ndarray:
+def _newton_relative(b: np.ndarray, c: float, alpha: float) -> np.ndarray:
+    """u^alpha for the largest root u* of the convex f(u) = u^alpha - c u - b.
+
+    Newton starts where f >= 0 and f' > 0: the smaller of max((2b)^{1/alpha},
+    (2c)^{1/(alpha-1)}) and the zero of the tangent at u_c = c^{1/(alpha-1)},
+    capped at ``top`` (x = 1e300; a larger root is inf).  By convexity every
+    iterate stays at or above u*, a sound bound; so is inf for an element
+    still moving after 100 steps."""
     inv = 1.0 / alpha
-    lo = b.copy()
-    hi = np.maximum(b, 1.0)
-    grow = b + c * hi**inv - hi >= 0.0
-    overflow = np.zeros(b.shape, dtype=bool)
-    while grow.any():
-        hi[grow] *= 2.0
-        # the fixed point ~ max(2b, (2c)^{alpha/(alpha-1)}) overflows doubles
-        overflow |= grow & (hi > 1e300)
-        idx = np.flatnonzero(grow & ~overflow)
-        grow[:] = False
-        grow[idx] = b[idx] + c * hi[idx] ** inv - hi[idx] >= 0.0
-    active = ~overflow
-    for _ in range(200):
-        idx = np.flatnonzero(active)
-        if idx.size == 0:
+    top = 1e300**inv
+    out = np.full(b.shape, math.inf)
+    fits = (top**alpha - c * top - b >= 0.0).nonzero()[0]
+    b = b[fits]
+    u_c = np.power(c, 1.0 / (alpha - 1.0))
+    tangent = u_c + b / (alpha - 1.0) / c
+    doubled = np.maximum((2.0 * b) ** inv, np.power(2.0 * c, 1.0 / (alpha - 1.0)))
+    u = np.minimum(np.minimum(tangent, doubled), top)
+    for _ in range(100):
+        if fits.size == 0:
             break
-        low, high = lo[idx], hi[idx]
-        mid = 0.5 * (low + high)
-        feasible = b[idx] + c * mid**inv - mid >= 0.0
-        low = np.where(feasible, mid, low)
-        high = np.where(feasible, high, mid)
-        lo[idx], hi[idx] = low, high
-        active[idx] = ~(high - low <= rel_tol * np.maximum(high, 1e-300))
-    out = 0.5 * (lo + hi)
-    out[overflow] = math.inf
+        ua = u**alpha
+        step = (ua - c * u - b) / (alpha * ua / u - c)
+        # the last step is tiny; one that does not descend is rounding at the
+        # root, a NaN one a root that underflowed to u = 0: keep the iterate
+        done = ~(step > 1e-12 * u)
+        if np.count_nonzero(done):
+            out[fits[done]] = (u[done] - np.fmax(step[done], 0.0)) ** alpha
+            keep = ~done
+            fits, u, b, step = fits[keep], u[keep], b[keep], step[keep]
+        u = u - step
     return out
 
 
@@ -545,12 +548,13 @@ def bound_unbounded_uniform_rho(
         raise InputError("the loss moment must be finite and nonnegative")
     emp_loss = _empirical_input(emp_loss, "emp_loss", zero_one=False)
     per_rho = {}
+    methods = {}
     failures = {}
     for rho in grid:
         p_rho = replace(params, rho=rho)
         addend = math.log(math.log(2.0 * params.r / rho))
         log_n = log_n_at(rho / 2.0) if callable(log_n_at) else log_n_at
-        log_n_value, _ = _complexity_input(log_n, "logN")
+        log_n_value, methods[rho] = _complexity_input(log_n, "logN")
         try:
             eps_hat, gamma, value = _unbounded_single(emp_loss, moment, log_n_value, p_rho, addend)
         except (ApplicabilityError, DomainError) as exc:
@@ -574,7 +578,7 @@ def bound_unbounded_uniform_rho(
         complexity_term=best["log_n"],
         bound_value=float(best["bound_value"]),
         solver="closed-form",
-        complexity_method="given",
+        complexity_method=methods[best_rho],
         breakdown={
             "best_rho": best_rho,
             "per_rho": {str(k): v for k, v in per_rho.items()},

@@ -101,6 +101,7 @@ def _require(args, flags, what: str) -> None:
 # bound
 #
 # family -> (flags it needs beyond --emp/--m/--delta, call(args, params)).
+# Families that need --emp-loss take it in place of --emp, and reject --emp.
 # The calls look the builders up when they run, so patched module names win.
 
 _BOUND_FAMILIES = {
@@ -136,6 +137,9 @@ def _cmd_bound(args) -> int:
     )
     flags, call = _BOUND_FAMILIES[args.family]
     _require(args, flags, f"family {args.family}")
+    if "emp_loss" in flags and args.emp is not None:
+        raise InputError(f"--emp does not apply to family {args.family}; give --emp-loss")
+    args.emp = 0.0 if args.emp is None else args.emp
     report = call(args, params)
     if args.explain:
         data = report.to_json()
@@ -383,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     b = sub.add_parser("bound", help="evaluate one bound family")
     b.add_argument("--family", required=True, choices=_BOUND_FAMILIES)
-    b.add_argument("--emp", type=float, default=0.0, help="empirical margin loss")
+    b.add_argument("--emp", type=float, default=None, help="empirical margin loss (default 0)")
     b.add_argument("--emp-loss", type=float, default=None, help="empirical unbounded loss")
     b.add_argument("--logN", type=float, default=None)
     b.add_argument("--fat-d", type=float, default=None)

@@ -5,8 +5,10 @@ of a fixed hypothesis pool, and counts trials where any member's true risk
 exceeds its bound (the uniform event a uniform-convergence guarantee
 protects against).  Complexity inputs are estimated once per estimator
 from their own substreams (families that share an estimator share its
-value), so trials stay cheap and the whole report is reproducible
-bit-for-bit at any thread count.
+value).  Each trial then draws from its own substream into one row of a
+(trials x pool) matrix of empirical terms; only these draws run on
+threads.  Judging is one array call per family on the whole matrix, so
+the report is reproducible bit-for-bit at any thread count.
 """
 
 from __future__ import annotations
@@ -125,10 +127,6 @@ class ValidityReport:
             "environment": dict(self.environment),
         }
 
-    @staticmethod
-    def csv_header() -> list:
-        return ["family", "trial", "emp", "complexity", "bound", "true_risk", "violated"]
-
 
 def exact_binomial_ci(k: int, n: int, confidence: float = 0.95) -> tuple[float, float]:
     """Clopper-Pearson interval for a binomial proportion."""
@@ -230,8 +228,8 @@ def family_bound_values(family: str, emp: np.ndarray, complexity_value: float, p
 
 
 def validate_bounds(cfg: ExperimentConfig, threads: int = 1) -> ValidityReport:
-    """Run the campaign and report per-family uniform violation rates with
-    exact binomial 95% confidence intervals."""
+    """Run the campaign and report per-family violation rates with exact
+    binomial 95% confidence intervals."""
     dist = make_distribution(cfg.distribution)
     pool = _build_pool(cfg)
     p = cfg.params
@@ -243,73 +241,63 @@ def validate_bounds(cfg: ExperimentConfig, threads: int = 1) -> ValidityReport:
     complexities = {fam: estimates[_FAMILIES[fam][0]] for fam in cfg.families}
 
     if cfg.mode == "uniform-pool":
-        true_risks = _pool_true_risks(cfg, dist, pool)
+        risks = _pool_true_risks(cfg, dist, pool)[None, :]
+        emp = np.empty((cfg.trials, len(pool)))
         w_stack = np.stack([h.w for h in pool], axis=0)
 
-        def run_trial(t: int):
-            rng = substream(cfg.seed, "trial", t)
-            x, y = dist.sample(p.m, rng)
-            margins = y[:, None] * (x @ w_stack.T)
-            emp = (margins < p.rho).mean(axis=0)
-            out = {}
-            for fam in cfg.families:
-                bounds = family_bound_values(fam, emp, complexities[fam].value, p)
-                gaps = true_risks - bounds
-                j = int(np.argmax(gaps))
-                out[fam] = (bool(np.any(gaps > 0)), float(gaps.max()), float(emp[j]), float(bounds[j]), float(true_risks[j]))
-            return out
+        def draw(t: int) -> None:
+            x, y = dist.sample(p.m, substream(cfg.seed, "trial", t))
+            emp[t] = (y[:, None] * (x @ w_stack.T) < p.rho).mean(axis=0)
 
     else:
+        risks = np.empty((cfg.trials, 1))
+        emp = np.empty((cfg.trials, 1))
         trainer_cfg = dict(cfg.trainer)
         method = trainer_cfg.pop("method", "hinge-subgradient-linear")
         holdout_n = int(cfg.risk.get("n", 10**5))
 
-        def run_trial(t: int):
-            rng = substream(cfg.seed, "trial", t)
-            x, y = dist.sample(p.m, rng)
+        def draw(t: int) -> None:
+            x, y = dist.sample(p.m, substream(cfg.seed, "trial", t))
             sample = LabeledSample(points=x, labels=y, seed=t, generator_id=dist.generator_id)
-            local = dict(trainer_cfg)
-            local["seed"] = child_seed(cfg.seed, "train", t)
-            h = train(method, sample, local)
-            emp = float((y * h.predict(x) < p.rho).mean())
+            h = train(method, sample, dict(trainer_cfg, seed=child_seed(cfg.seed, "train", t)))
+            emp[t] = (y * h.predict(x) < p.rho).mean()
             if cfg.risk.get("mode", "analytic") == "analytic":
-                risk = dist.analytic_risk(h)
+                risks[t] = dist.analytic_risk(h)
             else:
                 rng = substream(cfg.seed, "trial-risk", t)
-                risk = float(holdout_error_rate(h.predict, dist, holdout_n, rng))
-            out = {}
-            for fam in cfg.families:
-                bound = float(
-                    family_bound_values(fam, np.array([emp]), complexities[fam].value, p)[0]
-                )
-                out[fam] = (bool(risk > bound), float(risk - bound), emp, bound, float(risk))
-            return out
+                risks[t] = holdout_error_rate(h.predict, dist, holdout_n, rng)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=int(threads)) as pool_exec:
-            results = list(pool_exec.map(run_trial, range(cfg.trials)))
+            list(pool_exec.map(draw, range(cfg.trials)))
     else:
-        results = [run_trial(t) for t in range(cfg.trials)]
+        list(map(draw, range(cfg.trials)))
 
     families_out = {}
     rows = []
     event = "uniform-over-pool" if cfg.mode == "uniform-pool" else "trained-single-hypothesis"
     for fam in cfg.families:
-        violations = sum(int(results[t][fam][0]) for t in range(cfg.trials))
-        worst = max(results[t][fam][1] for t in range(cfg.trials))
-        ci = exact_binomial_ci(violations, cfg.trials)
+        complexity = complexities[fam]
+        bounds = family_bound_values(fam, emp, complexity.value, p)
+        gaps = risks - bounds
+        violated = (gaps > 0).any(axis=1)
+        # each trial reports its member with the first largest gap
+        worst = gaps.argmax(axis=1)[:, None]
+        violations = int(violated.sum())
         families_out[fam] = {
             "trials": cfg.trials,
             "violations": violations,
             "violation_rate": violations / cfg.trials,
-            "ci95": [ci[0], ci[1]],
-            "worst_violation_margin": worst,
+            "ci95": list(exact_binomial_ci(violations, cfg.trials)),
+            "worst_violation_margin": float(gaps.max()),
             "event": event,
-            "complexity": complexities[fam].to_json(),
+            "complexity": complexity.to_json(),
         }
-        for t in range(cfg.trials):
-            v, _, emp, bound, risk = results[t][fam]
-            rows.append((fam, t, emp, complexities[fam].value, bound, risk, int(v)))
+        emps, bnds, rsks = (
+            np.take_along_axis(np.broadcast_to(a, emp.shape), worst, axis=1)[:, 0].tolist() for a in (emp, bounds, risks)
+        )
+        values = [complexity.value] * cfg.trials
+        rows.extend(zip([fam] * cfg.trials, range(cfg.trials), emps, values, bnds, rsks, violated.astype(int).tolist()))
     environment = {
         "seed": cfg.seed,
         "package_version": _pkg_version,

@@ -101,3 +101,75 @@ def bisect_relative(b: float, c: float, alpha: float, rel_tol: float = 1e-12) ->
         if hi - lo <= rel_tol * max(hi, 1e-300):
             break
     return 0.5 * (lo + hi)
+
+
+def per_trial_campaign(cfg):
+    """``validate_bounds`` judged one trial and one family at a time.
+
+    The draws, complexity estimates and bound formulas are the package's
+    own (on the same substreams); only the judge is done here, per trial:
+    the uniform event over the pool, the member with the first largest gap
+    as the reported row, and the largest gap over all trials.  Returns the
+    report's (families, rows).
+    """
+    import numpy as np
+
+    from relmargin import validation
+    from relmargin.rng import child_seed, substream
+    from relmargin.samples import LabeledSample, make_distribution
+    from relmargin.training import train
+    from relmargin.transforms import holdout_error_rate
+
+    dist = make_distribution(cfg.distribution)
+    pool = validation._build_pool(cfg)
+    p = cfg.params
+    complexities = {fam: validation._FAMILIES[fam][0](cfg, dist, pool) for fam in cfg.families}
+
+    def judge(emp, risks):
+        out = {}
+        for fam in cfg.families:
+            bounds = validation.family_bound_values(fam, emp, complexities[fam].value, p)
+            gaps = risks - bounds
+            j = int(np.argmax(gaps))
+            out[fam] = (bool(np.any(gaps > 0)), float(gaps.max()), float(emp[j]), float(bounds[j]), float(risks[j]))
+        return out
+
+    results = []
+    if cfg.mode == "uniform-pool":
+        risks = validation._pool_true_risks(cfg, dist, pool)
+        w_stack = np.stack([h.w for h in pool], axis=0)
+        for t in range(cfg.trials):
+            x, y = dist.sample(p.m, substream(cfg.seed, "trial", t))
+            results.append(judge((y[:, None] * (x @ w_stack.T) < p.rho).mean(axis=0), risks))
+    else:
+        trainer = dict(cfg.trainer)
+        method = trainer.pop("method", "hinge-subgradient-linear")
+        for t in range(cfg.trials):
+            x, y = dist.sample(p.m, substream(cfg.seed, "trial", t))
+            sample = LabeledSample(points=x, labels=y, seed=t, generator_id=dist.generator_id)
+            h = train(method, sample, dict(trainer, seed=child_seed(cfg.seed, "train", t)))
+            emp = (y * h.predict(x) < p.rho).mean()
+            if cfg.risk.get("mode", "analytic") == "analytic":
+                risk = dist.analytic_risk(h)
+            else:
+                rng = substream(cfg.seed, "trial-risk", t)
+                risk = float(holdout_error_rate(h.predict, dist, int(cfg.risk.get("n", 10**5)), rng))
+            results.append(judge(np.array([emp]), np.array([risk])))
+
+    families, rows = {}, []
+    for fam in cfg.families:
+        violations = sum(int(r[fam][0]) for r in results)
+        lo, hi = validation.exact_binomial_ci(violations, cfg.trials)
+        families[fam] = {
+            "trials": cfg.trials,
+            "violations": violations,
+            "violation_rate": violations / cfg.trials,
+            "ci95": [lo, hi],
+            "worst_violation_margin": max(r[fam][1] for r in results),
+            "event": "uniform-over-pool" if cfg.mode == "uniform-pool" else "trained-single-hypothesis",
+            "complexity": complexities[fam].to_json(),
+        }
+        for t, r in enumerate(results):
+            violated, _, emp, bound, risk = r[fam]
+            rows.append((fam, t, emp, complexities[fam].value, bound, risk, int(violated)))
+    return families, rows

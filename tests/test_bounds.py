@@ -86,6 +86,16 @@ def test_solve_relative_array_matches_scalar_bisection():
                 assert solve_relative(float(bi), c, alpha) == gi
 
 
+def test_solve_relative_keeps_any_shape():
+    b = np.array([[0.0, 0.1, 2.5], [1e-9, 4.0, 1e300]])
+    for alpha in (1.2, 1.5, 1.9):
+        for shaped in (b, b.reshape(3, 1, 2)):
+            got = solve_relative(shaped, 1.0, alpha)
+            assert got.shape == shaped.shape
+            for bi, gi in zip(shaped.ravel(), got.ravel()):
+                assert solve_relative(float(bi), 1.0, alpha) == gi
+
+
 def test_solve_relative_zero_coefficient_returns_b():
     b = np.array([[0.0, 0.25], [1.5, 4.0]])
     for alpha in (1.3, 2.0):
@@ -399,6 +409,12 @@ def test_unbounded_uniform_rho_single_grid_and_monotone():
     more = bound_unbounded_uniform_rho(0.0, 1.0, log_n, [0.25, 0.5, 0.75], p)
     assert more.bound_value <= one.bound_value + 1e-12
     assert one.breakdown["best_rho"] == 0.5
+
+
+def test_unbounded_uniform_rho_reports_estimate_method():
+    est = ComplexityEstimate(value=5.0, method="formula")
+    rep = bound_unbounded_uniform_rho(0.1, 1.0, lambda _radius: est, [0.5, 1.0], P(m=10**6, r=1.0))
+    assert rep.complexity_method == "formula"
 
 
 def test_unbounded_uniform_rho_interior_argmin():

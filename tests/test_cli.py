@@ -343,11 +343,31 @@ def test_bad_bound_inputs_exit_2_naming_the_field(capsys, family, flag, value, f
 )
 @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
 def test_bad_complexity_inputs_exit_2_naming_the_field(capsys, family, argv, field, value):
-    args = ["bound", "--family", family, "--emp", "0.1", "--m", "1000000", "--delta", "0.05"]
+    args = ["bound", "--family", family, *_emp_flag(family), "--m", "1000000", "--delta", "0.05"]
     *flags, last = argv
     assert main([*args, *flags, f"{last}={value}"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("input error: ") and f"{field} must be" in err
+
+
+def _emp_flag(family):
+    """--emp for the zero-one families; the unbounded ones take --emp-loss."""
+    return [] if family.startswith("unbounded") else ["--emp", "0.1"]
+
+
+@pytest.mark.parametrize("family", ["unbounded", "unbounded-uniform-rho"])
+def test_emp_rejected_for_unbounded_families(capsys, family):
+    argv = ["bound", "--family", family, "--m", "1000000", "--delta", "0.05", *_FULL_BOUND_ARGV[family]]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert main([*argv, "--emp", "7"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and "--emp does not apply" in err
+
+
+def test_emp_defaults_to_zero_for_zero_one_families(capsys):
+    assert main(["bound", "--family", "cov-alpha2", "--logN", "3", "--m", "1000", "--delta", "0.05"]) == 0
+    assert json.loads(capsys.readouterr().out)["empirical_term"] == 0.0
 
 
 def test_bad_empirical_loss_exits_2(capsys):
@@ -424,7 +444,7 @@ def test_bound_table_lists_every_family():
 def test_bound_family_required_flags(capsys, family):
     from relmargin.cli import _BOUND_FAMILIES
 
-    base = ["bound", "--family", family, "--emp", "0.1", "--m", "1000000", "--delta", "0.05"]
+    base = ["bound", "--family", family, *_emp_flag(family), "--m", "1000000", "--delta", "0.05"]
     full = base + _FULL_BOUND_ARGV[family]
     assert main(full) == 0
     capsys.readouterr()

@@ -11,8 +11,11 @@ from relmargin import (
     exact_binomial_ci,
     validate_bounds,
 )
+from relmargin import validation
 from relmargin.reportio import canonical_json
 from relmargin.validation import family_bound_values
+
+from oracles import per_trial_campaign
 
 
 def _config(trials=40, families=("cov-alpha2",), m=60, pool=8, mode="uniform-pool", **kw):
@@ -143,3 +146,42 @@ def test_shared_cover_estimate_runs_once_and_keeps_bytes(monkeypatch):
         rows = [r for r in both["rows"] if r[0] == fam]
         assert canonical_json(rows) == canonical_json(alone["rows"])
     assert both["environment"]["backend"] == "numpy"
+
+
+@pytest.mark.parametrize("alpha", [2.0, 1.5])
+@pytest.mark.parametrize(
+    "mode,extra",
+    [
+        ("uniform-pool", {}),
+        ("trained", {"trainer": {"method": "hinge-subgradient-linear", "steps": 100}}),
+        ("trained", {"trainer": {"method": "hinge-subgradient-linear", "steps": 100},
+                     "risk": {"mode": "holdout", "n": 5000}}),
+    ],
+)
+def test_campaign_judge_matches_per_trial_oracle(monkeypatch, mode, extra, alpha):
+    # m = 3000 puts most bounds below 1 at both alphas
+    families = ("cov-alpha", "cov-alpha2", "rad") if alpha == 2.0 else ("cov-alpha", "rad")
+    cfg = _config(
+        trials=24 if mode == "uniform-pool" else 8,
+        families=families,
+        m=3000,
+        mode=mode,
+        params={"m": 3000, "delta": 0.05, "alpha": alpha, "rho": 0.2},
+        complexity={"cover_draws": 2, "peel_draws": 2, "n_sigma": 64},
+        **extra,
+    )
+    report = validate_bounds(cfg)
+    families_out, rows = per_trial_campaign(cfg)
+    assert report.families == families_out
+    assert report.rows == tuple(rows)
+    assert any(row[4] < 1.0 for row in rows if row[0] == "cov-alpha")
+
+    # lowered just past the worst cov-alpha margin, bounds fail in some trials
+    shift = 0.01 - report.families["cov-alpha"]["worst_violation_margin"]
+    real = validation.family_bound_values
+    monkeypatch.setattr(validation, "family_bound_values", lambda *args: real(*args) - shift)
+    report = validate_bounds(cfg)
+    families_out, rows = per_trial_campaign(cfg)
+    assert report.families == families_out
+    assert report.rows == tuple(rows)
+    assert 0 < report.families["cov-alpha"]["violations"] < cfg.trials
