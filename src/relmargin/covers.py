@@ -20,7 +20,7 @@ import numpy as np
 from . import kernels
 from .errors import CapabilityError, InputError
 from .estimates import ComplexityEstimate
-from .lossmatrix import LossMatrix
+from .lossmatrix import LossMatrix, distinct_columns
 
 __all__ = ["covering_number_linf", "covering_number_l2", "covering_number"]
 
@@ -121,8 +121,7 @@ def covering_number(
         )
     # identical columns cover each other at distance zero; deduplicating
     # changes neither the exact nor the greedy value
-    distinct, inverse = np.unique(matrix.values.T, axis=0, return_inverse=True)
-    dist = _distance_matrix(distinct.T, metric)
+    dist = _distance_matrix(distinct_columns(matrix.values).T, metric)
     q = dist.shape[0]
     masks = _coverage_masks(dist, eps)
     full = (1 << q) - 1

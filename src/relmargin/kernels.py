@@ -15,6 +15,7 @@ from .errors import InputError
 
 __all__ = [
     "exact_mean_sup_signed_sum",
+    "signed_sums",
     "sup_signed_sums",
     "pairwise_linf",
     "pairwise_l2n",
@@ -23,11 +24,15 @@ __all__ = [
 ]
 
 
-def _as_matrix(values) -> np.ndarray:
-    out = np.ascontiguousarray(values, dtype=np.float64)
+def _as_2d(values) -> np.ndarray:
+    out = np.asarray(values, dtype=np.float64)
     if out.ndim != 2:
         raise InputError("expected a 2-d array of shape (m, pool)")
     return out
+
+
+def _as_matrix(values) -> np.ndarray:
+    return np.ascontiguousarray(_as_2d(values))
 
 
 def exact_mean_sup_signed_sum(values) -> float:
@@ -46,19 +51,29 @@ def exact_mean_sup_signed_sum(values) -> float:
     return total / n_states
 
 
+def signed_sums(values, signs) -> np.ndarray:
+    """Per sign vector and column: ``sum_i signs[t, i] * values[i, j]``."""
+    return np.ascontiguousarray(signs, dtype=np.float64) @ _as_matrix(values)
+
+
 def sup_signed_sums(values, signs) -> np.ndarray:
     """Per sign vector: ``max_j sum_i signs[t, i] * values[i, j]``."""
-    return (np.ascontiguousarray(signs, dtype=np.float64) @ _as_matrix(values)).max(axis=1)
+    return signed_sums(values, signs).max(axis=1)
 
 
 def pairwise_linf(values) -> np.ndarray:
     """Column-to-column sup distances ``max_i |a_i - b_i|``."""
-    values = _as_matrix(values)
-    p = values.shape[1]
+    # |a - b| and max round the same in either order, so the upper
+    # triangle mirrored is exact; each column is one contiguous row here
+    cols = np.ascontiguousarray(_as_2d(values).T)
+    p = cols.shape[0]
     out = np.zeros((p, p))
-    for j in range(p):
-        out[j] = np.abs(values - values[:, [j]]).max(axis=0)
-    return out
+    buf = np.empty_like(cols[1:])
+    for j in range(p - 1):
+        diff = np.subtract(cols[j + 1 :], cols[j], out=buf[: p - 1 - j])
+        np.abs(diff, out=diff)
+        diff.max(axis=1, out=out[j, j + 1 :])
+    return np.maximum(out, out.T)
 
 
 def pairwise_l2n(values) -> np.ndarray:

@@ -24,6 +24,7 @@ __all__ = [
     "peel",
     "shell_index",
     "count_dichotomies",
+    "distinct_columns",
     "transform_matrix",
     "outputs_matrix",
 ]
@@ -123,10 +124,6 @@ class PeelingPartition:
             {int(k): tuple(int(j) for j in cols) for k, cols in self.buckets.items()},
         )
 
-    @property
-    def max_k(self) -> int:
-        return max(self.buckets) if self.buckets else 0
-
     def columns(self, k: int) -> tuple:
         return self.buckets.get(int(k), ())
 
@@ -147,4 +144,25 @@ def count_dichotomies(matrix: LossMatrix) -> int:
     """Number of distinct column vectors of a binary matrix."""
     if matrix.range_tag != "binary":
         raise InputError("dichotomy counting requires a binary matrix")
-    return int(np.unique(matrix.values.T, axis=0).shape[0])
+    return len(distinct_columns(matrix.values))
+
+
+def distinct_columns(values) -> np.ndarray:
+    """The distinct columns of a finite 2-d array, one per row, in
+    lexicographic order (the rows of ``np.unique(values.T, axis=0)``).
+
+    Each entry maps to an order-preserving big-endian unsigned key, so
+    comparing the key bytes of two columns compares them entry by entry;
+    equal columns are dropped through a dict of those bytes.
+    """
+    # ``+ 0.0`` folds -0.0 into 0.0, which compares equal to it
+    rows = np.add(np.asarray(values, dtype=np.float64).T, 0.0, order="C")
+    # negative entries map to ~bits, the others to bits | 1 << 63
+    keys = (rows.view(np.int64) >> 63).view(np.uint64)
+    keys |= np.uint64(1 << 63)
+    keys ^= rows.view(np.uint64)
+    keys = keys.astype(">u8")
+    first = {}
+    for j, key in enumerate(keys):
+        first.setdefault(key.tobytes(), j)
+    return rows[[first[key] for key in sorted(first)]]

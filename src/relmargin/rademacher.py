@@ -81,18 +81,20 @@ def _shell_rademacher_values(matrix: LossMatrix, inner: str, n_sigma: int, rng) 
     m = matrix.m
     n_shells = _shell_count(m)
     out = np.zeros(n_shells)
-    signs = None
     if inner == "mc":
-        signs = rng.integers(0, 2, size=(int(n_sigma), m)) * 2.0 - 1.0
+        signs = rng.integers(0, 2, size=(int(n_sigma), m)).astype(np.float64)
+        signs *= 2.0
+        signs -= 1.0
+        # one product over the whole pool; each shell takes its columns' sups
+        sums = kernels.signed_sums(matrix.values, signs)
     for k in range(n_shells):
-        cols = partition.columns(k)
+        cols = list(partition.columns(k))
         if not cols:
             continue
-        sub = matrix.values[:, list(cols)]
         if inner == "exact":
-            out[k] = kernels.exact_mean_sup_signed_sum(sub) / m
+            out[k] = kernels.exact_mean_sup_signed_sum(matrix.values[:, cols]) / m
         else:
-            out[k] = float(kernels.sup_signed_sums(sub, signs).mean()) / m
+            out[k] = float(sums[:, cols].max(axis=1).mean()) / m
     return out
 
 

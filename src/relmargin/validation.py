@@ -247,7 +247,7 @@ def validate_bounds(cfg: ExperimentConfig, threads: int = 1) -> ValidityReport:
 
         def draw(t: int) -> None:
             x, y = dist.sample(p.m, substream(cfg.seed, "trial", t))
-            emp[t] = (y[:, None] * (x @ w_stack.T) < p.rho).mean(axis=0)
+            emp[t] = np.count_nonzero((y[:, None] * x) @ w_stack.T < p.rho, axis=0) / p.m
 
     else:
         risks = np.empty((cfg.trials, 1))

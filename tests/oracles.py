@@ -4,7 +4,9 @@ Everything here enumerates or derives directly from definitions, without
 touching the package's own computation paths.
 """
 
+from decimal import Decimal
 from itertools import combinations, product
+import decimal
 import math
 
 
@@ -64,6 +66,25 @@ def brute_peeling_value(matrices) -> float:
     return best
 
 
+def shell_rademacher_mc(values, n_sigma: int, rng) -> list:
+    """Monte-Carlo Rhat per peeling shell, one product per shell.
+
+    Draws the signs as the peeling estimator does, then gathers each
+    shell's columns (2^k <= column sum + 1 < 2^{k+1}) and averages
+    ``kernels.sup_signed_sums`` over the sign vectors; empty shells are 0.
+    """
+    from relmargin import kernels
+
+    m, pool = values.shape
+    signs = rng.integers(0, 2, size=(n_sigma, m)) * 2.0 - 1.0
+    colsums = values.sum(axis=0)
+    out = []
+    for k in range(int(math.floor(math.log2(m + 1))) + 1):
+        cols = [j for j in range(pool) if 2**k <= colsums[j] + 1 < 2 ** (k + 1)]
+        out.append(float(kernels.sup_signed_sums(values[:, cols], signs).mean()) / m if cols else 0.0)
+    return out
+
+
 def packing_lower_bound(dist_rows, eps: float) -> int:
     """Greedy count of columns pairwise farther than 2*eps (covers need >= this)."""
     chosen = []
@@ -73,14 +94,10 @@ def packing_lower_bound(dist_rows, eps: float) -> int:
     return len(chosen)
 
 
-def bisect_relative(b: float, c: float, alpha: float, rel_tol: float = 1e-12) -> float:
-    """Largest fixed point of x = b + c x^{1/alpha} by scalar bisection.
-
-    Geometric bracket growth from max(b, 1), then bisection on the concave
-    residual to relative width ``rel_tol``; inf once the bracket passes 1e300.
-    """
-    if c == 0.0:
-        return float(b)
+def _float_bisect_relative(b: float, c: float, alpha: float) -> float:
+    """Float bisection for the largest fixed point of x = b + c x^{1/alpha}
+    (inf once the bracket passes 1e300); near alpha = 1 the float residual
+    is nearly flat, so this can stop ~1e-11 relative off the root."""
     inv = 1.0 / alpha
 
     def residual(x: float) -> float:
@@ -98,9 +115,47 @@ def bisect_relative(b: float, c: float, alpha: float, rel_tol: float = 1e-12) ->
             lo = mid
         else:
             hi = mid
-        if hi - lo <= rel_tol * max(hi, 1e-300):
+        if hi - lo <= 1e-12 * max(hi, 1e-300):
             break
     return 0.5 * (lo + hi)
+
+
+def bisect_relative(b: float, c: float, alpha: float, rel_tol: float = 1e-17) -> float:
+    """Largest fixed point of x = b + c x^{1/alpha}, rounded to a float.
+
+    The float bisection's estimate is widened until residuals in 40-digit
+    decimal arithmetic bracket the root, then bisected in decimal to
+    relative width ``rel_tol``.  The residual is concave and >= 0 at b, so
+    the bracket holds the largest root; inf once that passes 1e300.
+    """
+    if c == 0.0:
+        return float(b)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        b_, c_, inv = Decimal(b), Decimal(c), 1 / Decimal(alpha)
+        top = Decimal("1e300")
+
+        def residual(x: Decimal) -> Decimal:
+            return b_ + c_ * (inv * x.ln()).exp() - x if x > 0 else b_
+
+        if residual(top) >= 0:
+            return math.inf
+        guess = min(Decimal(_float_bisect_relative(b, c, alpha)), top)
+        width = guess * Decimal("1e-11") + Decimal("1e-300")
+        lo, hi = max(b_, guess - width), guess + width
+        while residual(lo) < 0:
+            width *= 10
+            lo = max(b_, lo - width)
+        while residual(hi) >= 0:
+            width *= 10
+            hi += width
+        while hi - lo > Decimal(rel_tol) * max(hi, Decimal("1e-300")):
+            mid = (lo + hi) / 2
+            if residual(mid) >= 0:
+                lo = mid
+            else:
+                hi = mid
+        return float((lo + hi) / 2)
 
 
 def per_trial_campaign(cfg):

@@ -66,6 +66,21 @@ def test_bad_mode_and_eps():
         covering_number_linf(m, 0.1, mode="both")
 
 
+def test_pairwise_linf_matches_double_loop():
+    rng = np.random.default_rng(12)
+    for trial in range(40):
+        m = int(rng.integers(1, 12))
+        p = int(rng.integers(1, 10))
+        values = rng.normal(size=(m, p)) if trial % 2 else rng.choice([-1.0, -0.0, 0.0, 0.3, 1.0], size=(m, p))
+        if trial % 4 == 1:  # a column-major view, as covers pass it
+            values = np.ascontiguousarray(values.T).T
+        got = pairwise_linf(values)
+        want = [[max(abs(values[i, a] - values[i, b]) for i in range(m)) for b in range(p)] for a in range(p)]
+        assert (got == np.array(want)).all()
+        assert (got == got.T).all()
+        assert (np.diag(got) == 0.0).all()
+
+
 @pytest.mark.parametrize("metric,pairwise", [("linf", pairwise_linf), ("l2", pairwise_l2n)])
 def test_exact_matches_exhaustive_and_greedy_dominates(metric, pairwise):
     rng = np.random.default_rng(42)

@@ -13,7 +13,7 @@ from relmargin import (
     step,
     transform_matrix,
 )
-from relmargin.lossmatrix import shell_index
+from relmargin.lossmatrix import distinct_columns, shell_index
 
 
 def test_range_tag_validation():
@@ -79,6 +79,34 @@ def test_count_dichotomies_column_permutation_invariant():
 def test_count_dichotomies_requires_binary():
     with pytest.raises(InputError):
         count_dichotomies(LossMatrix(np.array([[0.5]]), "unit-interval"))
+
+
+def test_distinct_columns_matches_np_unique():
+    rng = np.random.default_rng(8)
+    atoms = [-3.0, -1.0, -5e-324, -0.0, 0.0, 5e-324, 1e-300, 0.5, 1.0, 2.0]
+    for trial in range(400):
+        m = int(rng.integers(1, 30))
+        p = int(rng.integers(1, 20))
+        if trial % 2:
+            values = rng.choice(atoms, size=(m, p))
+        else:
+            values = rng.normal(size=(m, p))
+        # duplicate columns, and columns equal on all but their last row
+        src = rng.integers(0, p, size=p // 2 + 1)
+        values[:, rng.integers(0, p, size=src.size)] = values[:, src]
+        if p > 2:
+            values[: m - 1, 1] = values[: m - 1, 2]
+        got = distinct_columns(values)
+        want = np.unique(values.T, axis=0)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+
+
+def test_distinct_columns_folds_signed_zeros():
+    values = np.array([[0.0, -0.0, 1.0], [-0.0, 0.0, -0.0]])
+    got = distinct_columns(values)
+    assert got.tolist() == [[0.0, 0.0], [1.0, 0.0]]
+    assert not np.signbit(got).any()
 
 
 def test_transform_matrix_tags_and_values():

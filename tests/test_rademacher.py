@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import brute_peeling_value, brute_rademacher
+from oracles import brute_peeling_value, brute_rademacher, shell_rademacher_mc
 from relmargin import (
     CapabilityError,
     DomainError,
@@ -18,7 +18,9 @@ from relmargin import (
     rm_upper_smooth,
     worst_case_rademacher,
 )
+from relmargin import kernels
 from relmargin.fatdim import FatDimParams
+from relmargin.rademacher import _shell_rademacher_values
 
 
 def _mat(cols, tag="binary"):
@@ -95,6 +97,34 @@ def test_mc_is_reproducible_per_seed():
 
 # ---------------------------------------------------------------------------
 # peeling
+
+
+def test_signed_sums_max_is_sup_signed_sums():
+    rng = np.random.default_rng(4)
+    values = rng.random((30, 7))
+    signs = rng.integers(0, 2, size=(50, 30)) * 2.0 - 1.0
+    sums = kernels.signed_sums(values, signs)
+    assert sums.shape == (50, 7)
+    assert sums[3, 5] == pytest.approx(float(signs[3] @ values[:, 5]), rel=1e-12)
+    assert np.array_equal(sums.max(axis=1), kernels.sup_signed_sums(values, signs))
+
+
+def test_mc_shell_values_match_per_shell_oracle():
+    rng = np.random.default_rng(17)
+    for trial in range(8):
+        m = int(rng.integers(2, 200))
+        p = int(rng.integers(1, 40))
+        # per-column densities spread the columns over many shells
+        binary = (rng.random((m, p)) < rng.random(p) ** 3).astype(float)
+        real = rng.random((m, p)) * rng.random(p) ** 3
+        for values, tag in ((binary, "binary"), (real, "unit-interval")):
+            seed = 1000 + trial
+            got = _shell_rademacher_values(LossMatrix(values, tag), "mc", 64, np.random.default_rng(seed))
+            want = shell_rademacher_mc(values, 64, np.random.default_rng(seed))
+            if tag == "binary":  # integer sums: the one product is exact
+                assert got.tolist() == want
+            else:
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
 
 def test_peeling_singleton_zero_class_is_exactly_zero():
