@@ -358,16 +358,22 @@ def bound_cov_fat(emp: float, d: float, params: BoundParams) -> BoundReport:
     )
 
 
+def _uniform_rho_addend(r, rho: float) -> float:
+    """log(log2(2r/rho)), the confidence addend of the uniform-over-rho
+    families: 0 at rho = r and growing as rho falls, so >= 0 on (0, r]."""
+    if r is None:
+        raise InputError("uniform-rho bounds need the range cap r")
+    if not (0 < rho <= r):
+        raise InputError(f"rho must lie in (0, r], got rho = {rho!r} with r = {r!r}")
+    return math.log(math.log2(2.0 * r / rho))
+
+
 def bound_cov_uniform_rho(
     emp: float, log_n_at, params: BoundParams, solver: str = "root-find"
 ) -> BoundReport:
     """Uniform-margin cover bound: cover radius rho/4 and a log(log2(2r/rho))
     confidence addend, valid simultaneously for all rho in (0, r]."""
-    if params.r is None:
-        raise InputError("uniform-rho bounds need the range cap r")
-    if not (0 < params.rho <= params.r):
-        raise InputError("rho must lie in (0, r]")
-    addend = math.log(math.log2(2.0 * params.r / params.rho))
+    addend = _uniform_rho_addend(params.r, params.rho)
     log_n = log_n_at(params.rho / 4.0) if callable(log_n_at) else log_n_at
     return _cov_alpha_report(
         "cov-uniform-rho", emp, log_n, params, solver, addend, loglog_addend=addend
@@ -536,14 +542,12 @@ def bound_unbounded_uniform_rho(
     emp_loss: float, moment: float, log_n_at, rho_grid, params: BoundParams
 ) -> BoundReport:
     """Minimum over a rho grid of the finite-moment bound with the uniform-rho
-    log log(2r/rho) addend; the cover callable is evaluated at radius rho/2."""
-    if params.r is None:
-        raise InputError("uniform-rho bounds need the range cap r")
+    log(log2(2r/rho)) addend (>= 0, so never below ``bound_unbounded`` at the
+    same rho); the cover callable is evaluated at radius rho/2."""
     grid = [float(rho) for rho in rho_grid]
     if not grid:
         raise InputError("rho grid must be nonempty")
-    if any(not (0 < rho <= params.r) for rho in grid):
-        raise InputError("every grid rho must lie in (0, r]")
+    addends = {rho: _uniform_rho_addend(params.r, rho) for rho in grid}
     if not (moment >= 0 and math.isfinite(moment)):
         raise InputError("the loss moment must be finite and nonnegative")
     emp_loss = _empirical_input(emp_loss, "emp_loss", zero_one=False)
@@ -552,7 +556,7 @@ def bound_unbounded_uniform_rho(
     failures = {}
     for rho in grid:
         p_rho = replace(params, rho=rho)
-        addend = math.log(math.log(2.0 * params.r / rho))
+        addend = addends[rho]
         log_n = log_n_at(rho / 2.0) if callable(log_n_at) else log_n_at
         log_n_value, methods[rho] = _complexity_input(log_n, "logN")
         try:

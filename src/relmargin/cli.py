@@ -369,6 +369,13 @@ def _cmd_verify(args) -> int:
 # parser
 
 
+def _seed(text: str) -> int:
+    """The argparse type of every ``--seed`` flag: a non-negative integer."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _add_common_output(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--out", default=None, help="output path; stdout when omitted")
@@ -420,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--mode", choices=("exact", "greedy"), default="exact")
     c.add_argument("--exact-cap", type=int, default=25)
     c.add_argument("--n-sigma", type=int, default=1024)
-    c.add_argument("--seed", type=int, default=None)
+    c.add_argument("--seed", type=_seed, default=None)
     c.add_argument("--k", type=int, default=None)
     c.add_argument("--eps-grid", default=None)
     c.add_argument("--m", type=int, default=None)
@@ -435,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("validate", help="Monte-Carlo bound-coverage campaign")
     v.add_argument("--config", required=True)
     v.add_argument("--set", action="append", default=[], help="override section.key=value")
-    v.add_argument("--seed", type=int, default=None, help="override the config seed")
+    v.add_argument("--seed", type=_seed, default=None, help="override the config seed")
     v.add_argument(
         "--threads",
         type=int,
@@ -465,7 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("bound-min", "hinge-subgradient-linear", "boost-stumps", "tiny-mlp"),
     )
     tr.add_argument("--data", required=True, help="LabeledSample JSON file")
-    tr.add_argument("--seed", type=int, required=True)
+    tr.add_argument("--seed", type=_seed, required=True)
     tr.add_argument("--steps", type=int, default=1500)
     tr.add_argument("--lam", type=float, default=0.1)
     tr.add_argument("--rho-grid", default=None)
@@ -481,7 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
     ve.add_argument("--grid-size", type=int, default=200)
     ve.add_argument("--n", type=int, default=10000)
     ve.add_argument("--delta", type=float, default=1e-6)
-    ve.add_argument("--seed", type=int, default=None)
+    ve.add_argument("--seed", type=_seed, default=None)
     _add_common_output(ve)
     ve.set_defaults(func=_cmd_verify)
 

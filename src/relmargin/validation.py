@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 from scipy.stats import beta as beta_dist
@@ -30,23 +30,69 @@ from .lossmatrix import LossMatrix, outputs_matrix, transform_matrix
 from .covers import covering_number_linf
 from .rademacher import peeling_complexity
 from .rng import child_seed, substream
-from .samples import LabeledSample, make_distribution
-from .training import train
+from .samples import LabeledSample, analytic_risk, make_distribution
+from .training import _METHODS as TRAINING_METHODS, train
 from .transforms import holdout_error_rate, step
 
 __all__ = ["ExperimentConfig", "ValidityReport", "validate_bounds", "exact_binomial_ci"]
 
-_DEFAULT_COMPLEXITY = {
+# complexity option -> default; the integer ones also have a least value
+_COMPLEXITY_DEFAULTS = {
     "cover_draws": 64,
     "peel_draws": 64,
     "n_sigma": 1024,
     "exact_cap": 25,
     "cover_mode": "exact",
 }
+_COMPLEXITY_LEAST = {"cover_draws": 1, "peel_draws": 2, "n_sigma": 1, "exact_cap": 1}
+# holdout size of each campaign mode when risk.n is not given
+_RISK_N = {"uniform-pool": 10**6, "trained": 10**5}
+
+
+def _mapping(name: str, value, allowed=None, required=()) -> dict:
+    """A copy of the config mapping ``name``; unknown keys (when ``allowed``
+    is given) and missing required keys are rejected."""
+    if not isinstance(value, dict):
+        raise InputError(f"{name} must be a mapping, got {value!r}")
+    unknown = sorted(set(value) - set(allowed)) if allowed is not None else []
+    if unknown:
+        raise InputError(f"unknown {name} keys {unknown}")
+    missing = sorted(set(required) - set(value))
+    if missing:
+        raise InputError(f"missing {name} keys {missing}")
+    return dict(value)
+
+
+def _dataclass_keys(cls) -> tuple[list, list]:
+    """The field names of a dataclass, and those without a default."""
+    names = [f.name for f in fields(cls)]
+    return names, [f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING]
+
+
+def _number(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise InputError(f"{name} must be a number, got {value!r}")
+
+
+def _count(name: str, value, least: int) -> int:
+    """``value`` as an int >= ``least``; integral floats (JSON ``1e5``) pass."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not (number and float(value).is_integer() and value >= least):
+        raise InputError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
+def _choice(name: str, value, choices) -> None:
+    if value not in choices:
+        raise InputError(f"{name} must be one of {list(choices)}, got {value!r}")
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """A coverage campaign.  Construction checks every section and fills in
+    every default, so the campaign reads only checked values: a wrong key,
+    type or value raises ``InputError`` naming the key."""
+
     distribution: dict
     pool: dict
     params: BoundParams
@@ -56,61 +102,53 @@ class ExperimentConfig:
     mode: str = "uniform-pool"
     trainer: dict | None = None
     complexity: dict = field(default_factory=dict)
-    risk: dict = field(default_factory=lambda: {"mode": "analytic"})
+    risk: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise InputError("trials must be at least 1")
-        if self.mode not in ("uniform-pool", "trained"):
-            raise InputError("mode must be 'uniform-pool' or 'trained'")
-        if self.mode == "trained" and not self.trainer:
-            raise InputError("trained mode needs a trainer spec")
-        fams = tuple(self.families)
-        unknown = [f for f in fams if f not in SUPPORTED_FAMILIES]
+        def put(name, value):
+            object.__setattr__(self, name, value)
+
+        put("distribution", _mapping("distribution", self.distribution))
+        pool = {"kind": "linear", **_mapping("pool", self.pool, ("kind", "size"), ("size",))}
+        _choice("pool.kind", pool["kind"], ("linear",))
+        pool["size"] = _count("pool.size", pool["size"], 1)
+        put("pool", pool)
+        if not isinstance(self.params, BoundParams):
+            params = _mapping("params", self.params, *_dataclass_keys(BoundParams))
+            for key, value in params.items():
+                if key == "m":
+                    params[key] = _count("params.m", value, 1)
+                elif not (key == "r" and value is None):
+                    _number(f"params.{key}", value)
+            put("params", BoundParams(**params))
+        if not isinstance(self.families, (list, tuple)) or not self.families:
+            raise InputError("families must be a nonempty list of bound families")
+        unknown = [f for f in self.families if f not in SUPPORTED_FAMILIES]
         if unknown:
             raise InputError(f"unsupported families {unknown}; supported: {SUPPORTED_FAMILIES}")
-        if not fams:
-            raise InputError("at least one bound family is required")
-        object.__setattr__(self, "families", fams)
-        merged = dict(_DEFAULT_COMPLEXITY)
-        unknown_keys = set(self.complexity) - set(merged)
-        if unknown_keys:
-            raise InputError(f"unknown complexity options {sorted(unknown_keys)}")
-        merged.update(self.complexity)
-        object.__setattr__(self, "complexity", merged)
-        if self.pool.get("kind", "linear") != "linear":
-            raise InputError("only linear hypothesis pools are supported")
-        if int(self.pool.get("size", 0)) < 1:
-            raise InputError("pool size must be at least 1")
+        put("families", tuple(self.families))
+        put("trials", _count("trials", self.trials, 1))
+        put("seed", _count("seed", self.seed, 0))
+        _choice("mode", self.mode, ("uniform-pool", "trained"))
+        if self.trainer is not None:
+            trainer = {"method": "hinge-subgradient-linear", **_mapping("trainer", self.trainer)}
+            _choice("trainer.method", trainer["method"], tuple(TRAINING_METHODS))
+            put("trainer", trainer)
+        elif self.mode == "trained":
+            raise InputError("trained mode needs a trainer spec")
+        complexity = {**_COMPLEXITY_DEFAULTS, **_mapping("complexity", self.complexity, _COMPLEXITY_DEFAULTS)}
+        for key, least in _COMPLEXITY_LEAST.items():
+            complexity[key] = _count(f"complexity.{key}", complexity[key], least)
+        _choice("complexity.cover_mode", complexity["cover_mode"], ("exact", "greedy"))
+        put("complexity", complexity)
+        risk = {"mode": "analytic", "n": _RISK_N[self.mode], **_mapping("risk", self.risk, ("mode", "n"))}
+        _choice("risk.mode", risk["mode"], ("analytic", "holdout"))
+        risk["n"] = _count("risk.n", risk["n"], 1)
+        put("risk", risk)
 
     @classmethod
     def from_json(cls, data: dict) -> "ExperimentConfig":
-        data = dict(data)
-        unknown = set(data) - {f.name for f in fields(cls)}
-        if unknown:
-            raise InputError(f"unknown config keys {sorted(unknown)}")
-        missing = {"distribution", "pool", "params", "families", "trials", "seed"} - set(data)
-        if missing:
-            raise InputError(f"missing config keys {sorted(missing)}")
-        params = data["params"]
-        if not isinstance(params, BoundParams):
-            allowed = {"m", "delta", "alpha", "rho", "tau", "r"}
-            bad = set(params) - allowed
-            if bad:
-                raise InputError(f"unknown params keys {sorted(bad)}")
-            params = BoundParams(**params)
-        return cls(
-            distribution=dict(data["distribution"]),
-            pool=dict(data["pool"]),
-            params=params,
-            families=tuple(data["families"]),
-            trials=int(data["trials"]),
-            seed=int(data["seed"]),
-            mode=data.get("mode", "uniform-pool"),
-            trainer=data.get("trainer"),
-            complexity=dict(data.get("complexity", {})),
-            risk=dict(data.get("risk", {"mode": "analytic"})),
-        )
+        return cls(**_mapping("config", data, *_dataclass_keys(cls)))
 
 
 @dataclass(frozen=True)
@@ -138,32 +176,28 @@ def exact_binomial_ci(k: int, n: int, confidence: float = 0.95) -> tuple[float, 
     return lo, hi
 
 
-def _build_pool(cfg: ExperimentConfig):
+def _build_pool(cfg: ExperimentConfig, dist):
     rng = substream(cfg.seed, "pool")
-    size = int(cfg.pool.get("size"))
-    dim = int(cfg.distribution.get("dim", 2))
-    ws = rng.standard_normal((size, dim))
+    ws = rng.standard_normal((cfg.pool["size"], dist.dim))
     ws /= np.maximum(np.linalg.norm(ws, axis=1, keepdims=True), 1e-12)
     return [LinearHypothesis(w) for w in ws]
 
 
-def _pool_true_risks(cfg, dist, pool) -> np.ndarray:
-    mode = cfg.risk.get("mode", "analytic")
-    if mode == "analytic":
-        return np.array([dist.analytic_risk(h) for h in pool])
-    if mode == "holdout":
-        w_stack = np.stack([h.w for h in pool], axis=0)
-        n = int(cfg.risk.get("n", 10**6))
-        return holdout_error_rate(lambda x: x @ w_stack.T, dist, n, substream(cfg.seed, "risk"))
-    raise InputError(f"unknown risk mode {mode!r}")
+def _true_risks(cfg, dist, hypotheses, predict, *stream) -> np.ndarray:
+    """True zero-one risks of ``hypotheses``: the closed form, or a holdout of
+    ``risk.n`` points drawn from ``substream(cfg.seed, *stream)`` and scored
+    with ``predict`` (one column per hypothesis)."""
+    if cfg.risk["mode"] == "analytic":
+        return np.array([analytic_risk(h, dist) for h in hypotheses])
+    return holdout_error_rate(predict, dist, cfg.risk["n"], substream(cfg.seed, *stream))
 
 
 def _estimate_log_cover(cfg, dist, pool) -> ComplexityEstimate:
     """log of the Monte-Carlo mean sup-distance cover of the truncated pool
     at radius rho/2 over fresh double samples."""
     p = cfg.params
-    draws = int(cfg.complexity["cover_draws"])
-    cap = int(cfg.complexity["exact_cap"])
+    draws = cfg.complexity["cover_draws"]
+    cap = cfg.complexity["exact_cap"]
     mode = cfg.complexity["cover_mode"]
     truncated = [truncate(h, p.rho) for h in pool]
     counts = np.empty(draws)
@@ -196,8 +230,8 @@ def _estimate_peeling(cfg, dist, pool) -> ComplexityEstimate:
 
     return peeling_complexity(
         sampler,
-        outer_trials=int(cfg.complexity["peel_draws"]),
-        n_sigma=int(cfg.complexity["n_sigma"]),
+        outer_trials=cfg.complexity["peel_draws"],
+        n_sigma=cfg.complexity["n_sigma"],
         seed=child_seed(cfg.seed, "peel"),
     )
 
@@ -231,7 +265,11 @@ def validate_bounds(cfg: ExperimentConfig, threads: int = 1) -> ValidityReport:
     """Run the campaign and report per-family violation rates with exact
     binomial 95% confidence intervals."""
     dist = make_distribution(cfg.distribution)
-    pool = _build_pool(cfg)
+    if cfg.risk["mode"] == "analytic" and not dist.analytic_risk_available:
+        raise InputError(
+            f"risk.mode 'analytic' needs a closed-form risk, and {dist.kind} has none; use 'holdout'"
+        )
+    pool = _build_pool(cfg, dist)
     p = cfg.params
     estimates = {}
     for fam in cfg.families:
@@ -241,9 +279,9 @@ def validate_bounds(cfg: ExperimentConfig, threads: int = 1) -> ValidityReport:
     complexities = {fam: estimates[_FAMILIES[fam][0]] for fam in cfg.families}
 
     if cfg.mode == "uniform-pool":
-        risks = _pool_true_risks(cfg, dist, pool)[None, :]
-        emp = np.empty((cfg.trials, len(pool)))
         w_stack = np.stack([h.w for h in pool], axis=0)
+        risks = _true_risks(cfg, dist, pool, lambda x: x @ w_stack.T, "risk")[None, :]
+        emp = np.empty((cfg.trials, len(pool)))
 
         def draw(t: int) -> None:
             x, y = dist.sample(p.m, substream(cfg.seed, "trial", t))
@@ -252,20 +290,14 @@ def validate_bounds(cfg: ExperimentConfig, threads: int = 1) -> ValidityReport:
     else:
         risks = np.empty((cfg.trials, 1))
         emp = np.empty((cfg.trials, 1))
-        trainer_cfg = dict(cfg.trainer)
-        method = trainer_cfg.pop("method", "hinge-subgradient-linear")
-        holdout_n = int(cfg.risk.get("n", 10**5))
 
         def draw(t: int) -> None:
             x, y = dist.sample(p.m, substream(cfg.seed, "trial", t))
             sample = LabeledSample(points=x, labels=y, seed=t, generator_id=dist.generator_id)
-            h = train(method, sample, dict(trainer_cfg, seed=child_seed(cfg.seed, "train", t)))
+            trainer = {**cfg.trainer, "seed": child_seed(cfg.seed, "train", t)}
+            h = train(cfg.trainer["method"], sample, trainer)
             emp[t] = (y * h.predict(x) < p.rho).mean()
-            if cfg.risk.get("mode", "analytic") == "analytic":
-                risks[t] = dist.analytic_risk(h)
-            else:
-                rng = substream(cfg.seed, "trial-risk", t)
-                risks[t] = holdout_error_rate(h.predict, dist, holdout_n, rng)
+            risks[t] = _true_risks(cfg, dist, [h], h.predict, "trial-risk", t)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=int(threads)) as pool_exec:

@@ -162,7 +162,8 @@ def per_trial_campaign(cfg):
     """``validate_bounds`` judged one trial and one family at a time.
 
     The draws, complexity estimates and bound formulas are the package's
-    own (on the same substreams); only the judge is done here, per trial:
+    own (on the same substreams).  The true risks (closed form, or a holdout
+    on the same substreams) and the judge are done here, per trial:
     the uniform event over the pool, the member with the first largest gap
     as the reported row, and the largest gap over all trials.  Returns the
     report's (families, rows).
@@ -176,7 +177,7 @@ def per_trial_campaign(cfg):
     from relmargin.transforms import holdout_error_rate
 
     dist = make_distribution(cfg.distribution)
-    pool = validation._build_pool(cfg)
+    pool = validation._build_pool(cfg, dist)
     p = cfg.params
     complexities = {fam: validation._FAMILIES[fam][0](cfg, dist, pool) for fam in cfg.families}
 
@@ -191,8 +192,12 @@ def per_trial_campaign(cfg):
 
     results = []
     if cfg.mode == "uniform-pool":
-        risks = validation._pool_true_risks(cfg, dist, pool)
         w_stack = np.stack([h.w for h in pool], axis=0)
+        if cfg.risk.get("mode", "analytic") == "analytic":
+            risks = np.array([dist.analytic_risk(h) for h in pool])
+        else:
+            n = int(cfg.risk.get("n", 10**6))
+            risks = holdout_error_rate(lambda x: x @ w_stack.T, dist, n, substream(cfg.seed, "risk"))
         for t in range(cfg.trials):
             x, y = dist.sample(p.m, substream(cfg.seed, "trial", t))
             results.append(judge((y[:, None] * (x @ w_stack.T) < p.rho).mean(axis=0), risks))

@@ -411,6 +411,17 @@ def test_unbounded_uniform_rho_single_grid_and_monotone():
     assert one.breakdown["best_rho"] == 0.5
 
 
+@pytest.mark.parametrize("alpha", [1.5, 2.0])
+def test_unbounded_uniform_rho_never_below_fixed_rho_bound(alpha):
+    # the uniform-over-rho addend log(log2(2r/rho)) is >= 0 on (0, r]; the
+    # natural-log form went negative above rho = 2r/e
+    for rho in np.linspace(0.05, 1.0, 20):
+        p = P(m=10**6, delta=0.05, alpha=alpha, rho=float(rho), r=1.0)
+        fixed = bound_unbounded(0.1, 1.0, 5.0, p)
+        uniform = bound_unbounded_uniform_rho(0.1, 1.0, 5.0, [float(rho)], p)
+        assert uniform.bound_value >= fixed.bound_value
+
+
 def test_unbounded_uniform_rho_reports_estimate_method():
     est = ComplexityEstimate(value=5.0, method="formula")
     rep = bound_unbounded_uniform_rho(0.1, 1.0, lambda _radius: est, [0.5, 1.0], P(m=10**6, r=1.0))

@@ -263,6 +263,62 @@ def test_validate_rejects_thread_count_below_1(tmp_path, capsys, threads):
     assert "--threads must be at least 1" in capsys.readouterr().err
 
 
+_HINGE = 'trainer={"method": "hinge-subgradient-linear", "steps": 10}'
+
+
+@pytest.mark.parametrize(
+    "overrides,code,text",
+    [
+        (['distribution={"kind": "margin-separable-with-noise", "dim": 3}'], 2, "risk.mode 'analytic' needs"),
+        (["mode=trained", 'trainer={"method": "boost-stumps", "rounds": 2}'], 3, "linear hypotheses only"),
+        (["mode=trained", _HINGE, 'risk={"mode": "holdot"}'], 2, "risk.mode must be"),
+        (["mode=trained", 'trainer={"method": "svm"}'], 2, "trainer.method must be"),
+        (['risk={"mode": "holdout", "size": 10}'], 2, "unknown risk keys ['size']"),
+        (["pool.shape=1"], 2, "unknown pool keys ['shape']"),
+        (["params.gamma=1"], 2, "unknown params keys ['gamma']"),
+        (["trials=x"], 2, "trials must be"),
+        (["pool.size=ten"], 2, "pool.size must be"),
+        (["params.m=abc"], 2, "params.m must be"),
+        (["seed=-1"], 2, "seed must be"),
+        (["complexity.cover_draws=0"], 2, "complexity.cover_draws must be"),
+    ],
+)
+def test_bad_campaign_config_is_rejected_naming_the_key(tmp_path, capsys, monkeypatch, overrides, code, text):
+    from relmargin import validation
+
+    if code == 2:
+        # a rejected config runs no complexity estimate
+        def estimate(*args):
+            raise AssertionError("a complexity estimate ran before the config was rejected")
+
+        for fam, (_, formula) in list(validation._FAMILIES.items()):
+            monkeypatch.setitem(validation._FAMILIES, fam, (estimate, formula))
+    path = _write_campaign_config(tmp_path, trials=2)
+    argv = ["validate", "--config", str(path)]
+    for item in overrides:
+        argv += ["--set", item]
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert text in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["complexity", "--op", "rademacher-mc", "--seed", "-1"],
+        ["complexity", "--op", "rm-peeling", "--seed", "-3"],
+        ["validate", "--config", "campaign.json", "--seed", "-1"],
+        ["train", "--method", "hinge-subgradient-linear", "--data", "sample.json", "--seed", "-1"],
+        ["verify", "monotone", "--seed", "-1"],
+    ],
+)
+def test_negative_seed_exits_2_naming_the_flag(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "argument --seed: expected a non-negative integer, got '-" in capsys.readouterr().err
+
+
 def test_validate_rerun_identical_and_overrides(tmp_path):
     path = _write_campaign_config(tmp_path)
     code, out_a, _ = run_cli("validate", "--config", str(path))
