@@ -1,8 +1,12 @@
-"""Exception hierarchy shared by the whole package.
+"""Exception hierarchy and the input checks shared by the whole package.
 
 The CLI maps these onto exit codes: InputError (and subclasses) -> 2,
 CapabilityError -> 3, ApplicabilityError -> 4.
 """
+
+import inspect
+import math
+from dataclasses import MISSING, fields
 
 
 class RelmarginError(Exception):
@@ -27,3 +31,70 @@ class CapabilityError(RelmarginError):
 
 class ApplicabilityError(RelmarginError):
     """Bound is outside its applicable regime (reported, never silently clamped)."""
+
+
+def _mapping(name: str, value, allowed=None, required=()) -> dict:
+    """A copy of the config mapping ``name``; unknown keys (when ``allowed``
+    is given) and missing required keys are rejected."""
+    if not isinstance(value, dict):
+        raise InputError(f"{name} must be a mapping, got {value!r}")
+    unknown = sorted(set(value) - set(allowed)) if allowed is not None else []
+    if unknown:
+        raise InputError(f"unknown {name} keys {unknown}")
+    missing = sorted(set(required) - set(value))
+    if missing:
+        raise InputError(f"missing {name} keys {missing}")
+    return dict(value)
+
+
+def _dataclass_keys(cls) -> tuple[list, list]:
+    """The field names of a dataclass, and those without a default."""
+    names = [f.name for f in fields(cls)]
+    return names, [f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING]
+
+
+def _number(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise InputError(f"{name} must be a number, got {value!r}")
+
+
+def _finite(name: str, value) -> None:
+    _number(name, value)
+    if not math.isfinite(value):
+        raise InputError(f"{name} must be finite, got {value!r}")
+
+
+def _count(name: str, value, least: int) -> int:
+    """``value`` as an int >= ``least``; integral floats (JSON ``1e5``) pass."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not (number and float(value).is_integer() and value >= least):
+        raise InputError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
+def _choice(name: str, value, choices) -> None:
+    if value not in choices:
+        raise InputError(f"{name} must be one of {list(choices)}, got {value!r}")
+
+
+def _options(section: str, declared, values, skip=()) -> dict:
+    """A copy of ``values``, checked as the options of section ``section``
+    that ``declared`` (a dataclass or a function) declares by its parameters
+    other than ``skip``: name, annotated type and default.  A wrong key or
+    type, or a non-finite number, raises ``InputError`` naming the key; an
+    ``int`` option is an integer >= 0 given as one (not ``3.0`` or ``true``)."""
+    params = {n: p for n, p in inspect.signature(declared).parameters.items() if n not in skip}
+    options = _mapping(section, values, params, [n for n, p in params.items() if p.default is p.empty])
+    for key, value in options.items():
+        name, kind = f"{section}.{key}", params[key].annotation
+        if kind == "int":
+            if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+                raise InputError(f"{name} must be an integer >= 0, got {value!r}")
+        elif kind == "list[float]":
+            for item in value:
+                _finite(name, item)
+        elif kind == "float" or kind == "float | None" and value is not None:
+            _finite(name, value)
+        elif kind != "float | None":
+            raise TypeError(f"no check for the annotation {kind!r} of {name}")
+    return options

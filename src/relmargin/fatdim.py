@@ -14,7 +14,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import CapabilityError, DomainError, InputError
+from .errors import CapabilityError, DomainError, InputError, _finite
 from .lossmatrix import LossMatrix
 
 __all__ = [
@@ -58,8 +58,10 @@ class FatDimParams:
             raise InputError("depth must be at least 1")
         for name in ("radius", "rho", "vc_dim", "lipschitz", "input_dim", "r21", "constant"):
             v = getattr(self, name)
-            if v is not None and v <= 0:
-                raise InputError(f"{name} must be positive when provided")
+            if v is not None:
+                _finite(name, v)
+                if v <= 0:
+                    raise InputError(f"{name} must be positive when provided")
 
 
 def fat_dim_formula(params: FatDimParams) -> float:

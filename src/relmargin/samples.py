@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.stats import norm
 
-from .errors import CapabilityError, InputError
+from .errors import CapabilityError, InputError, _choice, _mapping, _options
 from .hypotheses import LinearHypothesis
 from .rng import substream
 
@@ -15,6 +16,7 @@ __all__ = [
     "LabeledSample",
     "TwoGaussianMixture",
     "MarginSeparable",
+    "DISTRIBUTIONS",
     "make_distribution",
     "generate",
 ]
@@ -72,6 +74,20 @@ class LabeledSample:
         )
 
 
+def _at_least(key: str, value, least) -> None:
+    if not (value >= least):
+        raise InputError(f"distribution.{key} must be >= {least}, got {value!r}")
+
+
+def _positive(key: str, value) -> None:
+    if not (value > 0):
+        raise InputError(f"distribution.{key} must be > 0, got {value!r}")
+
+
+# least acceptance probability of MarginSeparable's rejection loop
+_ACCEPT_FLOOR = 1e-6
+
+
 def _clip_to_ball(x: np.ndarray, radius: float) -> np.ndarray:
     norms = np.linalg.norm(x, axis=1)
     scale = np.where(norms > radius, radius / np.maximum(norms, 1e-300), 1.0)
@@ -82,9 +98,9 @@ def _clip_to_ball(x: np.ndarray, radius: float) -> np.ndarray:
 class TwoGaussianMixture:
     """y uniform in {-1, +1}; x ~ N(y * separation * e1, sigma^2 I), clipped to the radius.
 
-    The default radius keeps the clipping probability below ~exp(-32), so the
-    closed-form risk for linear hypotheses (which ignores clipping) agrees
-    with Monte-Carlo estimates far inside their standard errors.
+    Clipping scales a point by a positive factor, which keeps the sign of
+    every margin w.x of a linear hypothesis through the origin, so the
+    closed-form zero-one risk is exact at any radius > 0.
     """
 
     dim: int = 2
@@ -96,14 +112,16 @@ class TwoGaussianMixture:
     analytic_risk_available = True
 
     def __post_init__(self):
-        if self.dim < 1 or self.sigma <= 0 or self.separation < 0:
-            raise InputError("two-gaussian mixture needs dim >= 1, sigma > 0, separation >= 0")
+        _at_least("dim", self.dim, 1)
+        _positive("sigma", self.sigma)
+        _at_least("separation", self.separation, 0)
         if self.radius is None:
             object.__setattr__(
                 self,
                 "radius",
                 float(self.separation + self.sigma * (np.sqrt(self.dim) + 8.0)),
             )
+        _positive("radius", self.radius)
 
     @property
     def generator_id(self) -> str:
@@ -144,16 +162,25 @@ class MarginSeparable:
     analytic_risk_available = False
 
     def __post_init__(self):
+        _at_least("dim", self.dim, 1)
+        _positive("sigma", self.sigma)
+        _at_least("gap", self.gap, 0)
         if not (0 <= self.noise_rate <= 1):
-            raise InputError("noise_rate must lie in [0, 1]")
-        if self.gap < 0 or self.sigma <= 0 or self.dim < 1:
-            raise InputError("margin-separable needs gap >= 0, sigma > 0, dim >= 1")
+            raise InputError(f"distribution.noise_rate must lie in [0, 1], got {self.noise_rate!r}")
+        # the rejection loop accepts a point with probability at most
+        # P(|N(0, sigma^2)| >= gap), since clipping only shrinks |x1|
+        accept = math.erfc(self.gap / (self.sigma * math.sqrt(2.0)))
+        if accept < _ACCEPT_FLOOR:
+            raise InputError(
+                f"distribution.gap = {self.gap!r} lets the sampler accept at most {accept:.3g} of its"
+                f" draws, below {_ACCEPT_FLOOR}: erfc(gap / (sigma sqrt 2)) with sigma = {self.sigma!r}"
+            )
         if self.radius is None:
             object.__setattr__(
                 self, "radius", float(self.sigma * (np.sqrt(self.dim) + 8.0) + self.gap)
             )
-        if self.radius <= self.gap:
-            raise InputError("radius must exceed the gap or no point can be accepted")
+        if not (self.radius > self.gap):
+            raise InputError(f"distribution.radius must exceed distribution.gap = {self.gap!r}, got {self.radius!r}")
 
     @property
     def generator_id(self) -> str:
@@ -187,22 +214,21 @@ class MarginSeparable:
         return x, y
 
 
-_DIST_KINDS = {
+# kind -> distribution; its dataclass fields are its options
+DISTRIBUTIONS = {
     TwoGaussianMixture.kind: TwoGaussianMixture,
     MarginSeparable.kind: MarginSeparable,
 }
 
 
 def make_distribution(spec: dict):
-    """Build a distribution from a config mapping with a ``kind`` tag."""
-    spec = dict(spec)
+    """Build a distribution from a config mapping with a ``kind`` tag; its
+    other keys are checked against the fields of that kind."""
+    spec = _mapping("distribution", spec)
     kind = spec.pop("kind", None)
-    if kind not in _DIST_KINDS:
-        raise InputError(f"unknown distribution kind {kind!r}")
-    try:
-        return _DIST_KINDS[kind](**spec)
-    except TypeError as exc:
-        raise InputError(f"bad parameters for {kind}: {exc}") from exc
+    _choice("distribution.kind", kind, tuple(DISTRIBUTIONS))
+    cls = DISTRIBUTIONS[kind]
+    return cls(**_options("distribution", cls, spec))
 
 
 def generate(dist, m: int, seed: int) -> LabeledSample:

@@ -10,12 +10,13 @@ from __future__ import annotations
 import numpy as np
 
 from . import kernels
-from .errors import InputError
+from .errors import InputError, _options
 from .hypotheses import DecisionStump, EnsembleHypothesis, FFNNHypothesis, LinearHypothesis
 from .rng import substream
 from .samples import LabeledSample
 
 __all__ = [
+    "METHODS",
     "train",
     "train_hinge_linear",
     "train_boost_stumps",
@@ -82,7 +83,7 @@ def _best_stump(points: np.ndarray, labels: np.ndarray, weights: np.ndarray):
     return best
 
 
-def train_boost_stumps(sample: LabeledSample, rounds: int, seed: int = 0) -> EnsembleHypothesis:
+def train_boost_stumps(sample: LabeledSample, rounds: int = 10, seed: int = 0) -> EnsembleHypothesis:
     """AdaBoost over decision stumps; the returned ensemble's weights are the
     round coefficients renormalized to sum to one."""
     if rounds < 1:
@@ -114,7 +115,6 @@ def train_tiny_mlp(
     steps: int = 10000,
     seed: int = 0,
     lr: float = 0.5,
-    row_cap: float = 100.0,
 ) -> FFNNHypothesis:
     """Two-layer tanh net on the logistic loss with hand-derived gradients.
 
@@ -142,7 +142,7 @@ def train_tiny_mlp(
         g1 = dz1.T @ xb
         w2 -= lr * g2
         w1 -= lr * g1
-    return FFNNHypothesis((w1, w2), activation="tanh", row_cap=row_cap)
+    return FFNNHypothesis((w1, w2), activation="tanh", row_cap=100.0)
 
 
 def ramp_objective(sample: LabeledSample, w, rho: float, lam: float) -> float:
@@ -153,7 +153,7 @@ def ramp_objective(sample: LabeledSample, w, rho: float, lam: float) -> float:
 def train_bound_min(
     sample: LabeledSample,
     lam: float,
-    rho_grid,
+    rho_grid: list[float],
     restarts: int = 4,
     seed: int = 0,
     steps: int = 1500,
@@ -206,26 +206,18 @@ def train_bound_min(
     return LinearHypothesis(w), rho, info
 
 
-_METHODS = {
-    "hinge-subgradient-linear": lambda s, cfg: train_hinge_linear(
-        s, steps=cfg.get("steps", 2000), seed=cfg.get("seed", 0), step0=cfg.get("step0", 1.0)
-    ),
-    "boost-stumps": lambda s, cfg: train_boost_stumps(
-        s, rounds=cfg.get("rounds", 10), seed=cfg.get("seed", 0)
-    ),
-    "tiny-mlp": lambda s, cfg: train_tiny_mlp(
-        s,
-        width=cfg.get("width", 4),
-        steps=cfg.get("steps", 10000),
-        seed=cfg.get("seed", 0),
-        lr=cfg.get("lr", 0.5),
-    ),
+# method -> trainer; its keyword parameters after ``sample`` are its options
+METHODS = {
+    "hinge-subgradient-linear": train_hinge_linear,
+    "boost-stumps": train_boost_stumps,
+    "tiny-mlp": train_tiny_mlp,
 }
 
 
 def train(method: str, sample: LabeledSample, config: dict | None = None):
-    """Dispatch to a trainer by method name."""
-    cfg = dict(config or {})
-    if method not in _METHODS:
-        raise InputError(f"unknown training method {method!r}; choose from {sorted(_METHODS)}")
-    return _METHODS[method](sample, cfg)
+    """Dispatch to a trainer by method name; ``config`` holds its checked
+    options (an unknown key or a bad value raises ``InputError``)."""
+    if method not in METHODS:
+        raise InputError(f"unknown training method {method!r}; choose from {sorted(METHODS)}")
+    trainer = METHODS[method]
+    return trainer(sample, **_options("trainer", trainer, config or {}, skip=("sample",)))

@@ -15,14 +15,14 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.stats import beta as beta_dist
 
 from . import __version__ as _pkg_version
 from .bounds import BoundParams, cov_alpha2_value, cov_alpha_value, cov_fat_value, rad_value
-from .errors import InputError
+from .errors import InputError, _choice, _count, _dataclass_keys, _mapping, _number, _options
 from .estimates import ComplexityEstimate
 from .fatdim import FatDimParams, fat_dim_formula
 from .hypotheses import LinearHypothesis, truncate
@@ -30,8 +30,8 @@ from .lossmatrix import LossMatrix, outputs_matrix, transform_matrix
 from .covers import covering_number_linf
 from .rademacher import peeling_complexity
 from .rng import child_seed, substream
-from .samples import LabeledSample, analytic_risk, make_distribution
-from .training import _METHODS as TRAINING_METHODS, train
+from .samples import DISTRIBUTIONS, LabeledSample, analytic_risk, make_distribution
+from .training import METHODS
 from .transforms import holdout_error_rate, step
 
 __all__ = ["ExperimentConfig", "ValidityReport", "validate_bounds", "exact_binomial_ci"]
@@ -49,51 +49,14 @@ _COMPLEXITY_LEAST = {"cover_draws": 1, "peel_draws": 2, "n_sigma": 1, "exact_cap
 _RISK_N = {"uniform-pool": 10**6, "trained": 10**5}
 
 
-def _mapping(name: str, value, allowed=None, required=()) -> dict:
-    """A copy of the config mapping ``name``; unknown keys (when ``allowed``
-    is given) and missing required keys are rejected."""
-    if not isinstance(value, dict):
-        raise InputError(f"{name} must be a mapping, got {value!r}")
-    unknown = sorted(set(value) - set(allowed)) if allowed is not None else []
-    if unknown:
-        raise InputError(f"unknown {name} keys {unknown}")
-    missing = sorted(set(required) - set(value))
-    if missing:
-        raise InputError(f"missing {name} keys {missing}")
-    return dict(value)
-
-
-def _dataclass_keys(cls) -> tuple[list, list]:
-    """The field names of a dataclass, and those without a default."""
-    names = [f.name for f in fields(cls)]
-    return names, [f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING]
-
-
-def _number(name: str, value) -> None:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise InputError(f"{name} must be a number, got {value!r}")
-
-
-def _count(name: str, value, least: int) -> int:
-    """``value`` as an int >= ``least``; integral floats (JSON ``1e5``) pass."""
-    number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if not (number and float(value).is_integer() and value >= least):
-        raise InputError(f"{name} must be an integer >= {least}, got {value!r}")
-    return int(value)
-
-
-def _choice(name: str, value, choices) -> None:
-    if value not in choices:
-        raise InputError(f"{name} must be one of {list(choices)}, got {value!r}")
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """A coverage campaign.  Construction checks every section and fills in
-    every default, so the campaign reads only checked values: a wrong key,
-    type or value raises ``InputError`` naming the key."""
+    """A coverage campaign.  Construction checks every section, builds the
+    distribution and fills in every default, so the campaign reads only
+    checked values: a wrong key, type or value raises ``InputError`` naming
+    the key."""
 
-    distribution: dict
+    distribution: object
     pool: dict
     params: BoundParams
     families: tuple
@@ -108,7 +71,8 @@ class ExperimentConfig:
         def put(name, value):
             object.__setattr__(self, name, value)
 
-        put("distribution", _mapping("distribution", self.distribution))
+        if not isinstance(self.distribution, tuple(DISTRIBUTIONS.values())):
+            put("distribution", make_distribution(self.distribution))
         pool = {"kind": "linear", **_mapping("pool", self.pool, ("kind", "size"), ("size",))}
         _choice("pool.kind", pool["kind"], ("linear",))
         pool["size"] = _count("pool.size", pool["size"], 1)
@@ -130,12 +94,14 @@ class ExperimentConfig:
         put("trials", _count("trials", self.trials, 1))
         put("seed", _count("seed", self.seed, 0))
         _choice("mode", self.mode, ("uniform-pool", "trained"))
+        if (self.trainer is None) == (self.mode == "trained"):
+            raise InputError(f"a trainer section goes with mode 'trained' and only there; mode is {self.mode!r}")
         if self.trainer is not None:
-            trainer = {"method": "hinge-subgradient-linear", **_mapping("trainer", self.trainer)}
-            _choice("trainer.method", trainer["method"], tuple(TRAINING_METHODS))
-            put("trainer", trainer)
-        elif self.mode == "trained":
-            raise InputError("trained mode needs a trainer spec")
+            trainer = _mapping("trainer", self.trainer)
+            method = trainer.pop("method", "hinge-subgradient-linear")
+            _choice("trainer.method", method, tuple(METHODS))
+            # each trial trains with its own seed, so a campaign takes none
+            put("trainer", {"method": method, **_options("trainer", METHODS[method], trainer, ("sample", "seed"))})
         complexity = {**_COMPLEXITY_DEFAULTS, **_mapping("complexity", self.complexity, _COMPLEXITY_DEFAULTS)}
         for key, least in _COMPLEXITY_LEAST.items():
             complexity[key] = _count(f"complexity.{key}", complexity[key], least)
@@ -144,6 +110,10 @@ class ExperimentConfig:
         risk = {"mode": "analytic", "n": _RISK_N[self.mode], **_mapping("risk", self.risk, ("mode", "n"))}
         _choice("risk.mode", risk["mode"], ("analytic", "holdout"))
         risk["n"] = _count("risk.n", risk["n"], 1)
+        if risk["mode"] == "analytic" and not self.distribution.analytic_risk_available:
+            raise InputError(
+                f"risk.mode 'analytic' needs a closed-form risk, and {self.distribution.kind} has none; use 'holdout'"
+            )
         put("risk", risk)
 
     @classmethod
@@ -264,11 +234,7 @@ def family_bound_values(family: str, emp: np.ndarray, complexity_value: float, p
 def validate_bounds(cfg: ExperimentConfig, threads: int = 1) -> ValidityReport:
     """Run the campaign and report per-family violation rates with exact
     binomial 95% confidence intervals."""
-    dist = make_distribution(cfg.distribution)
-    if cfg.risk["mode"] == "analytic" and not dist.analytic_risk_available:
-        raise InputError(
-            f"risk.mode 'analytic' needs a closed-form risk, and {dist.kind} has none; use 'holdout'"
-        )
+    dist = cfg.distribution
     pool = _build_pool(cfg, dist)
     p = cfg.params
     estimates = {}
@@ -288,14 +254,15 @@ def validate_bounds(cfg: ExperimentConfig, threads: int = 1) -> ValidityReport:
             emp[t] = np.count_nonzero((y[:, None] * x) @ w_stack.T < p.rho, axis=0) / p.m
 
     else:
+        options = dict(cfg.trainer)
+        fit = METHODS[options.pop("method")]
         risks = np.empty((cfg.trials, 1))
         emp = np.empty((cfg.trials, 1))
 
         def draw(t: int) -> None:
             x, y = dist.sample(p.m, substream(cfg.seed, "trial", t))
             sample = LabeledSample(points=x, labels=y, seed=t, generator_id=dist.generator_id)
-            trainer = {**cfg.trainer, "seed": child_seed(cfg.seed, "train", t)}
-            h = train(cfg.trainer["method"], sample, trainer)
+            h = fit(sample, seed=child_seed(cfg.seed, "train", t), **options)
             emp[t] = (y * h.predict(x) < p.rho).mean()
             risks[t] = _true_risks(cfg, dist, [h], h.predict, "trial-risk", t)
 

@@ -172,11 +172,11 @@ def per_trial_campaign(cfg):
 
     from relmargin import validation
     from relmargin.rng import child_seed, substream
-    from relmargin.samples import LabeledSample, make_distribution
+    from relmargin.samples import LabeledSample
     from relmargin.training import train
     from relmargin.transforms import holdout_error_rate
 
-    dist = make_distribution(cfg.distribution)
+    dist = cfg.distribution
     pool = validation._build_pool(cfg, dist)
     p = cfg.params
     complexities = {fam: validation._FAMILIES[fam][0](cfg, dist, pool) for fam in cfg.families}

@@ -102,13 +102,16 @@ def test_complexity_ops_round_trip(tmp_path):
     assert code == 2
 
 
-def test_complexity_formula_ops():
+def test_complexity_formula_ops(capsys):
     code, out, _ = run_cli(
         "complexity", "--op", "fat-formula", "--class-kind", "linear",
         "--radius", "1", "--rho", "0.5",
     )
     assert code == 0
     assert json.loads(out)["value"] == pytest.approx(4.0)
+    for value in ("inf", "nan"):
+        assert main(["complexity", "--op", "fat-formula", "--class-kind", "linear", "--radius", value]) == 2
+        assert f"input error: radius must be finite, got {value}" in capsys.readouterr().err
 
     code, out, _ = run_cli("complexity", "--op", "cover-log-fat", "--fat-d", "1", "--m", "1")
     assert code == 0
@@ -231,6 +234,29 @@ def test_train_bound_min_cli(tmp_path):
     assert rep["hypothesis"]["kind"] == "linear"
 
 
+@pytest.mark.parametrize(
+    "argv,extra,flags",
+    [
+        (["--method", "boost-stumps"], ["--steps", "5"], "--steps"),
+        (["--method", "hinge-subgradient-linear"], ["--rounds", "3"], "--rounds"),
+        (["--method", "tiny-mlp", "--steps", "20"], ["--lam", "9", "--restarts", "2", "--rho-grid", "0.1"],
+         "--lam, --rho-grid, --restarts"),
+        (["--method", "bound-min", "--rho-grid", "0.1", "--steps", "20"], ["--width", "3", "--rounds", "2"],
+         "--rounds, --width"),
+    ],
+)
+def test_train_rejects_flags_the_method_does_not_take(tmp_path, capsys, argv, extra, flags):
+    s = generate(MarginSeparable(dim=2, gap=0.3, noise_rate=0.0), 40, seed=4)
+    data_path = tmp_path / "sample.json"
+    data_path.write_text(json.dumps(s.to_json()))
+    argv = ["train", "--data", str(data_path), "--seed", "1", *argv]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert main(argv + extra) == 2
+    err = capsys.readouterr().err
+    assert f"--method {argv[6]} does not take {flags}" in err and "Traceback" not in err
+
+
 def _write_campaign_config(tmp_path, trials=8):
     cfg = {
         "distribution": {"kind": "two-gaussian-mixture", "dim": 3, "separation": 1.0, "sigma": 1.0},
@@ -281,6 +307,20 @@ _HINGE = 'trainer={"method": "hinge-subgradient-linear", "steps": 10}'
         (["params.m=abc"], 2, "params.m must be"),
         (["seed=-1"], 2, "seed must be"),
         (["complexity.cover_draws=0"], 2, "complexity.cover_draws must be"),
+        (["distribution.dim=3.0"], 2, "distribution.dim must be an integer >= 0, got 3.0"),
+        (["distribution.dim=true"], 2, "distribution.dim must be an integer >= 0, got True"),
+        (["distribution.radius=x"], 2, "distribution.radius must be a number, got 'x'"),
+        (["distribution.radius=-1"], 2, "distribution.radius must be > 0, got -1"),
+        (["distribution.radius=0"], 2, "distribution.radius must be > 0, got 0"),
+        (["distribution.separation=Infinity"], 2, "distribution.separation must be finite, got inf"),
+        (["distribution.sigma=NaN"], 2, "distribution.sigma must be finite, got nan"),
+        (['distribution={"kind": "margin-separable-with-noise", "gap": 10.0}', 'risk={"mode": "holdout"}'],
+         2, "distribution.gap = 10.0 lets the sampler accept at most 1.52e-23"),
+        (["mode=trained", _HINGE, "trainer.stpes=1"], 2, "unknown trainer keys ['stpes']"),
+        (["mode=trained", _HINGE, "trainer.seed=5"], 2, "unknown trainer keys ['seed']"),
+        (["mode=trained", _HINGE, "trainer.steps=2.5"], 2, "trainer.steps must be an integer >= 0, got 2.5"),
+        (["mode=trained", _HINGE, "trainer.steps=-3"], 2, "trainer.steps must be an integer >= 0, got -3"),
+        ([_HINGE], 2, "a trainer section goes with mode 'trained' and only there; mode is 'uniform-pool'"),
     ],
 )
 def test_bad_campaign_config_is_rejected_naming_the_key(tmp_path, capsys, monkeypatch, overrides, code, text):

@@ -72,6 +72,13 @@ def test_unknown_kind_rejected():
         FatDimParams(kind="mystery")
 
 
+@pytest.mark.parametrize("field", ["radius", "rho", "vc_dim", "lipschitz", "input_dim", "r21", "constant"])
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_non_finite_class_parameter_rejected_naming_it(field, value):
+    with pytest.raises(InputError, match=f"{field} must be finite, got {value}"):
+        FatDimParams(kind="linear", **{field: value})
+
+
 # ---------------------------------------------------------------------------
 # exact shattering search
 

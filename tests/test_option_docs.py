@@ -1,0 +1,53 @@
+"""README's option tables against the declarations they document: the
+dataclass fields of each distribution, the keyword parameters of each
+trainer, and the ``train`` flags each method takes."""
+
+import inspect
+import json
+import re
+from pathlib import Path
+
+from relmargin.cli import _TRAIN_FLAGS
+from relmargin.samples import DISTRIBUTIONS
+from relmargin.training import METHODS, train_bound_min
+
+README = Path(__file__).parent.parent / "README.md"
+
+
+def _table(header: str) -> list:
+    """The body rows of the README table whose first column is ``header``,
+    as lists of cells with the backticks stripped."""
+    rows, inside = [], False
+    for line in README.read_text().splitlines():
+        cells = [cell.strip().strip("`") for cell in line.strip().strip("|").split("|")]
+        if not line.startswith("|"):
+            if inside:
+                break
+        elif cells[0] == header:
+            inside = True
+        elif inside and not set(cells[0]) <= {"-"}:
+            rows.append(cells)
+    return rows
+
+
+def _options(owner, skip=()) -> set:
+    """(option, JSON default) of every option ``owner`` declares."""
+    params = inspect.signature(owner).parameters.items()
+    return {(name, json.dumps(p.default)) for name, p in params if name not in skip}
+
+
+def test_readme_option_table_matches_the_declarations():
+    declared = {(kind, *option) for kind, cls in DISTRIBUTIONS.items() for option in _options(cls)}
+    for method, trainer in METHODS.items():
+        declared |= {(method, *option) for option in _options(trainer, ("sample", "seed"))}
+    documented = {(row[0], row[1], row[4]) for row in _table("kind or method")}
+    assert documented == declared
+
+
+def test_readme_train_flag_table_matches_the_trainers():
+    documented = {row[0]: sorted(re.findall(r"--[a-z-]+", row[1])) for row in _table("--method")}
+    trainers = {"bound-min": train_bound_min, **METHODS}
+    assert set(documented) == set(trainers)
+    for method, trainer in trainers.items():
+        takes = inspect.signature(trainer).parameters
+        assert documented[method] == sorted("--" + f.replace("_", "-") for f in _TRAIN_FLAGS if f in takes)

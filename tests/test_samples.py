@@ -128,7 +128,16 @@ def test_sample_json_round_trip_and_schema():
 
 
 def test_make_distribution_rejects_unknown():
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="distribution.kind must be one of"):
         make_distribution({"kind": "mystery"})
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match=r"unknown distribution keys \['bogus'\]"):
         make_distribution({"kind": "two-gaussian-mixture", "bogus": 1})
+    with pytest.raises(InputError, match=r"unknown distribution keys \['separation'\]"):
+        make_distribution({"kind": "margin-separable-with-noise", "separation": 1.0})
+    with pytest.raises(InputError, match="distribution.dim must be an integer >= 0, got 3.0"):
+        make_distribution({"kind": "two-gaussian-mixture", "dim": 3.0})
+    with pytest.raises(InputError, match="distribution.noise_rate must be a number, got '0.1'"):
+        make_distribution({"kind": "margin-separable-with-noise", "noise_rate": "0.1"})
+    with pytest.raises(InputError, match="distribution.gap = 10.0 lets the sampler accept at most"):
+        make_distribution({"kind": "margin-separable-with-noise", "gap": 10.0})
+    assert make_distribution({"kind": "two-gaussian-mixture", "dim": 3}) == TwoGaussianMixture(dim=3)

@@ -62,6 +62,16 @@ def test_train_dispatch_and_unknown_method():
     assert h.kind == "linear"
     with pytest.raises(InputError):
         train("mystery", s)
+    with pytest.raises(InputError, match=r"unknown trainer keys \['stpes'\]"):
+        train("hinge-subgradient-linear", s, {"stpes": 1})
+    with pytest.raises(InputError, match=r"unknown trainer keys \['steps'\]"):
+        train("boost-stumps", s, {"steps": 5})
+    with pytest.raises(InputError, match="trainer.steps must be an integer >= 0, got 2.5"):
+        train("hinge-subgradient-linear", s, {"steps": 2.5})
+    with pytest.raises(InputError, match="trainer.lr must be finite, got nan"):
+        train("tiny-mlp", s, {"lr": float("nan")})
+    # the defaults are the trainer's own
+    assert train("boost-stumps", s).to_json() == train_boost_stumps(s, rounds=10).to_json()
 
 
 def test_bound_min_reaches_zero_on_separable_data():
