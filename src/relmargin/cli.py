@@ -82,7 +82,7 @@ def _load_matrix(path: str, range_tag: str) -> LossMatrix:
         raise InputError(f"matrix file not found: {path}")
     if p.suffix == ".json":
         data = json.loads(p.read_text())
-        if range_tag != "real":
+        if range_tag != "real" and isinstance(data, dict):
             data = dict(data, range_tag=range_tag)
         return LossMatrix.from_json(data)
     return LossMatrix.from_csv(p.read_text(), range_tag)
@@ -497,7 +497,7 @@ def main(argv=None) -> int:
     except ApplicabilityError as exc:
         print(f"bound not applicable: {exc}", file=sys.stderr)
         return EXIT_APPLICABILITY
-    except InputError as exc:
+    except (InputError, json.JSONDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except RelmarginError as exc:  # pragma: no cover - safety net

@@ -4,7 +4,9 @@ Covers are proper (internal): centers are drawn from the pool columns
 themselves, and a column is covered when its distance to a chosen center
 is <= eps (ties included).  Two metrics are supported: the sup distance
 ``max_i |a_i - b_i|`` and the normalized euclidean distance
-``sqrt(mean_i (a_i - b_i)^2)``.
+``sqrt(mean_i (a_i - b_i)^2)``.  The search reads only which distinct
+columns lie within eps of each other (``kernels.linf_within`` for the sup
+distance), never the distances themselves.
 
 The exact solver is a branch-and-bound set-cover search seeded with the
 greedy solution; it is capped at ``exact_cap`` pool columns (default 25)
@@ -27,24 +29,19 @@ __all__ = ["covering_number_linf", "covering_number_l2", "covering_number"]
 DEFAULT_EXACT_CAP = 25
 
 
-def _distance_matrix(values: np.ndarray, metric: str) -> np.ndarray:
+def _within(values: np.ndarray, eps: float, metric: str) -> np.ndarray:
+    """Which columns of ``values`` lie within eps of each other."""
     if metric == "linf":
-        return kernels.pairwise_linf(values)
+        return kernels.linf_within(values, eps)
     if metric == "l2":
-        return kernels.pairwise_l2n(values)
+        return kernels.pairwise_l2n(values) <= eps
     raise InputError(f"unknown metric {metric!r}")
 
 
-def _coverage_masks(dist: np.ndarray, eps: float) -> list[int]:
-    p = dist.shape[0]
-    masks = []
-    for j in range(p):
-        mask = 0
-        for i in range(p):
-            if dist[j, i] <= eps:
-                mask |= 1 << i
-        masks.append(mask)
-    return masks
+def _coverage_masks(within: np.ndarray) -> list[int]:
+    """Per column j, the bitmask of the columns i with within[j, i]."""
+    packed = np.packbits(within, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
 def _greedy_cover(masks: list[int], full: int) -> int:
@@ -121,9 +118,9 @@ def covering_number(
         )
     # identical columns cover each other at distance zero; deduplicating
     # changes neither the exact nor the greedy value
-    dist = _distance_matrix(distinct_columns(matrix.values).T, metric)
-    q = dist.shape[0]
-    masks = _coverage_masks(dist, eps)
+    within = _within(distinct_columns(matrix.values).T, eps, metric)
+    q = within.shape[0]
+    masks = _coverage_masks(within)
     full = (1 << q) - 1
     if mode == "exact":
         value = _exact_cover(masks, full)

@@ -8,6 +8,8 @@ import inspect
 import math
 from dataclasses import MISSING, fields
 
+import numpy as np
+
 
 class RelmarginError(Exception):
     """Base class for all package errors."""
@@ -70,6 +72,23 @@ def _count(name: str, value, least: int) -> int:
     if not (number and float(value).is_integer() and value >= least):
         raise InputError(f"{name} must be an integer >= {least}, got {value!r}")
     return int(value)
+
+
+def _floats(name: str, value) -> np.ndarray:
+    """``value``, nested lists of JSON numbers, as a float64 array.
+
+    Strings, booleans and nulls are rejected, also where numpy would turn
+    them into numbers (``"1"``, ``true``).
+    """
+    leaves = np.asarray(value, dtype=object)
+    kinds = np.asarray(np.frompyfunc(type, 1, 1)(leaves))
+    if not ((kinds == float) | (kinds == int)).all():
+        bad = leaves[(kinds != float) & (kinds != int)].flat[0]
+        raise InputError(f"{name} must be a rectangular array of numbers, got the entry {bad!r}")
+    try:
+        return leaves.astype(np.float64)
+    except OverflowError as exc:
+        raise InputError(f"{name} must be an array of numbers: {exc}") from None
 
 
 def _choice(name: str, value, choices) -> None:

@@ -5,6 +5,10 @@ Monte-Carlo sign correlations, pairwise column distances, projected
 subgradient descent) live here, one numpy implementation each.  Matrix
 products run on whatever BLAS numpy was built with, in the calling
 process's BLAS threads.
+
+Covers need only which columns lie within eps of each other, never the
+distances: ``linf_within`` decides that sup-distance relation by pruning
+pairs, while ``pairwise_linf`` stays for callers that want the distances.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ __all__ = [
     "signed_sums",
     "sup_signed_sums",
     "pairwise_linf",
+    "linf_within",
     "pairwise_l2n",
     "ramp_descent",
     "ramp_objective",
@@ -74,6 +79,38 @@ def pairwise_linf(values) -> np.ndarray:
         np.abs(diff, out=diff)
         diff.max(axis=1, out=out[j, j + 1 :])
     return np.maximum(out, out.T)
+
+
+# rows in the first block of ``linf_within``; each later block doubles, up
+# to the size that keeps (live pairs x rows) within _WITHIN_BLOCK_ITEMS
+_WITHIN_FIRST_ROWS = 8
+_WITHIN_BLOCK_ITEMS = 1 << 16
+
+
+def linf_within(values, eps: float) -> np.ndarray:
+    """Boolean column-to-column relation ``max_i |a_i - b_i| <= eps``.
+
+    Equal to ``pairwise_linf(values) <= eps``.  Every upper-triangle pair
+    starts live; each block of rows drops the pairs it separates by more
+    than eps, so far-apart columns cost a few rows, not all of them.  The
+    blocks start small and grow geometrically.  ``max`` and ``abs`` do not
+    round, so the relation is exact.
+    """
+    values = _as_2d(values)
+    m, p = values.shape
+    a, b = np.triu_indices(p, 1)
+    start, rows = 0, _WITHIN_FIRST_ROWS
+    while start < m and a.size:
+        rows = max(1, min(rows, _WITHIN_BLOCK_ITEMS // a.size))
+        block = values[start : start + rows]
+        diff = np.subtract(block[:, a], block[:, b])
+        keep = (np.abs(diff, out=diff) <= eps).all(axis=0)
+        a, b = a[keep], b[keep]
+        start, rows = start + rows, 2 * rows
+    out = np.eye(p, dtype=bool)
+    out[a, b] = True
+    out[b, a] = True
+    return out
 
 
 def pairwise_l2n(values) -> np.ndarray:

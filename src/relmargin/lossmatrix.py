@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, _floats, _mapping
 from .hypotheses import margins
 
 __all__ = [
@@ -69,7 +69,8 @@ class LossMatrix:
 
     @classmethod
     def from_json(cls, data: dict) -> "LossMatrix":
-        return cls(np.asarray(data["values"], dtype=np.float64), data.get("range_tag", "real"))
+        data = _mapping("matrix", data, ("schema", "range_tag", "values"), ("values",))
+        return cls(_floats("matrix.values", data["values"]), data.get("range_tag", "real"))
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -85,10 +86,14 @@ class LossMatrix:
         header = next(reader, None)
         if not header or header[0] != "index":
             raise InputError("loss matrix CSV must start with an 'index' header column")
-        rows = [[float(v) for v in row[1:]] for row in reader if row]
+        rows = [row[1:] for row in reader if row]
         if not rows:
             raise InputError("loss matrix CSV has no data rows")
-        return cls(np.asarray(rows, dtype=np.float64), range_tag)
+        try:
+            rows = [[float(v) for v in row] for row in rows]
+        except ValueError as exc:
+            raise InputError(f"loss matrix CSV entries must be numbers: {exc}") from None
+        return cls(_floats("loss matrix CSV rows", rows), range_tag)
 
 
 def transform_matrix(pool, sample, transform) -> LossMatrix:

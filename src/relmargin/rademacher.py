@@ -10,6 +10,11 @@ from a distribution is
 estimated by an outer Monte-Carlo over fresh samples with a stable
 log-mean-exp, and an inner Rademacher value per shell (exact enumeration
 when m <= 20, Monte Carlo otherwise).  Empty shells contribute zero.
+
+Monte-Carlo sign vectors are the numbers ``rng.integers(0, 2, size=(n, m))
+* 2 - 1`` would draw, taken straight from the raw Philox words
+(``sign_rows``), and a binary matrix multiplies them in float32 row blocks,
+where its sums are exact.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from .covers import DEFAULT_EXACT_CAP, covering_number_l2
 from .rng import child_seed, substream
 
 __all__ = [
+    "sign_rows",
     "rademacher_exact",
     "rademacher_mc",
     "peeling_complexity",
@@ -39,6 +45,71 @@ __all__ = [
 ]
 
 EXACT_ENUMERATION_MAX_M = 20
+
+# sign rows drawn and multiplied at a time; even, so that no block but the
+# last leaves a buffered 32-bit half, which would send the next block to
+# the slower ``integers`` call
+SIGN_BLOCK_ROWS = 64
+# float32 holds every integer up to 2^24 exactly
+_FLOAT32_EXACT_M = 1 << 24
+_SIGN_BITS = np.uint64(0x8000_0000_8000_0000)
+_FLOAT32_ONES = np.uint64(0x3F80_0000_3F80_0000)
+
+
+def _word_signs(words: np.ndarray, k: int) -> np.ndarray:
+    """The first k signs of the 32-bit halves of ``words``, low half first:
+    +1.0 where the half's top bit is set, -1.0 where it is clear.  Consumes
+    ``words``.  Each half becomes the bits of a float32 one with the negated
+    top bit as its sign bit, read in little-endian byte order whatever the
+    host's."""
+    np.invert(words, out=words)
+    words &= _SIGN_BITS
+    words |= _FLOAT32_ONES
+    return words.astype("<u8", copy=False).view("<f4")[:k]
+
+
+def sign_rows(rng, n: int, m: int) -> np.ndarray:
+    """The (n, m) float32 matrix of the numbers ``rng.integers(0, 2,
+    size=(n, m)) * 2 - 1``, drawing the same words and leaving ``rng`` in
+    the same state.
+
+    ``integers(0, 2)`` keeps the top bit of each 32-bit draw, and Philox
+    serves each 64-bit word as two 32-bit draws, low half first, so the raw
+    words give the signs two at a time.  An odd count leaves the unused high
+    half buffered, as ``integers`` does.  Another bit generator, or a Philox
+    already holding a buffered half, takes the ``integers`` call itself.
+    """
+    n, m = int(n), int(m)
+    bits = rng.bit_generator
+    if not isinstance(bits, np.random.Philox) or bits.state["has_uint32"]:
+        return (rng.integers(0, 2, size=(n, m)) * 2 - 1).astype(np.float32)
+    k = n * m
+    words = bits.random_raw((k + 1) // 2)
+    if k % 2:
+        state = bits.state
+        state.update(has_uint32=1, uinteger=int(words[-1] >> np.uint64(32)))
+        bits.state = state
+    return _word_signs(words, k).reshape(n, m)
+
+
+def _drawn_sums(matrix: LossMatrix, n_sigma: int, rng) -> np.ndarray:
+    """Per sign row and column, ``sum_i sigma_i * values[i, j]`` in float64,
+    over the rows ``sign_rows(rng, n_sigma, m)``.
+
+    A binary matrix with m < 2^24 takes float32 products of SIGN_BLOCK_ROWS
+    rows at a time: each sum is an integer of size at most m, so float32 is
+    exact.  Any other matrix takes one float64 product of all rows, because
+    BLAS may round a block of rows differently from the whole product.
+    """
+    n, m = int(n_sigma), matrix.m
+    if matrix.range_tag != "binary" or m >= _FLOAT32_EXACT_M:
+        return kernels.signed_sums(matrix.values, sign_rows(rng, n, m))
+    values = matrix.values.astype(np.float32)
+    sums = np.empty((n, matrix.pool_size))
+    for start in range(0, n, SIGN_BLOCK_ROWS):
+        stop = min(start + SIGN_BLOCK_ROWS, n)
+        sums[start:stop] = sign_rows(rng, stop - start, m) @ values
+    return sums
 
 
 def rademacher_exact(matrix: LossMatrix) -> ComplexityEstimate:
@@ -55,9 +126,7 @@ def rademacher_mc(matrix: LossMatrix, n_sigma: int, seed: int) -> ComplexityEsti
     """Monte-Carlo estimate with standard error over n_sigma sign draws."""
     if n_sigma < 2:
         raise InputError("rademacher_mc needs n_sigma >= 2")
-    rng = substream(seed, "sigma")
-    signs = rng.integers(0, 2, size=(int(n_sigma), matrix.m)) * 2.0 - 1.0
-    sups = kernels.sup_signed_sums(matrix.values, signs) / matrix.m
+    sups = _drawn_sums(matrix, n_sigma, substream(seed, "sigma")).max(axis=1) / matrix.m
     value = float(sups.mean())
     stderr = float(sups.std(ddof=1) / math.sqrt(n_sigma))
     return ComplexityEstimate(
@@ -82,11 +151,8 @@ def _shell_rademacher_values(matrix: LossMatrix, inner: str, n_sigma: int, rng) 
     n_shells = _shell_count(m)
     out = np.zeros(n_shells)
     if inner == "mc":
-        signs = rng.integers(0, 2, size=(int(n_sigma), m)).astype(np.float64)
-        signs *= 2.0
-        signs -= 1.0
-        # one product over the whole pool; each shell takes its columns' sups
-        sums = kernels.signed_sums(matrix.values, signs)
+        # one set of sums over the whole pool; each shell takes its columns' sups
+        sums = _drawn_sums(matrix, n_sigma, rng)
     for k in range(n_shells):
         cols = list(partition.columns(k))
         if not cols:

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import norm
 
-from .errors import CapabilityError, InputError, _choice, _mapping, _options
+from .errors import CapabilityError, InputError, _choice, _count, _floats, _mapping, _options
 from .hypotheses import LinearHypothesis
 from .rng import substream
 
@@ -66,10 +66,11 @@ class LabeledSample:
 
     @classmethod
     def from_json(cls, data: dict) -> "LabeledSample":
+        data = _mapping("sample", data, ("schema", "points", "labels", "seed", "generator_id"), ("points", "labels"))
         return cls(
-            points=np.asarray(data["points"], dtype=np.float64),
-            labels=np.asarray(data["labels"], dtype=np.float64),
-            seed=int(data.get("seed", 0)),
+            points=_floats("sample.points", data["points"]),
+            labels=_floats("sample.labels", data["labels"]),
+            seed=_count("sample.seed", data.get("seed", 0), 0),
             generator_id=str(data.get("generator_id", "unspecified")),
         )
 

@@ -257,6 +257,65 @@ def test_train_rejects_flags_the_method_does_not_take(tmp_path, capsys, argv, ex
     assert f"--method {argv[6]} does not take {flags}" in err and "Traceback" not in err
 
 
+_SAMPLE = {"points": [[0.5, 1.0], [-0.5, 0.2], [1.5, -1.0]], "labels": [1, -1, 1]}
+
+
+@pytest.mark.parametrize(
+    "argv,data,text",
+    [
+        (["train", "--method", "hinge-subgradient-linear", "--seed", "1"],
+         {"points": _SAMPLE["points"]}, "missing sample keys ['labels']"),
+        (["train", "--method", "hinge-subgradient-linear", "--seed", "1"],
+         dict(_SAMPLE, seed="abc"), "sample.seed must be an integer >= 0, got 'abc'"),
+        (["train", "--method", "boost-stumps", "--seed", "1"],
+         dict(_SAMPLE, points="abc"), "sample.points must be a rectangular array of numbers"),
+        (["train", "--method", "boost-stumps", "--seed", "1"],
+         dict(_SAMPLE, label=[1, -1, 1]), "unknown sample keys ['label']"),
+        (["train", "--method", "boost-stumps", "--seed", "1"],
+         dict(_SAMPLE, labels=["1", "-1", "1"]), "sample.labels must be a rectangular array of numbers, got the entry '1'"),
+        (["train", "--method", "boost-stumps", "--seed", "1"],
+         dict(_SAMPLE, labels=[1, True, -1]), "sample.labels must be a rectangular array of numbers, got the entry True"),
+        (["train", "--method", "boost-stumps", "--seed", "1"],
+         dict(_SAMPLE, points=[[0.5, 1.0], [-0.5, None], [1.5, -1.0]]), "got the entry None"),
+        (["complexity", "--op", "cover-linf", "--eps", "0.1"],
+         {"range_tag": "real"}, "missing matrix keys ['values']"),
+        (["complexity", "--op", "dichotomies", "--range-tag", "binary"],
+         {"range_tag": "binary"}, "missing matrix keys ['values']"),
+        (["complexity", "--op", "cover-linf", "--eps", "0.1"],
+         {"values": [[0.0, 1.0], [1.0]]}, "matrix.values must be a rectangular array of numbers"),
+        (["complexity", "--op", "dichotomies", "--range-tag", "binary"],
+         {"values": [[True, False], [False, True]]}, "matrix.values must be a rectangular array of numbers, got the entry True"),
+        (["complexity", "--op", "cover-linf", "--eps", "0.1"],
+         {"values": [[0.5, "0.25"]]}, "got the entry '0.25'"),
+        (["complexity", "--op", "cover-linf", "--eps", "0.1", "--range-tag", "binary"],
+         [[0.0, 1.0]], "matrix must be a mapping"),
+        (["complexity", "--op", "cover-linf", "--eps", "0.1"], '{"values": [[0.0,', "input error: Expecting"),
+        (["complexity", "--op", "cover-linf", "--eps", "0.1"], "index,c0,c1\n0,0.5,abc\n",
+         "loss matrix CSV entries must be numbers"),
+        (["complexity", "--op", "cover-linf", "--eps", "0.1"], "index,c0,c1\n0,0.5\n1,0.2,0.3\n",
+         "loss matrix CSV rows must be a rectangular array of numbers"),
+    ],
+)
+def test_malformed_input_file_exits_2_naming_the_key(tmp_path, capsys, argv, data, text):
+    path = tmp_path / ("input.csv" if str(data).startswith("index") else "input.json")
+    path.write_text(data if isinstance(data, str) else json.dumps(data))
+    flag = "--data" if argv[0] == "train" else "--matrix"
+    assert main(argv + [flag, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert text in err and "Traceback" not in err
+
+
+def test_well_formed_input_files_still_load(tmp_path, capsys):
+    sample = tmp_path / "sample.json"
+    sample.write_text(json.dumps(dict(_SAMPLE, seed=4, schema="relmargin/sample/v1")))
+    assert main(["train", "--method", "boost-stumps", "--rounds", "2", "--seed", "1", "--data", str(sample)]) == 0
+    capsys.readouterr()
+    matrix = tmp_path / "matrix.json"
+    matrix.write_text(json.dumps({"values": [[0.0, 1.0], [1.0, 1.0]]}))
+    assert main(["complexity", "--op", "dichotomies", "--range-tag", "binary", "--matrix", str(matrix)]) == 0
+    assert json.loads(capsys.readouterr().out)["value"] == 2.0
+
+
 def _write_campaign_config(tmp_path, trials=8):
     cfg = {
         "distribution": {"kind": "two-gaussian-mixture", "dim": 3, "separation": 1.0, "sigma": 1.0},

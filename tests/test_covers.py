@@ -1,9 +1,14 @@
+import json
+
 import numpy as np
 import pytest
 
 from oracles import brute_min_cover, packing_lower_bound
 from relmargin import CapabilityError, InputError, LossMatrix, covering_number_l2, covering_number_linf
-from relmargin.kernels import pairwise_l2n, pairwise_linf
+from relmargin.cli import main
+from relmargin.covers import _coverage_masks
+from relmargin.kernels import linf_within, pairwise_l2n, pairwise_linf
+from relmargin.lossmatrix import distinct_columns
 
 
 def _mat(cols):
@@ -108,3 +113,81 @@ def test_cover_monotone_in_eps():
     for fn in (covering_number_linf, covering_number_l2):
         values = [fn(mat, eps).value for eps in np.linspace(0.01, 1.2, 12)]
         assert all(a >= b for a, b in zip(values, values[1:]))
+
+
+def _quarter_grid(rng, m, p):
+    """Entries in {0, 0.25, ..., 1} with a signed zero, two duplicate
+    columns and one column one quarter from another everywhere: many
+    distances are exactly a quarter multiple."""
+    values = rng.integers(0, 5, size=(m, p)) / 4.0
+    if p > 3:
+        values[:, 1] = values[:, p - 1]
+        values[:, 2] = np.clip(values[:, 0] + 0.25, 0.0, 1.0)
+        values[:, 3] = np.where(values[:, 0] == 0.0, -0.0, values[:, 0])
+    return values
+
+
+def test_linf_within_matches_pairwise_linf_on_quarter_grids():
+    rng = np.random.default_rng(8)
+    shapes = [(1, 1), (1, 7), (9, 1), (2, 2), (5, 6), (40, 12), (300, 9), (3000, 5)]
+    for m, p in shapes:
+        values = _quarter_grid(rng, m, p)
+        for view in (values, np.ascontiguousarray(values.T).T):
+            dist = pairwise_linf(view)
+            for eps in (0.0, 0.25, 0.5, 0.75, 1.0, 2.0):
+                got = linf_within(view, eps)
+                assert got.dtype == bool and got.shape == (p, p)
+                assert np.array_equal(got, dist <= eps), (m, p, eps)
+
+
+def test_linf_within_prunes_near_columns_over_growing_blocks():
+    # columns that stay within eps of each other for all 5000 rows keep
+    # their pairs alive through every block, and 400 columns start with
+    # more pairs than one block holds
+    rng = np.random.default_rng(9)
+    near = 0.5 + rng.integers(-2, 3, size=(5000, 6)) / 64.0
+    near[4321, 5] = 0.75  # separated by one late row only
+    for values, eps in ((near, 1.0 / 16.0), (near, 3.0 / 64.0), (_quarter_grid(rng, 6, 400), 0.5)):
+        assert np.array_equal(linf_within(values, eps), pairwise_linf(values) <= eps)
+
+
+def test_coverage_masks_match_bit_by_bit_loop():
+    rng = np.random.default_rng(10)
+    for p in (1, 7, 8, 9, 64, 70):
+        within = rng.random((p, p)) < 0.3
+        want = [sum(1 << i for i in range(p) if within[j, i]) for j in range(p)]
+        assert _coverage_masks(within) == want
+
+
+def test_cli_cover_linf_values_unchanged(tmp_path, capsys):
+    # exact and greedy values on a quarter grid where greedy is not optimal
+    values = np.random.default_rng(2).integers(0, 5, size=(3, 20)) / 4.0
+    values[:, 5] = values[:, 17]
+    path = tmp_path / "quarter.json"
+    path.write_text(json.dumps({"values": values.tolist()}))
+    want = {(0.0, "exact"): 17, (0.0, "greedy"): 17, (0.25, "exact"): 7, (0.25, "greedy"): 9,
+            (0.5, "exact"): 2, (0.5, "greedy"): 2}
+    for (eps, mode), value in want.items():
+        argv = ["complexity", "--op", "cover-linf", "--matrix", str(path), "--eps", str(eps), "--mode", mode]
+        assert main(argv) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["value"] == value and report["details"]["distinct"] == 17
+
+
+
+def test_wide_pool_with_few_distinct_columns_builds_the_relation_on_those_only(monkeypatch):
+    # 20000 columns over 10 binary rows hold at most 1024 distinct ones; the
+    # pair relation must be built on those, not on 2e8 pool pairs
+    values = np.random.default_rng(12).integers(0, 2, size=(10, 20000)).astype(float)
+    calls = []
+
+    def spy(values, eps):
+        calls.append(values.shape)
+        assert values.shape[1] <= 1024, "relation built on the whole pool"
+        return linf_within(values, eps)
+
+    monkeypatch.setattr("relmargin.kernels.linf_within", spy)
+    est = covering_number_linf(LossMatrix(values, "binary"), 0.0, mode="greedy")
+    q = len(distinct_columns(values))
+    assert q <= 1024 and calls == [(10, q)]
+    assert est.value == q and est.details["distinct"] == q and est.details["pool"] == 20000

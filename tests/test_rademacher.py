@@ -20,7 +20,8 @@ from relmargin import (
 )
 from relmargin import kernels
 from relmargin.fatdim import FatDimParams
-from relmargin.rademacher import _shell_rademacher_values
+from relmargin.rademacher import SIGN_BLOCK_ROWS, _drawn_sums, _shell_rademacher_values, _word_signs, sign_rows
+from relmargin.rng import substream
 
 
 def _mat(cols, tag="binary"):
@@ -109,6 +110,63 @@ def test_signed_sums_max_is_sup_signed_sums():
     assert np.array_equal(sums.max(axis=1), kernels.sup_signed_sums(values, signs))
 
 
+@pytest.mark.parametrize(
+    "n,m",
+    # odd n*m, n not a multiple of the block, m = 1, and the n_sigma values
+    # campaigns and the CLI use
+    [(1024, 5000), (1024, 201), (1001, 3), (2, 7), (7, 999), (3, 1), (1, 3), (SIGN_BLOCK_ROWS + 1, 5)],
+)
+def test_sign_rows_are_the_integers_draw(n, m):
+    for seed in range(3):
+        fast, ref = substream(seed, "sigma"), substream(seed, "sigma")
+        got = sign_rows(fast, n, m)
+        want = ref.integers(0, 2, size=(n, m)) * 2.0 - 1.0
+        assert got.dtype == np.float32 and got.shape == (n, m)
+        assert np.array_equal(got, want)
+        # the generator is left where integers leaves it, buffered half included
+        assert fast.integers(0, 2, size=9).tolist() == ref.integers(0, 2, size=9).tolist()
+        assert fast.random() == ref.random()
+
+
+def test_sign_rows_in_blocks_continue_one_draw():
+    fast, ref = substream(4, "inner", 0), substream(4, "inner", 0)
+    blocks = [sign_rows(fast, rows, 201) for rows in (SIGN_BLOCK_ROWS, SIGN_BLOCK_ROWS, 7)]
+    want = ref.integers(0, 2, size=(2 * SIGN_BLOCK_ROWS + 7, 201)) * 2.0 - 1.0
+    assert np.array_equal(np.concatenate(blocks), want)
+
+
+def test_sign_rows_fall_back_to_integers():
+    # another bit generator, and a Philox holding a buffered 32-bit half
+    buffered, ref = substream(5, "sigma"), substream(5, "sigma")
+    buffered.integers(0, 2, size=3)
+    ref.integers(0, 2, size=3)
+    pairs = [(np.random.default_rng(5), np.random.default_rng(5)), (buffered, ref)]
+    for fast, slow in pairs:
+        assert np.array_equal(sign_rows(fast, 6, 11), slow.integers(0, 2, size=(6, 11)) * 2.0 - 1.0)
+        assert fast.random() == slow.random()
+
+
+def test_word_signs_do_not_depend_on_byte_order():
+    # the same values stored big-endian give the same signs
+    words = substream(6, "sigma").bit_generator.random_raw(501)
+    want = _word_signs(words.copy(), 1001)
+    assert np.array_equal(_word_signs(words.astype(">u8"), 1001), want)
+    assert np.array_equal(want, substream(6, "sigma").integers(0, 2, size=1001) * 2.0 - 1.0)
+
+
+def test_drawn_sums_equal_the_float64_product():
+    rng = np.random.default_rng(21)
+    for m, p in ((5000, 50), (201, 7), (3, 1), (1, 4)):
+        binary = (rng.random((m, p)) < 0.3).astype(float)
+        unit = rng.random((m, p))
+        for values, tag in ((binary, "binary"), (unit, "unit-interval"), (binary, "real")):
+            for n in (1024, 1001, 2):
+                got = _drawn_sums(LossMatrix(values, tag), n, substream(n, "sigma"))
+                signs = substream(n, "sigma").integers(0, 2, size=(n, m)) * 2.0 - 1.0
+                assert got.dtype == np.float64
+                assert np.array_equal(got, kernels.signed_sums(values, signs)), (m, p, tag, n)
+
+
 def test_mc_shell_values_match_per_shell_oracle():
     rng = np.random.default_rng(17)
     for trial in range(8):
@@ -125,6 +183,15 @@ def test_mc_shell_values_match_per_shell_oracle():
                 assert got.tolist() == want
             else:
                 np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+def test_mc_shell_values_from_philox_match_per_shell_oracle():
+    # the substreams campaigns use take the raw-word sign draw
+    rng = np.random.default_rng(18)
+    for m, p in ((300, 20), (2000, 9)):
+        binary = (rng.random((m, p)) < rng.random(p) ** 3).astype(float)
+        got = _shell_rademacher_values(LossMatrix(binary, "binary"), "mc", 130, substream(m, "inner", 0))
+        assert got.tolist() == shell_rademacher_mc(binary, 130, substream(m, "inner", 0))
 
 
 def test_peeling_singleton_zero_class_is_exactly_zero():
