@@ -308,11 +308,11 @@ def _cmd_compare(args) -> int:
 
 
 # train flags, each named as the trainer keyword it sets; a flag that the
-# method's trainer does not take exits 2.  When omitted, --steps and --lam
-# take these values for the methods that take them, and every other option
-# keeps the trainer's own default.
+# method's trainer does not take exits 2.  When omitted, --lam takes this
+# value for bound-min, and every other option keeps the trainer's own
+# default, as it does in a campaign.
 _TRAIN_FLAGS = ("steps", "lam", "rho_grid", "restarts", "rounds", "width")
-_TRAIN_FLAG_DEFAULTS = {"steps": 1500, "lam": 0.1}
+_TRAIN_FLAG_DEFAULTS = {"lam": 0.1}
 
 
 def _cmd_train(args) -> int:
@@ -464,7 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     tr.add_argument("--data", required=True, help="LabeledSample JSON file")
     tr.add_argument("--seed", type=_seed, required=True)
-    tr.add_argument("--steps", type=int, default=None, help=f"default {_TRAIN_FLAG_DEFAULTS['steps']}")
+    tr.add_argument("--steps", type=int, default=None, help="default: the method's trainer default")
     tr.add_argument("--lam", type=float, default=None, help=f"default {_TRAIN_FLAG_DEFAULTS['lam']}")
     tr.add_argument("--rho-grid", default=None)
     tr.add_argument("--restarts", type=int, default=None)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,6 +31,8 @@ __all__ = [
 ]
 
 RANGE_TAGS = ("binary", "unit-interval", "real")
+# entries that ``distinct_columns`` keys, or compares, at a time
+_KEY_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -106,8 +109,11 @@ def transform_matrix(pool, sample, transform) -> LossMatrix:
 def outputs_matrix(pool, points) -> LossMatrix:
     """Raw outputs h_j(x_i) over the pool (used for covers of the class itself)."""
     pts = np.asarray(points, dtype=np.float64)
-    cols = [h.predict(pts) for h in pool]
-    return LossMatrix(np.stack(cols, axis=1), "real")
+    # filled a column at a time, so no second copy of the matrix is held
+    out = np.empty((pts.shape[0], len(pool)))
+    for j, h in enumerate(pool):
+        out[:, j] = h.predict(pts)
+    return LossMatrix(out, "real")
 
 
 def shell_index(column_sum: float) -> int:
@@ -152,22 +158,45 @@ def count_dichotomies(matrix: LossMatrix) -> int:
     return len(distinct_columns(matrix.values))
 
 
+def _column_keys(vals: np.ndarray) -> np.ndarray:
+    """One row per column of ``vals``: each entry's order-preserving unsigned
+    key, in big-endian bytes.  The keys are made in place in the one
+    transposed copy, a block at a time."""
+    # ``+ 0.0`` folds -0.0 into 0.0, which compares equal to it
+    keys = np.add(vals.T, 0.0, order="C").view(np.uint64)
+    flat = keys.reshape(-1)
+    for start in range(0, flat.size, _KEY_BLOCK):
+        block = flat[start : start + _KEY_BLOCK]
+        # negative entries map to ~bits, the others to bits | 1 << 63
+        block ^= (block.view(np.int64) >> 63).view(np.uint64) | np.uint64(1 << 63)
+        if sys.byteorder == "little":
+            block.byteswap(inplace=True)
+    return keys
+
+
 def distinct_columns(values) -> np.ndarray:
     """The distinct columns of a finite 2-d array, one per row, in
     lexicographic order (the rows of ``np.unique(values.T, axis=0)``).
 
-    Each entry maps to an order-preserving big-endian unsigned key, so
-    comparing the key bytes of two columns compares them entry by entry;
-    equal columns are dropped through a dict of those bytes.
+    Comparing the key bytes of two columns compares them entry by entry, so
+    sorting the key rows as opaque byte strings puts equal columns next to
+    each other.  Beside ``values``, one more copy of the array is live at
+    once: the keys, and then the distinct columns.
     """
-    # ``+ 0.0`` folds -0.0 into 0.0, which compares equal to it
-    rows = np.add(np.asarray(values, dtype=np.float64).T, 0.0, order="C")
-    # negative entries map to ~bits, the others to bits | 1 << 63
-    keys = (rows.view(np.int64) >> 63).view(np.uint64)
-    keys |= np.uint64(1 << 63)
-    keys ^= rows.view(np.uint64)
-    keys = keys.astype(">u8")
-    first = {}
-    for j, key in enumerate(keys):
-        first.setdefault(key.tobytes(), j)
-    return rows[[first[key] for key in sorted(first)]]
+    vals = np.asarray(values, dtype=np.float64)
+    if vals.shape[0] == 0:  # all empty columns are one column
+        return np.zeros((min(vals.shape[1], 1), 0))
+    keys = _column_keys(vals)
+    # numpy orders unstructured void items by their bytes, first byte first
+    order = np.argsort(keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).reshape(-1), kind="stable")
+    # a sorted column is kept when it differs from the one before it; the
+    # neighbours are compared a block of rows at a time
+    keep = np.ones(len(order), dtype=bool)
+    step = max(1, _KEY_BLOCK // keys.shape[1])
+    for start in range(0, len(order) - 1, step):
+        rows = keys[order[start : start + step + 1]]
+        keep[start + 1 : start + len(rows)] = (rows[1:] != rows[:-1]).any(axis=1)
+    del keys
+    out = vals.T[order[keep]]
+    out += 0.0
+    return out

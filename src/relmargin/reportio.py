@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
+from json.encoder import encode_basestring_ascii as _string
 
 import numpy as np
 
@@ -31,7 +31,14 @@ def format_float(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _round12(x: float) -> float:
+def _scalar(x) -> float | str:
+    """The one float rule of every report: 12 significant digits, the strings
+    ``"Infinity"`` and ``"-Infinity"`` for overflowed closed forms, and no NaN."""
+    x = float(x)
+    if math.isnan(x):
+        raise InputError("reports must not contain NaN")
+    if math.isinf(x):
+        return "Infinity" if x > 0 else "-Infinity"
     return float(format_float(x))
 
 
@@ -42,13 +49,7 @@ def canonical(obj):
     if isinstance(obj, (int, np.integer)):
         return int(obj)
     if isinstance(obj, (float, np.floating)):
-        x = float(obj)
-        if math.isnan(x):
-            raise InputError("reports must not contain NaN")
-        if math.isinf(x):
-            # overflowed closed forms stay explicit rather than breaking JSON
-            return "Infinity" if x > 0 else "-Infinity"
-        return _round12(x)
+        return _scalar(obj)
     if isinstance(obj, dict):
         return {str(k): canonical(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -61,7 +62,95 @@ def canonical(obj):
 
 
 def canonical_json(obj) -> str:
-    return json.dumps(canonical(obj), sort_keys=True, indent=2) + "\n"
+    """``json.dumps(canonical(obj), sort_keys=True, indent=2) + "\\n"``, written
+    in one pass: each distinct float is formatted once, and a list of scalars
+    (a report row) is joined at once."""
+    floats = {}
+    parts = []
+    put = parts.append
+
+    def number(x: float) -> str:
+        # -0.0 == 0.0 as dict keys, so zeros are keyed by their repr
+        key = x if x else repr(x)
+        text = floats.get(key)
+        if text is None:
+            value = _scalar(x)
+            text = floats[key] = _string(value) if isinstance(value, str) else repr(value)
+        return text
+
+    def scalar(v) -> str | None:
+        """The JSON text of a scalar, or None for anything else."""
+        kind = type(v)
+        if kind is float:
+            return number(v)
+        if kind is int:
+            return repr(v)
+        if kind is str:
+            return _string(v)
+        if v is None:
+            return "null"
+        if v is True:
+            return "true"
+        if v is False:
+            return "false"
+        if isinstance(v, str):
+            return _string(v)
+        if isinstance(v, (int, np.integer)):
+            return repr(int(v))
+        if isinstance(v, (float, np.floating)):
+            return number(float(v))
+        return None
+
+    def write(v, newline: str) -> None:
+        inner = newline + "  "
+        if isinstance(v, dict):
+            if not v:
+                put("{}")
+                return
+            named = {str(k): x for k, x in v.items()}
+            put("{")
+            sep = inner
+            for k in sorted(named):
+                put(sep + _string(k) + ": ")
+                write(named[k], inner)
+                sep = "," + inner
+            put(newline + "}")
+        elif isinstance(v, (list, tuple, np.ndarray)):
+            items = v.tolist() if isinstance(v, np.ndarray) else v
+            if not items:
+                put("[]")
+                return
+            texts = []
+            for x in items:
+                text = scalar(x)
+                if text is None:
+                    break
+                texts.append(text)
+            else:
+                put("[" + inner + ("," + inner).join(texts) + newline + "]")
+                return
+            put("[")
+            sep = inner
+            for i, x in enumerate(items):
+                put(sep)
+                if i < len(texts):
+                    put(texts[i])
+                else:
+                    write(x, inner)
+                sep = "," + inner
+            put(newline + "]")
+        else:
+            text = scalar(v)
+            if text is not None:
+                put(text)
+            elif hasattr(v, "to_json"):
+                write(v.to_json(), newline)
+            else:
+                raise InputError(f"cannot serialize object of type {type(v)!r}")
+
+    write(obj, "\n")
+    put("\n")
+    return "".join(parts)
 
 
 def _csv_cell(v) -> str:

@@ -90,6 +90,13 @@ _ACCEPT_FLOOR = 1e-6
 
 
 def _clip_to_ball(x: np.ndarray, radius: float) -> np.ndarray:
+    """Scale each row of x whose norm exceeds radius back onto the sphere.
+
+    The other rows are multiplied by exactly 1.0, so x itself is returned
+    when no row can reach the radius: when max |x_ij| * sqrt(dim), which
+    bounds every row norm, stays below it with room for rounding."""
+    if max(x.max(initial=0.0), -x.min(initial=0.0)) * math.sqrt(x.shape[1]) <= radius * (1.0 - 1e-9):
+        return x
     norms = np.linalg.norm(x, axis=1)
     scale = np.where(norms > radius, radius / np.maximum(norms, 1e-300), 1.0)
     return x * scale[:, None]
@@ -133,7 +140,8 @@ class TwoGaussianMixture:
 
     def sample(self, m: int, rng: np.random.Generator):
         y = rng.integers(0, 2, size=m) * 2.0 - 1.0
-        x = rng.standard_normal((m, self.dim)) * self.sigma
+        x = rng.standard_normal((m, self.dim))
+        x *= self.sigma
         x[:, 0] += y * self.separation
         return _clip_to_ball(x, self.radius), y
 

@@ -174,8 +174,8 @@ def _estimate_log_cover(cfg, dist, pool) -> ComplexityEstimate:
     for t in range(draws):
         rng = substream(cfg.seed, "cover", t)
         x, _ = dist.sample(2 * p.m, rng)
-        mat = outputs_matrix(truncated, x)
-        counts[t] = covering_number_linf(mat, p.rho / 2.0, mode=mode, exact_cap=cap).value
+        # no draw's matrix outlives its cover, so one is held at a time
+        counts[t] = covering_number_linf(outputs_matrix(truncated, x), p.rho / 2.0, mode=mode, exact_cap=cap).value
     mean = float(counts.mean())
     stderr = float(counts.std(ddof=1) / (mean * math.sqrt(draws))) if draws > 1 else 0.0
     return ComplexityEstimate(
@@ -231,6 +231,13 @@ def family_bound_values(family: str, emp: np.ndarray, complexity_value: float, p
     return np.minimum(raw, 1.0)
 
 
+def _margin_counts(w_stack: np.ndarray, x: np.ndarray, y: np.ndarray, rho: float) -> np.ndarray:
+    """For each pool member (row of ``w_stack``), the number of points with
+    margin y w.x < rho.  The product is pool x m, so each count runs along
+    one contiguous row."""
+    return np.count_nonzero(w_stack @ (x * y[:, None]).T < rho, axis=1)
+
+
 def validate_bounds(cfg: ExperimentConfig, threads: int = 1) -> ValidityReport:
     """Run the campaign and report per-family violation rates with exact
     binomial 95% confidence intervals."""
@@ -251,7 +258,7 @@ def validate_bounds(cfg: ExperimentConfig, threads: int = 1) -> ValidityReport:
 
         def draw(t: int) -> None:
             x, y = dist.sample(p.m, substream(cfg.seed, "trial", t))
-            emp[t] = np.count_nonzero((y[:, None] * x) @ w_stack.T < p.rho, axis=0) / p.m
+            emp[t] = _margin_counts(w_stack, x, y, p.rho) / p.m
 
     else:
         options = dict(cfg.trainer)

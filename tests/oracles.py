@@ -233,3 +233,32 @@ def per_trial_campaign(cfg):
             violated, _, emp, bound, risk = r[fam]
             rows.append((fam, t, emp, complexities[fam].value, bound, risk, int(violated)))
     return families, rows
+
+
+def canonical_json_oracle(obj) -> str:
+    """The report writer in two passes: the package's ``canonical`` normal
+    form, then the standard library's sorted and indented ``json.dumps``."""
+    import json
+
+    from relmargin.reportio import canonical
+
+    return json.dumps(canonical(obj), sort_keys=True, indent=2) + "\n"
+
+
+def clip_to_ball_oracle(x, radius: float):
+    """Each row scaled by radius / norm where its norm exceeds radius, and by
+    1.0 elsewhere, with no shortcut."""
+    import numpy as np
+
+    norms = np.linalg.norm(x, axis=1)
+    scale = np.where(norms > radius, radius / np.maximum(norms, 1e-300), 1.0)
+    return x * scale[:, None]
+
+
+def two_gaussian_sample_oracle(dist, m: int, rng):
+    """``TwoGaussianMixture.sample`` as first written: labels, then the
+    scaled and shifted normals, then the clip of every row."""
+    y = rng.integers(0, 2, size=m) * 2.0 - 1.0
+    x = rng.standard_normal((m, dist.dim)) * dist.sigma
+    x[:, 0] += y * dist.separation
+    return clip_to_ball_oracle(x, dist.radius), y

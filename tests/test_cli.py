@@ -234,6 +234,23 @@ def test_train_bound_min_cli(tmp_path):
     assert rep["hypothesis"]["kind"] == "linear"
 
 
+@pytest.mark.parametrize("method", ["hinge-subgradient-linear", "tiny-mlp"])
+def test_train_without_steps_keeps_the_trainer_default(tmp_path, method):
+    from relmargin import LabeledSample
+    from relmargin.reportio import canonical_json
+    from relmargin.training import train
+
+    # the directions with no training error form a narrow cone, which the
+    # hinge descent from seed 0 enters only after its 1500th step
+    s = LabeledSample(points=np.array([[0.05, 1.0], [-0.05, 1.0]]), labels=np.array([1.0, -1.0]))
+    data_path, out_path = tmp_path / "sample.json", tmp_path / "train.json"
+    data_path.write_text(json.dumps(s.to_json()))
+    assert main(["train", "--method", method, "--data", str(data_path), "--seed", "0", "--out", str(out_path)]) == 0
+    # a campaign trains with the same call: the trainer's own default step count
+    want = json.loads(canonical_json(train(method, s, {"seed": 0}).to_json()))
+    assert json.loads(out_path.read_text())["hypothesis"] == want
+
+
 @pytest.mark.parametrize(
     "argv,extra,flags",
     [

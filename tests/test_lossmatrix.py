@@ -102,6 +102,33 @@ def test_distinct_columns_matches_np_unique():
         assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("m,p", [(70000, 12), (3, 50000), (40, 4000)])
+def test_distinct_columns_matches_np_unique_over_many_key_blocks(m, p):
+    rng = np.random.default_rng(m)
+    values = rng.choice([-1.0, -0.0, 0.0, 0.5], size=(m, p)) if m < 10 else rng.normal(size=(m, p))
+    values[:, rng.integers(0, p, size=p // 3)] = values[:, rng.integers(0, p, size=p // 3)]
+    values[1:, 0] = values[1:, 1]  # equal on all but their first row
+    got = distinct_columns(values)
+    want = np.unique(values.T + 0.0, axis=0)
+    assert got.shape == want.shape and np.array_equal(got, want)
+    assert got.flags.c_contiguous and not np.signbit(got[got == 0]).any()
+
+
+def test_distinct_columns_holds_one_more_copy_at_most():
+    import tracemalloc
+
+    values = np.random.default_rng(5).normal(size=(20000, 50))
+    tracemalloc.start()
+    try:
+        got = distinct_columns(values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.shape == (50, 20000)
+    # the keys, then the distinct columns, and a block of compared rows
+    assert peak <= 1.2 * values.nbytes
+
+
 def test_distinct_columns_folds_signed_zeros():
     values = np.array([[0.0, -0.0, 1.0], [-0.0, 0.0, -0.0]])
     got = distinct_columns(values)

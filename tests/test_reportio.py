@@ -13,10 +13,16 @@ from relmargin import (
     bound_cov_alpha2,
     ramp,
 )
+from relmargin.cli import main
 from relmargin.estimates import ComplexityEstimate
 from relmargin.reportio import canonical_json, export_margins_csv, format_float, report_csv
+from relmargin.validation import ExperimentConfig, validate_bounds
 
-SCHEMA_DIR = Path(__file__).parent.parent / "src/relmargin/schemas"
+from oracles import canonical_json_oracle
+
+ROOT = Path(__file__).parent.parent
+SCHEMA_DIR = ROOT / "src/relmargin/schemas"
+REFERENCE_CAMPAIGN = ROOT / "configs/reference-campaign.json"
 
 
 def test_float_formatting_is_12_significant_digits():
@@ -84,3 +90,104 @@ def test_generic_csv_fallback_flattens():
     assert lines[0] == "key,value"
     assert "a.b,2" in lines
     assert "passed,1" in lines
+
+
+class _Reported:
+    def to_json(self):
+        return {"b": [0.5, (1, 2)], "a": np.arange(3)}
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        -0.0,
+        1.0,
+        1e16,
+        123456789012.0,
+        1e-7,
+        0.1 + 0.2,
+        math.inf,
+        -math.inf,
+        [-0.0, 0.0, -0.0, 0.0, 1e16, 1e-7, math.inf, -math.inf, 0.1 + 0.2, 0.3],
+        np.float32(0.1),
+        np.float64(-0.0),
+        np.int64(-7),
+        [np.float32(2.5), np.int64(3), np.float16(-0.0), 2.5, 3],
+        True,
+        False,
+        None,
+        [True, False, None, 1, 0],
+        "caf\u00e9 \u2264 \U0001d6c5",
+        'quote " backslash \\ tab \t newline \n bell \x07',
+        {"\u00e9\n": ["\u00e9", "\\"]},
+        {},
+        [],
+        (),
+        np.array([]),
+        {"a": {}, "b": [], "c": [[], {}], "d": [1, [], 2]},
+        (1, (2.5, "x"), [None]),
+        np.arange(6).reshape(2, 3) / 7,
+        np.array([[1.5, -0.0], [np.inf, 2.0]]),
+        _Reported(),
+        [_Reported(), 1.5],
+        {"per_shell": {10: 0.5, 2: 0.25, 1: [0.125]}, 3: "three"},
+        {"rows": [["cov-alpha2", 0, 0.1, 3.912, 0.9, 0.2, 0], ["rad", 1, 1 / 3, 0.5, 1.0, 0.25, 1]]},
+        [1, {"k": [1.5, {"z": [None, []]}]}, "tail"],
+    ],
+)
+def test_writer_is_the_two_pass_oracle(obj):
+    assert canonical_json(obj) == canonical_json_oracle(obj)
+
+
+def test_writer_sorts_int_keys_as_strings():
+    text = canonical_json({"per_shell": {10: 1, 2: 2}})
+    assert text.index('"10"') < text.index('"2"')
+
+
+@pytest.mark.parametrize("obj", [math.nan, [1.0, math.nan], {"a": {"b": np.float32("nan")}}, (np.nan,)])
+def test_writer_rejects_nan_as_the_oracle_does(obj):
+    with pytest.raises(InputError, match="reports must not contain NaN"):
+        canonical_json_oracle(obj)
+    with pytest.raises(InputError, match="reports must not contain NaN"):
+        canonical_json(obj)
+
+
+def test_writer_rejects_what_the_oracle_cannot_serialize():
+    for obj in ({"a": object()}, [1.0, {1, 2}], np.bool_(True)):
+        with pytest.raises(InputError, match="cannot serialize"):
+            canonical_json_oracle(obj)
+        with pytest.raises(InputError, match="cannot serialize"):
+            canonical_json(obj)
+
+
+# the two campaign shapes of the relbench workloads
+_CAMPAIGN_SHAPES = {
+    "large-m": {"params": {"m": 5000}, "trials": 300, "complexity": {"cover_draws": 8, "peel_draws": 8}},
+    "trial-heavy": {"trials": 10000, "families": ["cov-alpha", "cov-alpha2", "rad"]},
+}
+
+
+@pytest.mark.parametrize("shape", sorted(_CAMPAIGN_SHAPES))
+def test_writer_is_the_oracle_on_campaign_reports(shape):
+    data = json.loads(REFERENCE_CAMPAIGN.read_text())
+    for key, value in _CAMPAIGN_SHAPES[shape].items():
+        data[key] = {**data[key], **value} if isinstance(value, dict) else value
+    report = validate_bounds(ExperimentConfig.from_json(data)).to_json()
+    assert canonical_json(report) == canonical_json_oracle(report)
+
+
+def test_validity_report_matches_its_schema(tmp_path):
+    jsonschema = pytest.importorskip("jsonschema")
+    out = tmp_path / "report.json"
+    argv = ["validate", "--config", str(REFERENCE_CAMPAIGN), "--set", "trials=30", "--set", "complexity.cover_draws=2",
+            "--set", "complexity.peel_draws=2", "--set", 'families=["cov-alpha", "cov-alpha2", "cov-fat", "rad"]',
+            "--out", str(out)]
+    assert main(argv) == 0
+    data = json.loads(out.read_text())
+    schema = json.loads((SCHEMA_DIR / "validity-report.v1.json").read_text())
+    jsonschema.validate(data, schema)
+    assert len(data["rows"]) == 4 * 30 and set(data["families"]) == {"cov-alpha", "cov-alpha2", "cov-fat", "rad"}
+    # the schema can fail: a row with a violation flag of 2
+    data["rows"][0][6] = 2
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(data, schema)

@@ -141,3 +141,48 @@ def test_make_distribution_rejects_unknown():
     with pytest.raises(InputError, match="distribution.gap = 10.0 lets the sampler accept at most"):
         make_distribution({"kind": "margin-separable-with-noise", "gap": 10.0})
     assert make_distribution({"kind": "two-gaussian-mixture", "dim": 3}) == TwoGaussianMixture(dim=3)
+
+
+def test_clip_to_ball_is_the_unskipped_formula():
+    from relmargin.samples import _clip_to_ball
+
+    from oracles import clip_to_ball_oracle
+
+    r = 0.1 + 0.2
+    up = np.nextafter(r, np.inf)
+    blocks = [
+        (np.array([[3.0, 4.0], [-3.0, 4.0], [0.5, 0.5]]), 5.0),  # rows exactly at the radius
+        (np.array([[3.0, 4.0], [0.5, 0.5]]), np.nextafter(5.0, 0.0)),  # one ulp above it
+        (np.array([[r], [-r], [0.1]]), r),  # dim 1, at the radius
+        (np.array([[up], [-up], [0.1]]), r),  # dim 1, one ulp above it
+        (np.zeros((5, 3)), 1.0),
+        (np.zeros((5, 3)), 1e-300),
+        (np.full((4, 4), 0.5), 1.0),  # every norm exactly 1.0, and the bound 1.0 too
+    ]
+    rng = np.random.default_rng(3)
+    for dim in (1, 2, 4):
+        for scale in (0.01, 1.0, 100.0):
+            blocks.append((rng.standard_normal((50, dim)) * scale, 3.0))
+    for x, radius in blocks:
+        want = clip_to_ball_oracle(x, radius)
+        got = _clip_to_ball(x.copy(), radius)
+        assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+    z = np.zeros((5, 3))
+    assert _clip_to_ball(z, 1.0) is z
+
+
+@pytest.mark.parametrize("dim", [1, 2, 4])
+def test_two_gaussian_sample_is_the_original_draw(dim):
+    from relmargin.rng import substream
+
+    from oracles import two_gaussian_sample_oracle
+
+    for dist in (TwoGaussianMixture(dim=dim), TwoGaussianMixture(dim=dim, separation=2.0, sigma=0.5, radius=1.5)):
+        for seed in range(4):
+            for m in (1, 2, 7, 200, 201):
+                a, b = substream(seed, "trial", m), substream(seed, "trial", m)
+                x, y = dist.sample(m, a)
+                x0, y0 = two_gaussian_sample_oracle(dist, m, b)
+                assert np.array_equal(x, x0) and np.array_equal(y, y0)
+                # the state holds small uint64 arrays, which repr in full
+                assert repr(a.bit_generator.state) == repr(b.bit_generator.state)

@@ -185,3 +185,21 @@ def test_campaign_judge_matches_per_trial_oracle(monkeypatch, mode, extra, alpha
     assert report.families == families_out
     assert report.rows == tuple(rows)
     assert 0 < report.families["cov-alpha"]["violations"] < cfg.trials
+
+
+def test_margin_counts_match_the_m_by_pool_count():
+    # dyadic points, weights and rho make every margin exact, so some equal rho
+    rng = np.random.default_rng(21)
+    rho = 0.25
+    for m, pool, dim in ((1, 1, 1), (9, 4, 2), (64, 50, 4), (201, 7, 3)):
+        x = rng.integers(-8, 9, size=(m, dim)) / 8.0
+        y = np.where(rng.random(m) < 0.5, -1.0, 1.0)
+        w_stack = rng.integers(-4, 5, size=(pool, dim)) / 4.0
+        w_stack[0] = 0.0
+        w_stack[0, 0] = 2.0
+        x[0] = 0.0
+        x[0, 0] = y[0] * 0.125  # margin of member 0 on point 0 is exactly rho
+        margins = (y[:, None] * x) @ w_stack.T
+        assert margins[0, 0] == rho
+        want = np.count_nonzero(margins < rho, axis=0)
+        assert np.array_equal(validation._margin_counts(w_stack, x, y, rho), want)
