@@ -16,13 +16,13 @@ values at or above 1 are additionally flagged vacuous.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from .errors import ApplicabilityError, DataError, DomainError, InputError
 from .estimates import ComplexityEstimate
-from .fatdim import cover_log_bound_from_fat
+from .fatdim import FatDimParams, cover_log_bound_from_fat, fat_dim_formula
 from .rademacher import rm_upper_smooth
 
 __all__ = [
@@ -87,14 +87,7 @@ class BoundParams:
             raise InputError(f"r must be finite and positive when provided, got {self.r!r}")
 
     def to_json(self) -> dict:
-        return {
-            "m": self.m,
-            "delta": self.delta,
-            "alpha": self.alpha,
-            "rho": self.rho,
-            "tau": self.tau,
-            "r": self.r,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -117,19 +110,7 @@ class BoundReport:
             raise InputError("bound_value fell below the empirical term; refusing to report")
 
     def to_json(self) -> dict:
-        return {
-            "schema": "relmargin/bound-report/v1",
-            "family": self.family,
-            "params": dict(self.params),
-            "empirical_term": self.empirical_term,
-            "complexity_term": self.complexity_term,
-            "bound_value": self.bound_value,
-            "solver": self.solver,
-            "complexity_method": self.complexity_method,
-            "breakdown": dict(self.breakdown),
-            "vacuous": self.vacuous,
-            "clamped": self.clamped,
-        }
+        return {"schema": "relmargin/bound-report/v1", **asdict(self)}
 
 
 def _empirical_input(emp, name: str = "emp", zero_one: bool = True) -> float:
@@ -153,22 +134,10 @@ def _complexity_input(x, name: str) -> tuple[float, str]:
 
 
 def _finalize_zero_one(family, params, emp, complexity, raw, solver, method, breakdown):
-    vacuous = raw >= 1.0
-    clamped = raw > 1.0
-    value = min(raw, 1.0)
-    breakdown = dict(breakdown)
-    breakdown["raw_bound_value"] = raw
+    raw = float(raw)
     return BoundReport(
-        family=family,
-        params=params.to_json(),
-        empirical_term=float(emp),
-        complexity_term=float(complexity),
-        bound_value=float(value),
-        solver=solver,
-        complexity_method=method,
-        breakdown=breakdown,
-        vacuous=vacuous,
-        clamped=clamped,
+        family, params.to_json(), float(emp), float(complexity), min(raw, 1.0), solver, method,
+        {**breakdown, "raw_bound_value": raw}, vacuous=raw >= 1.0, clamped=raw > 1.0,
     )
 
 
@@ -270,9 +239,10 @@ def gamma_factor(alpha: float, eps: float, tau: float = 0.0) -> float:
 # ---------------------------------------------------------------------------
 # covering-number families
 #
-# The ``*_value`` functions hold each campaign family's formula once: they
-# take an array (or scalar) of empirical terms plus a scalar complexity and
-# return the raw, unclamped bound with the terms the reports break down.
+# The ``*_value`` functions hold each family's formula once, for the report
+# builders, the campaigns and ``compare``: they take an array (or scalar) of
+# empirical terms plus a scalar complexity and return the raw, unclamped
+# bound with the terms the reports break down.
 
 
 def _confidence_numerator(log_n: float, params: BoundParams, addend: float = 0.0) -> float:
@@ -329,16 +299,32 @@ def bound_cov_alpha2(emp: float, log_n, params: BoundParams) -> BoundReport:
     emp = _empirical_input(emp)
     log_n_value, method = _complexity_input(log_n, "logN")
     raw, terms = cov_alpha2_value(emp, log_n_value, params)
-    return _finalize_zero_one(
-        "cov-alpha2", params, emp, log_n_value, float(raw), "closed-form", method, terms
-    )
+    return _finalize_zero_one("cov-alpha2", params, emp, log_n_value, raw, "closed-form", method, terms)
+
+
+def loss_factored_value(emp, beta):
+    """emp + 2 sqrt(emp beta) + beta: the cov-fat closed form with its cover
+    term beta, and the new form that ``compare`` tabulates."""
+    return emp + 2.0 * np.sqrt(emp * beta) + beta
 
 
 def cov_fat_value(emp, d: float, params: BoundParams):
-    """emp + 2 sqrt(emp term) + term with term = (1 + d log2(2 c^2 m)
+    """``loss_factored_value`` with term = (1 + d log2(2 c^2 m)
     log2(2 c e m / d) + log(1/delta)) / m."""
     term = _confidence_numerator(cover_log_bound_from_fat(d, params.m), params) / params.m
-    return emp + 2.0 * np.sqrt(emp * term) + term, {"term": term, "fat_dimension": d}
+    return loss_factored_value(emp, term), {"term": term, "fat_dimension": d}
+
+
+def cov_fat_dimension(class_params: FatDimParams) -> float:
+    """The dimension cov-fat uses for a class: its closed-form fat-shattering
+    cap, at least 1."""
+    return max(1.0, fat_dim_formula(class_params))
+
+
+def cov_fat_class_value(emp, class_params: FatDimParams, m: int, delta: float):
+    """``cov_fat_value`` at the class's dimension and margin rho."""
+    params = BoundParams(m=m, delta=delta, rho=class_params.rho)
+    return cov_fat_value(emp, cov_fat_dimension(class_params), params)
 
 
 def bound_cov_fat(emp: float, d: float, params: BoundParams) -> BoundReport:
@@ -346,16 +332,8 @@ def bound_cov_fat(emp: float, d: float, params: BoundParams) -> BoundReport:
     emp = _empirical_input(emp)
     d, _ = _complexity_input(d, "fat_d")
     raw, terms = cov_fat_value(emp, d, params)
-    return _finalize_zero_one(
-        "cov-fat",
-        params,
-        emp,
-        cover_log_bound_from_fat(d, params.m),
-        float(raw),
-        "closed-form",
-        "formula",
-        terms,
-    )
+    log_n = cover_log_bound_from_fat(d, params.m)
+    return _finalize_zero_one("cov-fat", params, emp, log_n, raw, "closed-form", "formula", terms)
 
 
 def _uniform_rho_addend(r, rho: float) -> float:
@@ -384,13 +362,41 @@ def bound_cov_uniform_rho(
 # peeling-complexity families
 
 
-def rad_budget(rm_value: float, params: BoundParams) -> float:
-    """B = (rm + log log m + log(16/delta)) / m; needs m >= 3."""
+def _peeling_confidence(params: BoundParams) -> tuple[float, float]:
+    """log log m and log(16/delta), the confidence terms of the peeling
+    families; needs m >= 3."""
     if params.m < 3:
         raise InputError("peeling families need m >= 3 so that log log m is defined")
+    return math.log(math.log(params.m)), math.log(16.0 / params.delta)
+
+
+def rad_budget(rm_value: float, params: BoundParams) -> float:
+    """B = (rm + log log m + log(16/delta)) / m; needs m >= 3."""
+    loglog, confidence = _peeling_confidence(params)
     if rm_value < 0:
         raise InputError("the complexity value must be nonnegative")
-    return (rm_value + math.log(math.log(params.m)) + math.log(16.0 / params.delta)) / params.m
+    return (rm_value + loglog + confidence) / params.m
+
+
+def _peeling_closed_form(emp, budget: float, alpha: float, lead: float, power):
+    """emp + lead emp^{1/alpha} B^{1-1/alpha} + 2 * 32^{alpha/(alpha-1)} B.
+
+    The constant overflows a float for alpha below about 1.0049; it is then
+    inf, and so is the value.  ``power`` is the family's own power function
+    (see ``_libm_power``)."""
+    inv = 1.0 / alpha
+    try:
+        tail = 2.0 * 32.0 ** (alpha / (alpha - 1.0))
+    except OverflowError:
+        tail = math.inf
+    deviation = lead * power(emp, inv) * power(budget, 1.0 - inv) + tail * budget
+    return emp + deviation
+
+
+# libm's pow, element by element.  rad-smooth's reports have always used it;
+# numpy's ``np.power``, which rad's have used, can differ from it in the last
+# bit, so each family keeps its own and its bytes do not move.
+_libm_power = np.vectorize(math.pow, otypes=[np.float64])
 
 
 def rad_value(emp, rm: float, params: BoundParams):
@@ -400,12 +406,14 @@ def rad_value(emp, rm: float, params: BoundParams):
     The closed form caps the deviation from emp, so the risk bound adds emp back.
     """
     budget = rad_budget(rm, params)
-    alpha = params.alpha
-    inv = 1.0 / alpha
-    deviation = 32.0 * np.power(emp, inv) * np.power(budget, 1.0 - inv) + (
-        2.0 * 32.0 ** (alpha / (alpha - 1.0))
-    ) * budget
-    return emp + deviation, {"budget": budget}
+    return _peeling_closed_form(emp, budget, params.alpha, 32.0, np.power), {"budget": budget}
+
+
+def _rad_implicit(emp, budget: float, alpha: float, lead: float):
+    """The largest fixed point of x = emp + C x^{1/alpha} with the implicit
+    coefficient C = lead B^{1-1/alpha}, and C."""
+    coeff = lead * budget ** (1.0 - 1.0 / alpha)
+    return solve_relative(emp, coeff, alpha), coeff
 
 
 def bound_rad(emp: float, rm, params: BoundParams) -> BoundReport:
@@ -415,96 +423,73 @@ def bound_rad(emp: float, rm, params: BoundParams) -> BoundReport:
     emp = _empirical_input(emp)
     rm_value, method = _complexity_input(rm, "rm")
     raw, terms = rad_value(emp, rm_value, params)
-    implicit_coeff = 16.0 * math.sqrt(2.0) * terms["budget"] ** (1.0 - 1.0 / params.alpha)
-    implicit_solved = solve_relative(emp, implicit_coeff, params.alpha)
-    return _finalize_zero_one(
-        "rad",
-        params,
-        emp,
-        rm_value,
-        float(raw),
-        "closed-form",
-        method,
-        {
-            **terms,
-            "implicit_coefficient": implicit_coeff,
-            "implicit_solved_value": implicit_solved,
-        },
-    )
+    solved, coeff = _rad_implicit(emp, terms["budget"], params.alpha, 16.0 * math.sqrt(2.0))
+    terms.update(implicit_coefficient=coeff, implicit_solved_value=solved)
+    return _finalize_zero_one("rad", params, emp, rm_value, raw, "closed-form", method, terms)
 
 
-def bound_rad_all_alpha(emp: float, rm, params: BoundParams, alpha_grid) -> BoundReport:
-    """Simultaneous-alpha version (coefficient 32 sqrt(2)); evaluates the
-    implicit bound on the supplied alpha grid and reports the minimum."""
+def rad_all_alpha_value(emp, rm: float, params: BoundParams, alpha_grid):
+    """The least over the alpha grid of the implicit bound with coefficient
+    32 sqrt(2) B^{1-1/alpha} (simultaneous in alpha); ``params.alpha`` is
+    not used."""
     grid = [float(a) for a in alpha_grid]
     if not grid:
         raise InputError("alpha grid must be nonempty")
     if any(not (1.0 < a <= 2.0) for a in grid):
         raise InputError("alpha grid entries must lie in (1, 2]")
+    budget = rad_budget(rm, params)
+    per_alpha = {a: _rad_implicit(emp, budget, a, 32.0 * math.sqrt(2.0))[0] for a in grid}
+    return np.minimum.reduce(list(per_alpha.values())), {"budget": budget, "per_alpha": per_alpha}
+
+
+def bound_rad_all_alpha(emp: float, rm, params: BoundParams, alpha_grid) -> BoundReport:
+    """Simultaneous-alpha version (see ``rad_all_alpha_value``); reports the
+    value at every grid alpha and the one that attains the minimum."""
     emp = _empirical_input(emp)
     rm_value, method = _complexity_input(rm, "rm")
-    budget = rad_budget(rm_value, params)
-    per_alpha = {}
-    for a in grid:
-        coeff = 32.0 * math.sqrt(2.0) * budget ** (1.0 - 1.0 / a)
-        per_alpha[a] = solve_relative(emp, coeff, a)
-    best_alpha = min(per_alpha, key=per_alpha.get)
-    raw = per_alpha[best_alpha]
-    return _finalize_zero_one(
-        "rad-all-alpha",
-        params,
-        emp,
-        rm_value,
-        raw,
-        "root-find",
-        method,
-        {
-            "budget": budget,
-            "per_alpha": {str(a): v for a, v in per_alpha.items()},
-            "best_alpha": best_alpha,
-        },
-    )
+    raw, terms = rad_all_alpha_value(emp, rm_value, params, alpha_grid)
+    per_alpha = terms["per_alpha"]
+    terms.update(per_alpha={str(a): v for a, v in per_alpha.items()}, best_alpha=min(per_alpha, key=per_alpha.get))
+    return _finalize_zero_one("rad-all-alpha", params, emp, rm_value, raw, "root-find", method, terms)
+
+
+def rad_smooth_value(emp, rmax: float, params: BoundParams):
+    """rad's closed form with lead coefficient 32 sqrt(2) and beta =
+    smooth-cap/m + (log log m + log(16/delta))/m in place of B."""
+    loglog, confidence = _peeling_confidence(params)
+    cap = rm_upper_smooth(params.rho, params.m, rmax)
+    complexity_part = cap / params.m
+    confidence_part = (loglog + confidence) / params.m
+    beta = complexity_part + confidence_part
+    value = _peeling_closed_form(emp, beta, params.alpha, 32.0 * math.sqrt(2.0), _libm_power)
+    return value, {
+        "beta": beta,
+        "beta_complexity_part": complexity_part,
+        "beta_confidence_part": confidence_part,
+        "cap": cap,
+    }
 
 
 def bound_rad_smooth(emp: float, rmax: float, params: BoundParams) -> BoundReport:
-    """Smoothed-loss bound: beta = smooth-cap/m + (log log m + log(16/delta))/m,
-    value = emp + 32 sqrt(2) emp^{1/alpha} beta^{1-1/alpha} + 2 * 32^{alpha/(alpha-1)} beta."""
-    if params.m < 3:
-        raise InputError("needs m >= 3 so that log log m is defined")
+    """Smoothed-loss bound (see ``rad_smooth_value``)."""
     emp = _empirical_input(emp)
-    cap = rm_upper_smooth(params.rho, params.m, rmax)
-    complexity_part = cap / params.m
-    confidence_part = (math.log(math.log(params.m)) + math.log(16.0 / params.delta)) / params.m
-    beta = complexity_part + confidence_part
-    inv = 1.0 / params.alpha
-    raw = emp + (
-        32.0 * math.sqrt(2.0) * emp**inv * beta ** (1.0 - inv)
-        + 2.0 * 32.0 ** (params.alpha / (params.alpha - 1.0)) * beta
-    )
-    return _finalize_zero_one(
-        "rad-smooth",
-        params,
-        emp,
-        cap,
-        raw,
-        "closed-form",
-        "formula",
-        {
-            "beta": beta,
-            "beta_complexity_part": complexity_part,
-            "beta_confidence_part": confidence_part,
-            "rmax": rmax,
-        },
-    )
+    raw, terms = rad_smooth_value(emp, rmax, params)
+    cap = terms.pop("cap")
+    return _finalize_zero_one("rad-smooth", params, emp, cap, raw, "closed-form", "formula", {**terms, "rmax": rmax})
 
 
 # ---------------------------------------------------------------------------
 # unbounded-loss families
 
 
-def _unbounded_single(emp_loss, moment, log_n_value, params, addend=0.0):
+def unbounded_value(emp_loss, log_n: float, params: BoundParams, moment: float, addend: float = 0.0):
+    """emp + Gamma_0(alpha, e) moment^{1/alpha} e + rho, affine in emp, with
+    the covering deviation scale e = sqrt((logN + log(1/delta) + addend) /
+    m^{2(alpha-1)/alpha}); raises ApplicabilityError when e > 1."""
+    if not (moment >= 0 and math.isfinite(moment)):
+        raise InputError("the loss moment must be finite and nonnegative")
     a = params.alpha
-    numerator = _confidence_numerator(log_n_value, params, addend)
+    numerator = _confidence_numerator(log_n, params, addend)
     eps_hat = math.sqrt(numerator / params.m ** (2.0 * (a - 1.0) / a))
     if eps_hat > 1.0:
         raise ApplicabilityError(
@@ -512,30 +497,19 @@ def _unbounded_single(emp_loss, moment, log_n_value, params, addend=0.0):
         )
     if eps_hat == 0.0:
         # degenerate zero-deviation edge; the factor multiplies zero
-        return 0.0, None, emp_loss + params.rho
+        return emp_loss + params.rho, {"eps_hat": 0.0, "gamma": None}
     gamma = gamma_factor(a, eps_hat, 0.0)
     deviation = gamma * moment ** (1.0 / a) * eps_hat
-    return eps_hat, gamma, emp_loss + deviation + params.rho
+    return emp_loss + deviation + params.rho, {"eps_hat": eps_hat, "gamma": gamma}
 
 
 def bound_unbounded(emp_loss: float, moment: float, log_n_loss, params: BoundParams) -> BoundReport:
-    """Finite-moment bound for unbounded losses: emp + Gamma_0(alpha, e) *
-    moment^{1/alpha} * e + rho, where e is the covering deviation scale."""
-    if not (moment >= 0 and math.isfinite(moment)):
-        raise InputError("the loss moment must be finite and nonnegative")
+    """Finite-moment bound for unbounded losses (see ``unbounded_value``)."""
     emp_loss = _empirical_input(emp_loss, "emp_loss", zero_one=False)
     log_n_value, method = _complexity_input(log_n_loss, "logN")
-    eps_hat, gamma, value = _unbounded_single(emp_loss, moment, log_n_value, params)
-    return BoundReport(
-        family="unbounded",
-        params=params.to_json(),
-        empirical_term=float(emp_loss),
-        complexity_term=log_n_value,
-        bound_value=float(value),
-        solver="closed-form",
-        complexity_method=method,
-        breakdown={"eps_hat": eps_hat, "gamma": gamma, "moment": moment, "rho_term": params.rho},
-    )
+    value, terms = unbounded_value(emp_loss, log_n_value, params, moment)
+    breakdown = {**terms, "moment": moment, "rho_term": params.rho}
+    return BoundReport("unbounded", params.to_json(), emp_loss, log_n_value, value, "closed-form", method, breakdown)
 
 
 def bound_unbounded_uniform_rho(
@@ -548,45 +522,28 @@ def bound_unbounded_uniform_rho(
     if not grid:
         raise InputError("rho grid must be nonempty")
     addends = {rho: _uniform_rho_addend(params.r, rho) for rho in grid}
-    if not (moment >= 0 and math.isfinite(moment)):
-        raise InputError("the loss moment must be finite and nonnegative")
     emp_loss = _empirical_input(emp_loss, "emp_loss", zero_one=False)
-    per_rho = {}
-    methods = {}
-    failures = {}
+    per_rho, methods, failures = {}, {}, {}
     for rho in grid:
-        p_rho = replace(params, rho=rho)
-        addend = addends[rho]
         log_n = log_n_at(rho / 2.0) if callable(log_n_at) else log_n_at
         log_n_value, methods[rho] = _complexity_input(log_n, "logN")
         try:
-            eps_hat, gamma, value = _unbounded_single(emp_loss, moment, log_n_value, p_rho, addend)
+            value, terms = unbounded_value(emp_loss, log_n_value, replace(params, rho=rho), moment, addends[rho])
         except (ApplicabilityError, DomainError) as exc:
             failures[rho] = str(exc)
             continue
-        per_rho[rho] = {
-            "bound_value": value,
-            "eps_hat": eps_hat,
-            "gamma": gamma,
-            "log_n": log_n_value,
-            "loglog_addend": addend,
-        }
+        per_rho[rho] = {"bound_value": value, **terms, "log_n": log_n_value, "loglog_addend": addends[rho]}
     if not per_rho:
         raise ApplicabilityError(f"no grid rho is in the applicable regime: {failures}")
     best_rho = min(per_rho, key=lambda rho: per_rho[rho]["bound_value"])
     best = per_rho[best_rho]
+    breakdown = {
+        "best_rho": best_rho,
+        "per_rho": {str(k): v for k, v in per_rho.items()},
+        "inapplicable_rho": {str(k): v for k, v in failures.items()},
+        "moment": moment,
+    }
     return BoundReport(
-        family="unbounded-uniform-rho",
-        params=params.to_json(),
-        empirical_term=float(emp_loss),
-        complexity_term=best["log_n"],
-        bound_value=float(best["bound_value"]),
-        solver="closed-form",
-        complexity_method=methods[best_rho],
-        breakdown={
-            "best_rho": best_rho,
-            "per_rho": {str(k): v for k, v in per_rho.items()},
-            "inapplicable_rho": {str(k): v for k, v in failures.items()},
-            "moment": moment,
-        },
+        "unbounded-uniform-rho", params.to_json(), emp_loss, best["log_n"], best["bound_value"],
+        "closed-form", methods[best_rho], breakdown,
     )

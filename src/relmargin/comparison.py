@@ -17,18 +17,19 @@ from dataclasses import replace
 
 import numpy as np
 
-from .bounds import BoundParams
+from .bounds import cov_fat_class_value, loss_factored_value
 from .errors import InputError
-from .fatdim import FatDimParams, cover_log_bound_from_fat, fat_dim_formula
+from .fatdim import FatDimParams
 
 __all__ = ["tightness_row", "compare_tightness_direct", "compare_tightness", "crossover_check"]
 
 
-def tightness_row(emp: float, beta: float, beta_prime: float | None = None, c_prime: float = 1.0) -> dict:
+def _check(emp, beta) -> None:
     if beta < 0 or emp < 0:
         raise InputError("emp and beta must be nonnegative")
-    bp = beta if beta_prime is None else beta_prime
-    new_bound = emp + 2.0 * math.sqrt(emp * beta) + beta
+
+
+def _row(emp: float, beta: float, new_bound: float, bp: float, c_prime: float) -> dict:
     old_bound = c_prime * math.sqrt(bp)
     return {
         "emp": emp,
@@ -38,6 +39,13 @@ def tightness_row(emp: float, beta: float, beta_prime: float | None = None, c_pr
         "old_bound": old_bound,
         "new_smaller": bool(new_bound < old_bound),
     }
+
+
+def tightness_row(emp: float, beta: float, beta_prime: float | None = None, c_prime: float = 1.0) -> dict:
+    """Both forms at one (emp, beta); the new form is ``loss_factored_value``."""
+    _check(emp, beta)
+    bp = beta if beta_prime is None else beta_prime
+    return _row(emp, beta, float(loss_factored_value(emp, beta)), bp, c_prime)
 
 
 def compare_tightness_direct(emp_grid, beta_grid, c_prime: float = 1.0) -> dict:
@@ -64,18 +72,19 @@ def compare_tightness(
     delta: float = 0.05,
     c_prime: float = 1.0,
 ) -> dict:
-    """Tabulate both forms over (m, rho, emp), with beta the fat-shattering
-    cover term (1 + d log2(2 c^2 m) log2(2 c e m / d) + log(1/delta)) / m and
-    beta' = beta."""
+    """Tabulate both forms over (m, rho, emp), with the new form and beta =
+    beta' from ``cov_fat_class_value``: the cov-fat bound and its cover term."""
+    emps = [float(emp) for emp in emp_grid]
+    _check(min(emps, default=0.0), 0.0)
     rows = []
     for m in m_grid:
         for rho in rho_grid:
-            params = replace(class_params, rho=float(rho))
-            d = max(1.0, fat_dim_formula(params))
-            BoundParams(m=int(m), delta=delta, rho=float(rho))  # validates m, delta
-            beta = (cover_log_bound_from_fat(d, int(m)) + math.log(1.0 / delta)) / int(m)
-            for emp in emp_grid:
-                row = tightness_row(float(emp), beta, c_prime=c_prime)
+            values, terms = cov_fat_class_value(
+                np.array(emps), replace(class_params, rho=float(rho)), int(m), delta
+            )
+            beta, d = terms["term"], terms["fat_dimension"]
+            for emp, value in zip(emps, values.tolist()):
+                row = _row(emp, beta, value, beta, c_prime)
                 row.update({"m": int(m), "rho": float(rho), "fat_dimension": d})
                 rows.append(row)
     return {

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, _dataclass_keys, _mapping
 
 __all__ = [
     "Hypothesis",
@@ -312,26 +312,26 @@ def margins(h: Hypothesis, sample) -> np.ndarray:
     return sample.labels * h.predict(sample.points)
 
 
-_KINDS = {
-    "linear": lambda d: LinearHypothesis(np.asarray(d["w"]), d.get("norm_cap", 1.0)),
-    "stump": lambda d: DecisionStump(d["feature"], d["threshold"], d.get("polarity", 1)),
-    "table": lambda d: TableHypothesis({int(k): v for k, v in d["values"].items()}),
-}
-
-
 def hypothesis_from_json(data: dict) -> Hypothesis:
     kind = data.get("kind")
-    if kind == "ensemble":
-        stumps = tuple(hypothesis_from_json(s) for s in data["stumps"])
-        return EnsembleHypothesis(np.asarray(data["weights"]), stumps)
-    if kind == "ffnn":
-        return FFNNHypothesis(
-            tuple(np.asarray(m) for m in data["layers"]),
-            data.get("activation", "tanh"),
-            data.get("row_cap", 10.0),
-        )
-    if kind == "truncated":
-        return TruncatedHypothesis(hypothesis_from_json(data["base"]), data["rho"])
-    if kind in _KINDS:
-        return _KINDS[kind](data)
-    raise InputError(f"unknown hypothesis kind {kind!r}")
+    if kind not in _KINDS:
+        raise InputError(f"unknown hypothesis kind {kind!r}")
+    cls, convert = _KINDS[kind]
+    names, required = _dataclass_keys(cls)
+    data = _mapping(f"{kind} hypothesis", data, None, required)
+    return cls(**{k: convert.get(k, lambda v: v)(data[k]) for k in names if k in data})
+
+
+# kind -> (class, converters of the JSON values that need one); the class's
+# dataclass fields name its keys, and a key left out takes the field default
+_KINDS = {
+    "linear": (LinearHypothesis, {"w": np.asarray}),
+    "stump": (DecisionStump, {}),
+    "ensemble": (
+        EnsembleHypothesis,
+        {"weights": np.asarray, "stumps": lambda stumps: tuple(map(hypothesis_from_json, stumps))},
+    ),
+    "ffnn": (FFNNHypothesis, {"layers": lambda layers: tuple(map(np.asarray, layers))}),
+    "table": (TableHypothesis, {"values": lambda values: {int(k): v for k, v in values.items()}}),
+    "truncated": (TruncatedHypothesis, {"base": hypothesis_from_json}),
+}

@@ -101,15 +101,16 @@ class LossMatrix:
 
 def transform_matrix(pool, sample, transform) -> LossMatrix:
     """phi(y_i h_j(x_i)) over the pool; binary-tagged for step transforms."""
-    cols = [transform(margins(h, sample)) for h in pool]
-    tag = "binary" if transform.kind in ("step", "half-step") else "unit-interval"
-    return LossMatrix(np.stack(cols, axis=1), tag)
+    # filled a column at a time, so no second copy of the matrix is held
+    out = np.empty((sample.m, len(pool)))
+    for j, h in enumerate(pool):
+        out[:, j] = transform(margins(h, sample))
+    return LossMatrix(out, "binary" if transform.kind in ("step", "half-step") else "unit-interval")
 
 
 def outputs_matrix(pool, points) -> LossMatrix:
     """Raw outputs h_j(x_i) over the pool (used for covers of the class itself)."""
     pts = np.asarray(points, dtype=np.float64)
-    # filled a column at a time, so no second copy of the matrix is held
     out = np.empty((pts.shape[0], len(pool)))
     for j, h in enumerate(pool):
         out[:, j] = h.predict(pts)

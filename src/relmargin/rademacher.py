@@ -164,16 +164,23 @@ def _shell_rademacher_values(matrix: LossMatrix, inner: str, n_sigma: int, rng) 
     return out
 
 
+def _inner_method(inner: str, m: int) -> str:
+    """The inner Rademacher estimator for samples of size m: ``auto`` is exact
+    enumeration up to EXACT_ENUMERATION_MAX_M and Monte Carlo above it."""
+    if inner == "auto":
+        return "exact" if m <= EXACT_ENUMERATION_MAX_M else "mc"
+    if inner not in ("exact", "mc"):
+        raise InputError(f"inner must be 'auto', 'exact' or 'mc', got {inner!r}")
+    if inner == "exact" and m > EXACT_ENUMERATION_MAX_M:
+        raise CapabilityError(f"exact inner enumeration is capped at m = {EXACT_ENUMERATION_MAX_M}")
+    return inner
+
+
 def peeling_exponents(matrix: LossMatrix, inner: str = "auto", n_sigma: int = 1024, rng=None) -> np.ndarray:
     """Per-shell exponents m^2 * Rhat_k^2 / 2^{k+5} for one sample matrix."""
     if matrix.values.min() < 0.0 or matrix.values.max() > 1.0:
         raise InputError("peeling requires entries in [0, 1]")
-    if inner == "auto":
-        inner = "exact" if matrix.m <= EXACT_ENUMERATION_MAX_M else "mc"
-    if inner == "exact" and matrix.m > EXACT_ENUMERATION_MAX_M:
-        raise CapabilityError(
-            f"exact inner enumeration is capped at m = {EXACT_ENUMERATION_MAX_M}"
-        )
+    inner = _inner_method(inner, matrix.m)
     if inner == "mc" and rng is None:
         raise InputError("monte-carlo inner estimation needs a generator")
     rhat = _shell_rademacher_values(matrix, inner, n_sigma, rng)
@@ -184,17 +191,21 @@ def peeling_exponents(matrix: LossMatrix, inner: str = "auto", n_sigma: int = 10
 def peeling_complexity_for_matrices(
     matrices, inner: str = "auto", n_sigma: int = 1024, seed: int = 0
 ) -> ComplexityEstimate:
-    """Peeling complexity treating the given matrices as the outer sample set."""
-    matrices = list(matrices)
-    if len(matrices) < 1:
-        raise InputError("need at least one sample matrix")
-    m = matrices[0].m
-    if any(mat.m != m for mat in matrices):
-        raise InputError("all sample matrices must share the same m")
+    """Peeling complexity treating the given matrices as the outer sample set.
+
+    ``matrices`` may be any iterable; each matrix is used as it arrives and
+    then dropped, so a generator keeps one sample matrix alive at a time."""
     rows = []
+    m = None
     for t, mat in enumerate(matrices):
-        rng = substream(seed, "inner", t)
-        rows.append(peeling_exponents(mat, inner=inner, n_sigma=n_sigma, rng=rng))
+        if m is None:
+            m, inner = mat.m, _inner_method(inner, mat.m)
+        elif mat.m != m:
+            raise InputError("all sample matrices must share the same m")
+        rows.append(peeling_exponents(mat, inner=inner, n_sigma=n_sigma, rng=substream(seed, "inner", t)))
+        del mat  # before the iterable builds the next one
+    if not rows:
+        raise InputError("need at least one sample matrix")
     exponents = np.stack(rows, axis=0)  # (trials, shells)
     n = exponents.shape[0]
     per_k = logsumexp(exponents, axis=0) - math.log(n)
@@ -205,20 +216,16 @@ def peeling_complexity_for_matrices(
     w = np.exp(e - e.max())
     wbar = float(w.mean())
     stderr = float(w.std(ddof=1) / (wbar * math.sqrt(n))) if n > 1 else 0.0
-    used_inner = (
-        "exact" if (inner == "exact" or (inner == "auto" and m <= EXACT_ENUMERATION_MAX_M)) else "mc"
-    )
-    trial_counts = (n, int(n_sigma)) if used_inner == "mc" else (n,)
     return ComplexityEstimate(
         value=value,
         method="monte-carlo",
-        trials=trial_counts,
+        trials=(n, int(n_sigma)) if inner == "mc" else (n,),
         seed=int(seed),
         stderr=stderr,
         details={
             "per_shell": {int(k): float(v) for k, v in enumerate(per_k)},
             "arg_shell": k_star,
-            "inner": used_inner,
+            "inner": inner,
             "m": m,
         },
     )
@@ -234,13 +241,14 @@ def peeling_complexity(
     """Estimate the peeling-based complexity by outer Monte Carlo over samples.
 
     ``class_sampler(sample_seed)`` must return the pool's LossMatrix on a
-    fresh size-m sample.  The result is a plug-in estimate and is always
+    fresh size-m sample; the samples are drawn one at a time, as the
+    estimate uses them.  The result is a plug-in estimate and is always
     flagged monte-carlo, never certified.
     """
     if outer_trials < 2:
         raise InputError("peeling_complexity needs outer_trials >= 2")
-    matrices = [class_sampler(child_seed(seed, "outer", t)) for t in range(int(outer_trials))]
-    return peeling_complexity_for_matrices(matrices, inner=inner, n_sigma=n_sigma, seed=seed)
+    samples = (class_sampler(child_seed(seed, "outer", t)) for t in range(int(outer_trials)))
+    return peeling_complexity_for_matrices(samples, inner=inner, n_sigma=n_sigma, seed=seed)
 
 
 def rm_upper_dichotomy(class_sampler, trials: int, seed: int = 0) -> ComplexityEstimate:

@@ -87,6 +87,8 @@ def _positive(key: str, value) -> None:
 
 # least acceptance probability of MarginSeparable's rejection loop
 _ACCEPT_FLOOR = 1e-6
+# most rows a later pass of that loop draws at once
+_PASS_ROWS = 1 << 21
 
 
 def _clip_to_ball(x: np.ndarray, radius: float) -> np.ndarray:
@@ -176,9 +178,7 @@ class MarginSeparable:
         _at_least("gap", self.gap, 0)
         if not (0 <= self.noise_rate <= 1):
             raise InputError(f"distribution.noise_rate must lie in [0, 1], got {self.noise_rate!r}")
-        # the rejection loop accepts a point with probability at most
-        # P(|N(0, sigma^2)| >= gap), since clipping only shrinks |x1|
-        accept = math.erfc(self.gap / (self.sigma * math.sqrt(2.0)))
+        accept = self.acceptance
         if accept < _ACCEPT_FLOOR:
             raise InputError(
                 f"distribution.gap = {self.gap!r} lets the sampler accept at most {accept:.3g} of its"
@@ -199,22 +199,35 @@ class MarginSeparable:
         )
 
     @property
+    def acceptance(self) -> float:
+        """P(|N(0, sigma^2)| >= gap): the rejection loop accepts a point with
+        at most this probability, since clipping only shrinks |x1|."""
+        return math.erfc(self.gap / (self.sigma * math.sqrt(2.0)))
+
+    @property
     def planted(self) -> LinearHypothesis:
         w = np.zeros(self.dim)
         w[0] = 1.0
         return LinearHypothesis(w)
 
+    def _accepted(self, batch: np.ndarray) -> np.ndarray:
+        """The rows of sigma * batch, clipped, whose |x1| reaches the gap."""
+        # clip before the acceptance test so the planted margin survives
+        batch = _clip_to_ball(batch * self.sigma, self.radius)
+        return batch[np.abs(batch[:, 0]) >= self.gap]
+
     def sample(self, m: int, rng: np.random.Generator):
-        rows = []
-        got = 0
+        rows = [self._accepted(rng.standard_normal((max(2 * m, 16), self.dim)))]
+        got = rows[0].shape[0]
         while got < m:
-            batch = rng.standard_normal((max(2 * (m - got), 16), self.dim)) * self.sigma
-            # clip before the acceptance test so the planted margin survives
-            batch = _clip_to_ball(batch, self.radius)
-            keep = np.abs(batch[:, 0]) >= self.gap
-            batch = batch[keep]
-            rows.append(batch)
-            got += batch.shape[0]
+            # a later pass expects to accept twice the points still missing;
+            # it draws x1 alone, and the other coordinates only where x1
+            # passes, since clipping only shrinks |x1|
+            size = max(min(math.ceil(2 * (m - got) / self.acceptance), _PASS_ROWS), 16)
+            first = rng.standard_normal(size)
+            first = first[np.abs(first) * self.sigma >= self.gap]
+            rows.append(self._accepted(np.column_stack([first, rng.standard_normal((first.size, self.dim - 1))])))
+            got += rows[-1].shape[0]
         x = np.concatenate(rows, axis=0)[:m]
         y = np.where(x[:, 0] >= 0, 1.0, -1.0)
         if self.noise_rate > 0:

@@ -21,10 +21,10 @@ import numpy as np
 from scipy.stats import beta as beta_dist
 
 from . import __version__ as _pkg_version
-from .bounds import BoundParams, cov_alpha2_value, cov_alpha_value, cov_fat_value, rad_value
+from .bounds import BoundParams, cov_alpha2_value, cov_alpha_value, cov_fat_dimension, cov_fat_value, rad_value
 from .errors import InputError, _choice, _count, _dataclass_keys, _mapping, _number, _options
 from .estimates import ComplexityEstimate
-from .fatdim import FatDimParams, fat_dim_formula
+from .fatdim import FatDimParams
 from .hypotheses import LinearHypothesis, truncate
 from .lossmatrix import LossMatrix, outputs_matrix, transform_matrix
 from .covers import covering_number_linf
@@ -208,7 +208,7 @@ def _estimate_peeling(cfg, dist, pool) -> ComplexityEstimate:
 
 def _estimate_fat_dimension(cfg, dist, pool) -> ComplexityEstimate:
     radius = float(getattr(dist, "radius"))
-    d = max(1.0, fat_dim_formula(FatDimParams(kind="linear", radius=radius, rho=cfg.params.rho)))
+    d = cov_fat_dimension(FatDimParams(kind="linear", radius=radius, rho=cfg.params.rho))
     return ComplexityEstimate(value=d, method="formula", details={"class": "linear", "radius": radius})
 
 

@@ -262,3 +262,114 @@ def two_gaussian_sample_oracle(dist, m: int, rng):
     x = rng.standard_normal((m, dist.dim)) * dist.sigma
     x[:, 0] += y * dist.separation
     return clip_to_ball_oracle(x, dist.radius), y
+
+
+def margin_separable_sample_oracle(dist, m: int, rng):
+    """``MarginSeparable.sample`` as first written: every pass draws
+    max(2 (m - got), 16) whole rows, clips them all, then keeps those with
+    |x1| >= gap."""
+    import numpy as np
+
+    rows, got = [], 0
+    while got < m:
+        batch = clip_to_ball_oracle(rng.standard_normal((max(2 * (m - got), 16), dist.dim)) * dist.sigma, dist.radius)
+        batch = batch[np.abs(batch[:, 0]) >= dist.gap]
+        rows.append(batch)
+        got += batch.shape[0]
+    x = np.concatenate(rows, axis=0)[:m]
+    y = np.where(x[:, 0] >= 0, 1.0, -1.0)
+    if dist.noise_rate > 0:
+        y = np.where(rng.random(m) < dist.noise_rate, -y, y)
+    return x, y
+
+
+# ---------------------------------------------------------------------------
+# bound formulas as the report builders once wrote them inline, each family
+# on its own; ``relmargin.bounds`` now holds one ``*_value`` per family, and
+# these copies hold it to the same floats.  ``solve`` is the fixed-point
+# solver the builders called (``relmargin.solve_relative``).
+
+
+def rad_oracle(emp: float, rm: float, m: int, delta: float, alpha: float):
+    """rad's explicit value and budget."""
+    import numpy as np
+
+    budget = (rm + math.log(math.log(m)) + math.log(16.0 / delta)) / m
+    inv = 1.0 / alpha
+    deviation = 32.0 * np.power(emp, inv) * np.power(budget, 1.0 - inv) + (
+        2.0 * 32.0 ** (alpha / (alpha - 1.0))
+    ) * budget
+    return emp + deviation, budget
+
+
+def rad_implicit_oracle(emp: float, rm: float, m: int, delta: float, alpha: float, solve):
+    """rad's implicit value (coefficient 16 sqrt(2)) and its coefficient."""
+    budget = (rm + math.log(math.log(m)) + math.log(16.0 / delta)) / m
+    coeff = 16.0 * math.sqrt(2.0) * budget ** (1.0 - 1.0 / alpha)
+    return solve(emp, coeff, alpha), coeff
+
+
+def rad_all_alpha_oracle(emp: float, rm: float, m: int, delta: float, grid, solve):
+    """rad-all-alpha's per-alpha values (coefficient 32 sqrt(2)), best alpha
+    and value."""
+    budget = (rm + math.log(math.log(m)) + math.log(16.0 / delta)) / m
+    per_alpha = {}
+    for a in grid:
+        coeff = 32.0 * math.sqrt(2.0) * budget ** (1.0 - 1.0 / a)
+        per_alpha[a] = solve(emp, coeff, a)
+    best_alpha = min(per_alpha, key=per_alpha.get)
+    return per_alpha, best_alpha, per_alpha[best_alpha]
+
+
+def rad_smooth_oracle(emp: float, cap: float, m: int, delta: float, alpha: float):
+    """rad-smooth's value and beta, for the smoothed-loss cap ``cap``."""
+    complexity_part = cap / m
+    confidence_part = (math.log(math.log(m)) + math.log(16.0 / delta)) / m
+    beta = complexity_part + confidence_part
+    inv = 1.0 / alpha
+    raw = emp + (
+        32.0 * math.sqrt(2.0) * emp**inv * beta ** (1.0 - inv)
+        + 2.0 * 32.0 ** (alpha / (alpha - 1.0)) * beta
+    )
+    return raw, beta
+
+
+def unbounded_oracle(emp_loss, moment, log_n, m, delta, alpha, rho, addend=0.0):
+    """(eps_hat, gamma, value) of the finite-moment bound, or None where
+    eps_hat > 1 (the bound does not apply)."""
+    from relmargin import gamma_factor
+
+    numerator = log_n + math.log(1.0 / delta) + addend
+    eps_hat = math.sqrt(numerator / m ** (2.0 * (alpha - 1.0) / alpha))
+    if eps_hat > 1.0:
+        return None
+    if eps_hat == 0.0:
+        return 0.0, None, emp_loss + rho
+    gamma = gamma_factor(alpha, eps_hat, 0.0)
+    deviation = gamma * moment ** (1.0 / alpha) * eps_hat
+    return eps_hat, gamma, emp_loss + deviation + rho
+
+
+def compare_tightness_row_oracle(class_params, m: int, rho: float, emp: float, delta: float, c_prime: float):
+    """One class-mode ``compare`` row: the cov-fat dimension and cover term
+    beta = beta', the new form emp + 2 sqrt(emp beta) + beta and the old
+    form c' sqrt(beta)."""
+    from dataclasses import replace
+
+    from relmargin.fatdim import cover_log_bound_from_fat, fat_dim_formula
+
+    d = max(1.0, fat_dim_formula(replace(class_params, rho=rho)))
+    beta = (cover_log_bound_from_fat(d, m) + math.log(1.0 / delta)) / m
+    new_bound = emp + 2.0 * math.sqrt(emp * beta) + beta
+    old_bound = c_prime * math.sqrt(beta)
+    return {
+        "emp": emp,
+        "beta": beta,
+        "beta_prime": beta,
+        "new_bound": new_bound,
+        "old_bound": old_bound,
+        "new_smaller": new_bound < old_bound,
+        "m": m,
+        "rho": rho,
+        "fat_dimension": d,
+    }

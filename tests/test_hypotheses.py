@@ -137,3 +137,15 @@ def test_hypothesis_json_round_trip():
         back = hypothesis_from_json(data)
         probe = x1 if h.kind == "table" else x
         assert back.predict(probe) == pytest.approx(h.predict(probe))
+
+
+def test_hypothesis_json_defaults_are_the_dataclass_defaults():
+    linear = hypothesis_from_json({"kind": "linear", "w": [3.0, 4.0]})
+    assert linear.norm_cap == 1.0 and linear.w.tolist() == pytest.approx([0.6, 0.8])
+    assert hypothesis_from_json({"kind": "stump", "feature": 1, "threshold": 0.5}).polarity == 1
+    net = hypothesis_from_json({"kind": "ffnn", "layers": [[[1.0, 2.0, 0.5]]]})
+    assert (net.activation, net.row_cap) == ("tanh", 10.0)
+    with pytest.raises(InputError, match=r"missing linear hypothesis keys \['w'\]"):
+        hypothesis_from_json({"kind": "linear", "norm_cap": 2.0})
+    with pytest.raises(InputError, match="unknown hypothesis kind 'cubic'"):
+        hypothesis_from_json({"kind": "cubic"})

@@ -6,10 +6,13 @@ import pytest
 from relmargin import (
     InputError,
     LabeledSample,
+    LinearHypothesis,
     LossMatrix,
     TableHypothesis,
     count_dichotomies,
+    margins,
     peel,
+    ramp,
     step,
     transform_matrix,
 )
@@ -143,6 +146,14 @@ def test_transform_matrix_tags_and_values():
     assert mat.range_tag == "binary"
     assert mat.values[:, 0] == pytest.approx([0.0, 1.0, 1.0])
     assert mat.values[:, 1] == pytest.approx([1.0, 0.0, 1.0])
+    assert transform_matrix(pool, sample, ramp(0.5)).range_tag == "unit-interval"
+    # the columns, each the transform of one member's margins
+    rng = np.random.default_rng(8)
+    sample = LabeledSample(points=rng.standard_normal((40, 3)), labels=np.where(rng.random(40) < 0.5, -1.0, 1.0))
+    pool = [LinearHypothesis(w) for w in rng.standard_normal((7, 3))]
+    for transform in (step(0.3), ramp(0.3)):
+        want = np.stack([transform(margins(h, sample)) for h in pool], axis=1)
+        assert np.array_equal(transform_matrix(pool, sample, transform).values, want)
 
 
 def test_csv_and_json_round_trip():

@@ -237,6 +237,45 @@ def test_peeling_complexity_sampler_interface():
         peeling_complexity(sampler, outer_trials=1, n_sigma=64, seed=5)
 
 
+def test_peeling_takes_one_sample_at_a_time():
+    """The campaign's peeling estimate holds one sample matrix at a time, so
+    its tracemalloc peak with 8 outer draws stays near that with 2."""
+    import json
+    import tracemalloc
+    from pathlib import Path
+
+    from relmargin.validation import ExperimentConfig, _build_pool, _estimate_peeling
+
+    data = json.loads((Path(__file__).parent.parent / "configs/reference-campaign.json").read_text())
+    data["params"]["m"] = 2000
+    peaks = []
+    for draws in (2, 8):
+        data["complexity"].update(peel_draws=draws, n_sigma=64)
+        cfg = ExperimentConfig.from_json(data)
+        pool = _build_pool(cfg, cfg.distribution)
+        tracemalloc.start()
+        try:
+            _estimate_peeling(cfg, cfg.distribution, pool)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0]
+
+
+def test_peeling_for_matrices_takes_any_iterable():
+    rng = np.random.default_rng(9)
+    mats = [LossMatrix(rng.random((30, 5)) < 0.3, "binary") for _ in range(3)]
+    listed = peeling_complexity_for_matrices(mats, n_sigma=64, seed=2)
+    assert peeling_complexity_for_matrices(iter(mats), n_sigma=64, seed=2) == listed
+    assert listed.details["inner"] == "mc" and listed.trials == (3, 64)
+    with pytest.raises(InputError, match="share the same m"):
+        peeling_complexity_for_matrices(mats + [LossMatrix(np.zeros((31, 5)), "binary")], n_sigma=64)
+    with pytest.raises(InputError, match="at least one"):
+        peeling_complexity_for_matrices(iter(()))
+    with pytest.raises(InputError, match="inner must be"):
+        peeling_complexity_for_matrices(mats, inner="fast")
+
+
 # ---------------------------------------------------------------------------
 # upper bounds
 

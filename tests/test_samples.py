@@ -186,3 +186,28 @@ def test_two_gaussian_sample_is_the_original_draw(dim):
                 assert np.array_equal(x, x0) and np.array_equal(y, y0)
                 # the state holds small uint64 arrays, which repr in full
                 assert repr(a.bit_generator.state) == repr(b.bit_generator.state)
+
+
+def test_margin_separable_first_pass_is_the_original_draw():
+    from relmargin.rng import substream
+
+    from oracles import margin_separable_sample_oracle
+
+    dists = (MarginSeparable(), MarginSeparable(dim=4, gap=0.5, noise_rate=0.1), MarginSeparable(dim=1, radius=0.6))
+    for dist in dists:
+        for seed in range(4):
+            for m in (1, 7, 200):
+                a, b = substream(seed, "sample", m), substream(seed, "sample", m)
+                x, y = dist.sample(m, a)
+                x0, y0 = margin_separable_sample_oracle(dist, m, b)
+                assert np.array_equal(x, x0) and np.array_equal(y, y0)
+                assert repr(a.bit_generator.state) == repr(b.bit_generator.state)
+
+
+def test_margin_separable_near_the_gap_floor_is_quick():
+    import time
+
+    start = time.perf_counter()
+    sample = generate(make_distribution({"kind": "margin-separable-with-noise", "gap": 4.8}), 10, 1)
+    assert time.perf_counter() - start < 1.0
+    assert sample.m == 10 and np.all(np.abs(sample.points[:, 0]) >= 4.8)
