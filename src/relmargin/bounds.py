@@ -370,12 +370,20 @@ def _peeling_confidence(params: BoundParams) -> tuple[float, float]:
     return math.log(math.log(params.m)), math.log(16.0 / params.delta)
 
 
+def _nonnegative_budget(name: str, value: float) -> float:
+    """A peeling budget, which the closed form raises to 1 - 1/alpha; a
+    large delta makes log(16/delta), and with it the budget, negative."""
+    if value < 0:
+        raise DomainError(f"the peeling budget {name} = {value!r} is negative: delta is too large")
+    return value
+
+
 def rad_budget(rm_value: float, params: BoundParams) -> float:
     """B = (rm + log log m + log(16/delta)) / m; needs m >= 3."""
     loglog, confidence = _peeling_confidence(params)
     if rm_value < 0:
         raise InputError("the complexity value must be nonnegative")
-    return (rm_value + loglog + confidence) / params.m
+    return _nonnegative_budget("B = (rm + log log m + log(16/delta)) / m", (rm_value + loglog + confidence) / params.m)
 
 
 def _peeling_closed_form(emp, budget: float, alpha: float, lead: float, power):
@@ -460,7 +468,7 @@ def rad_smooth_value(emp, rmax: float, params: BoundParams):
     cap = rm_upper_smooth(params.rho, params.m, rmax)
     complexity_part = cap / params.m
     confidence_part = (loglog + confidence) / params.m
-    beta = complexity_part + confidence_part
+    beta = _nonnegative_budget("beta = cap/m + (log log m + log(16/delta))/m", complexity_part + confidence_part)
     value = _peeling_closed_form(emp, beta, params.alpha, 32.0 * math.sqrt(2.0), _libm_power)
     return value, {
         "beta": beta,

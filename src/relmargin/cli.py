@@ -438,7 +438,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         help="worker threads (default 1); they never change the report bytes. On a 2-core"
-        " machine two threads slowed a campaign at m = 200 and sped one up at m = 10^5",
+        " machine two threads ran a campaign at m = 200 about as fast as one, and sped one up"
+        " at m = 10^5",
     )
     _add_common_output(v)
     v.set_defaults(func=_cmd_validate)

@@ -92,16 +92,21 @@ _PASS_ROWS = 1 << 21
 
 
 def _clip_to_ball(x: np.ndarray, radius: float) -> np.ndarray:
-    """Scale each row of x whose norm exceeds radius back onto the sphere.
+    """Scale each point of x whose norm exceeds radius back onto the sphere.
 
-    The other rows are multiplied by exactly 1.0, so x itself is returned
-    when no row can reach the radius: when max |x_ij| * sqrt(dim), which
-    bounds every row norm, stays below it with room for rounding."""
-    if max(x.max(initial=0.0), -x.min(initial=0.0)) * math.sqrt(x.shape[1]) <= radius * (1.0 - 1e-9):
-        return x
-    norms = np.linalg.norm(x, axis=1)
-    scale = np.where(norms > radius, radius / np.maximum(norms, 1e-300), 1.0)
-    return x * scale[:, None]
+    x is one sample (m x dim) or a block of samples (n x m x dim).  The
+    other points of a sample are multiplied by exactly 1.0, so a sample is
+    left as it is when no point can reach the radius: when max |x_ij| *
+    sqrt(dim), which bounds every norm, stays below it with room for
+    rounding.  The clipped samples are scaled in place, and x is returned."""
+    samples = x if x.ndim == 3 else x[None]
+    reach = np.maximum(samples.max(axis=(1, 2), initial=0.0), -samples.min(axis=(1, 2), initial=0.0))
+    clip = np.flatnonzero(reach * math.sqrt(x.shape[-1]) > radius * (1.0 - 1e-9))
+    some = samples[clip]
+    norms = np.linalg.norm(some, axis=2)
+    some *= np.where(norms > radius, radius / np.maximum(norms, 1e-300), 1.0)[..., None]
+    samples[clip] = some
+    return x
 
 
 @dataclass(frozen=True)
@@ -141,10 +146,22 @@ class TwoGaussianMixture:
         )
 
     def sample(self, m: int, rng: np.random.Generator):
-        y = rng.integers(0, 2, size=m) * 2.0 - 1.0
-        x = rng.standard_normal((m, self.dim))
+        x, y = self.sample_many(m, (rng,))
+        return x[0], y[0]
+
+    def sample_many(self, m: int, rngs):
+        """One sample of m points from each generator of the sized iterable
+        ``rngs``: x is n x m x dim, y is n x m.  Each generator draws its
+        labels, then its normals; the scaling, the shift and the clip are
+        done once for the whole block."""
+        x = np.empty((len(rngs), m, self.dim))
+        y = np.empty((len(rngs), m), dtype=np.int64)
+        for b, rng in enumerate(rngs):
+            y[b] = rng.integers(0, 2, size=m)
+            rng.standard_normal(out=x[b])
+        y = y * 2.0 - 1.0
         x *= self.sigma
-        x[:, 0] += y * self.separation
+        x[..., 0] += y * self.separation
         return _clip_to_ball(x, self.radius), y
 
     def analytic_risk(self, h: LinearHypothesis) -> float:
@@ -234,6 +251,12 @@ class MarginSeparable:
             flips = rng.random(m) < self.noise_rate
             y = np.where(flips, -y, y)
         return x, y
+
+    def sample_many(self, m: int, rngs):
+        """``sample`` from each generator of ``rngs``, stacked: x is
+        n x m x dim, y is n x m.  The rejection loop runs per stream."""
+        draws = [self.sample(m, rng) for rng in rngs]
+        return np.stack([x for x, _ in draws]), np.stack([y for _, y in draws])
 
 
 # kind -> distribution; its dataclass fields are its options

@@ -6,9 +6,14 @@ exceeds its bound (the uniform event a uniform-convergence guarantee
 protects against).  Complexity inputs are estimated once per estimator
 from their own substreams (families that share an estimator share its
 value).  Each trial then draws from its own substream into one row of a
-(trials x pool) matrix of empirical terms; only these draws run on
-threads.  Judging is one array call per family on the whole matrix, so
-the report is reproducible bit-for-bit at any thread count.
+(trials x pool) matrix of empirical terms.  A uniform-pool campaign draws
+its trials in blocks of max(1, 2**13 // m): one ``substreams`` key pass,
+one ``sample_many`` transform and one margin-count product per block, with
+every trial's numbers taken from its own stream in the same order as a
+lone draw would take them.  A trained campaign draws trial by trial.  Only
+these draws (blocks, or trials) run on threads.  Judging is one array call
+per family on the whole matrix, so the report is reproducible bit-for-bit
+at any thread count.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from .hypotheses import LinearHypothesis, truncate
 from .lossmatrix import LossMatrix, outputs_matrix, transform_matrix
 from .covers import covering_number_linf
 from .rademacher import peeling_complexity
-from .rng import child_seed, substream
+from .rng import child_seed, substream, substreams
 from .samples import DISTRIBUTIONS, LabeledSample, analytic_risk, make_distribution
 from .training import METHODS
 from .transforms import holdout_error_rate, step
@@ -47,6 +52,8 @@ _COMPLEXITY_DEFAULTS = {
 _COMPLEXITY_LEAST = {"cover_draws": 1, "peel_draws": 2, "n_sigma": 1, "exact_cap": 1}
 # holdout size of each campaign mode when risk.n is not given
 _RISK_N = {"uniform-pool": 10**6, "trained": 10**5}
+# points per block of uniform-pool trials: a block holds max(1, _BLOCK_ROWS // m) trials
+_BLOCK_ROWS = 2**13
 
 
 @dataclass(frozen=True)
@@ -232,10 +239,13 @@ def family_bound_values(family: str, emp: np.ndarray, complexity_value: float, p
 
 
 def _margin_counts(w_stack: np.ndarray, x: np.ndarray, y: np.ndarray, rho: float) -> np.ndarray:
-    """For each pool member (row of ``w_stack``), the number of points with
-    margin y w.x < rho.  The product is pool x m, so each count runs along
-    one contiguous row."""
-    return np.count_nonzero(w_stack @ (x * y[:, None]).T < rho, axis=1)
+    """For each sample of the block (x is n x m x dim, y is n x m) and each
+    pool member (row of ``w_stack``), the number of points with margin
+    y w.x < rho; n x pool.  One product, pool x (n m), covers the block, so
+    each count runs along a contiguous stretch of a row."""
+    n, m, dim = x.shape
+    below = w_stack @ (x * y[..., None]).reshape(n * m, dim).T < rho
+    return below.reshape(len(w_stack), n, m).sum(axis=2, dtype=np.int32).T
 
 
 def validate_bounds(cfg: ExperimentConfig, threads: int = 1) -> ValidityReport:
@@ -255,10 +265,13 @@ def validate_bounds(cfg: ExperimentConfig, threads: int = 1) -> ValidityReport:
         w_stack = np.stack([h.w for h in pool], axis=0)
         risks = _true_risks(cfg, dist, pool, lambda x: x @ w_stack.T, "risk")[None, :]
         emp = np.empty((cfg.trials, len(pool)))
+        block = max(1, _BLOCK_ROWS // p.m)
+        jobs = range(0, cfg.trials, block)
 
-        def draw(t: int) -> None:
-            x, y = dist.sample(p.m, substream(cfg.seed, "trial", t))
-            emp[t] = _margin_counts(w_stack, x, y, p.rho) / p.m
+        def draw(lo: int) -> None:
+            hi = min(lo + block, cfg.trials)
+            x, y = dist.sample_many(p.m, substreams(cfg.seed, "trial", indices=range(lo, hi)))
+            emp[lo:hi] = _margin_counts(w_stack, x, y, p.rho) / p.m
 
     else:
         options = dict(cfg.trainer)
@@ -273,11 +286,13 @@ def validate_bounds(cfg: ExperimentConfig, threads: int = 1) -> ValidityReport:
             emp[t] = (y * h.predict(x) < p.rho).mean()
             risks[t] = _true_risks(cfg, dist, [h], h.predict, "trial-risk", t)
 
+        jobs = range(cfg.trials)
+
     if threads > 1:
         with ThreadPoolExecutor(max_workers=int(threads)) as pool_exec:
-            list(pool_exec.map(draw, range(cfg.trials)))
+            list(pool_exec.map(draw, jobs))
     else:
-        list(map(draw, range(cfg.trials)))
+        list(map(draw, jobs))
 
     families_out = {}
     rows = []

@@ -682,3 +682,19 @@ def test_unknown_family_or_op_exits_2(capsys, argv):
         main(argv)
     assert exc.value.code == 2
     assert "invalid choice" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv,budget",
+    [
+        (["--family", "rad", "--emp", "0.1", "--rm", "0", "--m", "1000"], "B = (rm + log log m + log(16/delta)) / m"),
+        (["--family", "rad-all-alpha", "--emp", "0.1", "--rm", "0", "--m", "1000", "--alpha-grid", "1.5"],
+         "B = (rm + log log m + log(16/delta)) / m"),
+        (["--family", "rad-smooth", "--emp", "0.1", "--rmax", "1e-9", "--m", "1000000"],
+         "beta = cap/m + (log log m + log(16/delta))/m"),
+    ],
+)
+def test_peeling_families_reject_a_negative_budget(capsys, argv, budget):
+    assert main(["bound", *argv, "--delta", "1e6"]) == 2
+    err = capsys.readouterr().err
+    assert f"the peeling budget {budget} = -" in err and "is negative" in err and "Traceback" not in err

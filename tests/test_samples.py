@@ -188,6 +188,39 @@ def test_two_gaussian_sample_is_the_original_draw(dim):
                 assert repr(a.bit_generator.state) == repr(b.bit_generator.state)
 
 
+@pytest.mark.parametrize("dim,radius,m", [(1, 3.1, 40), (4, 3.5, 5)])
+def test_two_gaussian_sample_many_is_the_per_stream_draw(dim, radius, m):
+    from relmargin.rng import substream, substreams
+
+    from oracles import two_gaussian_sample_oracle
+
+    # at this radius some of the 40 trials clip a point and the others do
+    # not: in dim 1 they pass the skip test, in dim 4 some pass it and the
+    # rest scale every point by exactly 1.0
+    for dist in (TwoGaussianMixture(dim=dim), TwoGaussianMixture(dim=dim, radius=radius)):
+        for seed, m_, n in ((0, m, 40), (5, 1, 3), (9, 7, 1)):
+            x, y = dist.sample_many(m_, substreams(seed, "trial", indices=range(3, 3 + n)))
+            assert x.shape == (n, m_, dim) and y.shape == (n, m_)
+            clipped = 0
+            for b in range(n):
+                x0, y0 = two_gaussian_sample_oracle(dist, m_, substream(seed, "trial", 3 + b))
+                assert np.array_equal(x[b], x0) and np.array_equal(y[b], y0)
+                clipped += bool(np.any(np.linalg.norm(x0, axis=1) > radius * (1 - 1e-12)))
+            if dist.radius == radius and n == 40:
+                assert 5 <= clipped <= 35
+
+
+def test_margin_separable_sample_many_stacks_its_samples():
+    from relmargin.rng import substream, substreams
+
+    for dist in (MarginSeparable(dim=3, noise_rate=0.2), MarginSeparable(dim=1, gap=1.0, radius=1.5)):
+        x, y = dist.sample_many(30, substreams(4, "trial", indices=range(6)))
+        assert x.shape == (6, 30, dist.dim) and y.shape == (6, 30)
+        for t in range(6):
+            x0, y0 = dist.sample(30, substream(4, "trial", t))
+            assert np.array_equal(x[t], x0) and np.array_equal(y[t], y0)
+
+
 def test_margin_separable_first_pass_is_the_original_draw():
     from relmargin.rng import substream
 

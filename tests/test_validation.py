@@ -82,12 +82,15 @@ def test_campaign_reports_match_bound_functions():
 
 
 def test_campaign_deterministic_and_thread_invariant():
-    cfg = _config(trials=12)
-    a = validate_bounds(cfg, threads=1)
-    b = validate_bounds(cfg, threads=4)
-    assert canonical_json(a.to_json()) == canonical_json(b.to_json())
-    c = validate_bounds(_config(trials=12, seed=100))
-    assert canonical_json(a.to_json()) != canonical_json(c.to_json())
+    # blocks of 136 trials at m = 60 (one block), of 40 at m = 200 (40, 40
+    # and 20) and of one at m = 5000
+    for trials, m in ((12, 60), (100, 200), (5, 5000)):
+        cfg = _config(trials=trials, m=m)
+        a = validate_bounds(cfg, threads=1)
+        b = validate_bounds(cfg, threads=4)
+        assert canonical_json(a.to_json()) == canonical_json(b.to_json())
+        c = validate_bounds(_config(trials=trials, m=m, seed=100))
+        assert canonical_json(a.to_json()) != canonical_json(c.to_json())
 
 
 def test_campaign_environment_does_not_leak_thread_count():
@@ -156,17 +159,22 @@ def test_shared_cover_estimate_runs_once_and_keeps_bytes(monkeypatch):
         ("trained", {"trainer": {"method": "hinge-subgradient-linear", "steps": 100}}),
         ("trained", {"trainer": {"method": "hinge-subgradient-linear", "steps": 100},
                      "risk": {"mode": "holdout", "n": 5000}}),
+        # blocks of 40, 40 and 20 trials, and blocks of one
+        ("uniform-pool", {"trials": 100, "m": 200}),
+        ("uniform-pool", {"trials": 6, "m": 5000}),
     ],
 )
 def test_campaign_judge_matches_per_trial_oracle(monkeypatch, mode, extra, alpha):
     # m = 3000 puts most bounds below 1 at both alphas
     families = ("cov-alpha", "cov-alpha2", "rad") if alpha == 2.0 else ("cov-alpha", "rad")
+    extra = dict(extra)
+    m = extra.pop("m", 3000)
     cfg = _config(
-        trials=24 if mode == "uniform-pool" else 8,
+        trials=extra.pop("trials", 24 if mode == "uniform-pool" else 8),
         families=families,
-        m=3000,
+        m=m,
         mode=mode,
-        params={"m": 3000, "delta": 0.05, "alpha": alpha, "rho": 0.2},
+        params={"m": m, "delta": 0.05, "alpha": alpha, "rho": 0.2},
         complexity={"cover_draws": 2, "peel_draws": 2, "n_sigma": 64},
         **extra,
     )
@@ -174,6 +182,10 @@ def test_campaign_judge_matches_per_trial_oracle(monkeypatch, mode, extra, alpha
     families_out, rows = per_trial_campaign(cfg)
     assert report.families == families_out
     assert report.rows == tuple(rows)
+    if (m, alpha) == (200, 1.5):
+        # every bound is clamped at 1 there, so the judge's rows are all
+        # alike and no shift of the bounds can split the trials
+        return
     assert any(row[4] < 1.0 for row in rows if row[0] == "cov-alpha")
 
     # lowered just past the worst cov-alpha margin, bounds fail in some trials
@@ -202,4 +214,14 @@ def test_margin_counts_match_the_m_by_pool_count():
         margins = (y[:, None] * x) @ w_stack.T
         assert margins[0, 0] == rho
         want = np.count_nonzero(margins < rho, axis=0)
-        assert np.array_equal(validation._margin_counts(w_stack, x, y, rho), want)
+        assert np.array_equal(validation._margin_counts(w_stack, x[None], y[None], rho), want[None])
+        # the same sample in blocks of several trials, next to other samples
+        for n, at in ((2, 0), (3, 1), (5, 4)):
+            xs = rng.integers(-8, 9, size=(n, m, dim)) / 8.0
+            ys = np.where(rng.random((n, m)) < 0.5, -1.0, 1.0)
+            xs[at], ys[at] = x, y
+            counts = validation._margin_counts(w_stack, xs, ys, rho)
+            assert counts.shape == (n, pool) and np.array_equal(counts[at], want)
+            for b in range(n):
+                margins = (ys[b][:, None] * xs[b]) @ w_stack.T
+                assert np.array_equal(counts[b], np.count_nonzero(margins < rho, axis=0))
