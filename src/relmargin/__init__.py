@@ -45,7 +45,6 @@ from .hypotheses import (
     Hypothesis,
     LinearHypothesis,
     TableHypothesis,
-    TruncationSpec,
     hypothesis_from_json,
     margin,
     margins,

@@ -69,7 +69,6 @@ class BoundParams:
     delta: float
     alpha: float = 2.0
     rho: float = 1.0
-    tau: float = 0.0
     r: float | None = None
 
     def __post_init__(self):
@@ -81,8 +80,6 @@ class BoundParams:
             raise InputError("alpha must lie in (1, 2]")
         if not (0 < self.rho < math.inf):
             raise InputError(f"rho must be finite and positive, got {self.rho!r}")
-        if not (0 <= self.tau < math.inf):
-            raise InputError(f"tau must be finite and nonnegative, got {self.tau!r}")
         if self.r is not None and not (0 < self.r < math.inf):
             raise InputError(f"r must be finite and positive when provided, got {self.r!r}")
 
@@ -215,25 +212,20 @@ def explicit_lemma_d1(z: float, y: float, alpha: float) -> float:
         return math.inf
 
 
-def gamma_factor(alpha: float, eps: float, tau: float = 0.0) -> float:
-    """Moment-deviation factor
+def gamma_factor(alpha: float, eps: float) -> float:
+    """Moment-deviation factor at tau = 0,
 
-    (a-1)/a (1+tau)^{1/a}
-      + (1/a) q (1 + ((a-1)/a)^a tau^{1/a})^{1/a} (1 + log(1/eps)/q)^{(a-1)/a}
+    (a-1)/a + (1/a) q (1 + log(1/eps)/q)^{(a-1)/a}
 
-    with q = (a/(a-1))^{a-1}; decreasing in eps, equal to 1.5 at (2, 1, 0).
+    with q = (a/(a-1))^{a-1}; decreasing in eps, equal to 1.5 at (2, 1).
     """
     if not (1.0 < alpha <= 2.0):
         raise InputError("alpha must lie in (1, 2]")
     if not (0.0 < eps <= 1.0):
         raise InputError("eps must lie in (0, 1]")
-    if tau < 0:
-        raise InputError("tau must be nonnegative")
     q = (alpha / (alpha - 1.0)) ** (alpha - 1.0)
-    first = (alpha - 1.0) / alpha * (1.0 + tau) ** (1.0 / alpha)
-    inner = (1.0 + ((alpha - 1.0) / alpha) ** alpha * tau ** (1.0 / alpha)) ** (1.0 / alpha)
     bracket = (1.0 + math.log(1.0 / eps) / q) ** ((alpha - 1.0) / alpha)
-    return first + (1.0 / alpha) * q * inner * bracket
+    return (alpha - 1.0) / alpha + (1.0 / alpha) * q * bracket
 
 
 # ---------------------------------------------------------------------------
@@ -506,7 +498,7 @@ def unbounded_value(emp_loss, log_n: float, params: BoundParams, moment: float, 
     if eps_hat == 0.0:
         # degenerate zero-deviation edge; the factor multiplies zero
         return emp_loss + params.rho, {"eps_hat": 0.0, "gamma": None}
-    gamma = gamma_factor(a, eps_hat, 0.0)
+    gamma = gamma_factor(a, eps_hat)
     deviation = gamma * moment ** (1.0 / a) * eps_hat
     return emp_loss + deviation + params.rho, {"eps_hat": eps_hat, "gamma": gamma}
 

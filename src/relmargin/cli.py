@@ -133,15 +133,25 @@ _BOUND_FAMILIES = {
 }
 
 
+# the flags that some family reads and others do not; a family exits 2 when
+# it is given one it does not read.  --solver (root-find when omitted) is
+# read by the fixed-point cover families only.
+_FAMILY_INPUTS = ("emp_loss", "logN", "fat_d", "rm", "rmax", "moment", "alpha_grid", "rho_grid", "solver")
+_SOLVER_FAMILIES = ("cov-alpha", "cov-uniform-rho")
+
+
 def _cmd_bound(args) -> int:
-    params = BoundParams(
-        m=args.m, delta=args.delta, alpha=args.alpha, rho=args.rho, tau=args.tau, r=args.r
-    )
+    params = BoundParams(m=args.m, delta=args.delta, alpha=args.alpha, rho=args.rho, r=args.r)
     flags, call = _BOUND_FAMILIES[args.family]
+    reads = flags + (("solver",) if args.family in _SOLVER_FAMILIES else ())
+    unread = ["--" + f.replace("_", "-") for f in _FAMILY_INPUTS if getattr(args, f) is not None and f not in reads]
+    if unread:
+        raise InputError(f"family {args.family} does not read {', '.join(unread)}")
     _require(args, flags, f"family {args.family}")
     if "emp_loss" in flags and args.emp is not None:
         raise InputError(f"--emp does not apply to family {args.family}; give --emp-loss")
     args.emp = 0.0 if args.emp is None else args.emp
+    args.solver = args.solver or "root-find"
     report = call(args, params)
     if args.explain:
         data = report.to_json()
@@ -395,15 +405,14 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--delta", type=float, required=True)
     b.add_argument("--alpha", type=float, default=2.0)
     b.add_argument("--rho", type=float, default=1.0)
-    b.add_argument("--tau", type=float, default=0.0)
     b.add_argument("--r", type=float, default=None)
     b.add_argument("--alpha-grid", default=None)
     b.add_argument("--rho-grid", default=None)
     b.add_argument(
         "--solver",
         choices=("root-find", "lemma-D1"),
-        default="root-find",
-        help="how the fixed-point cover families resolve their implicit inequality",
+        default=None,
+        help="how cov-alpha and cov-uniform-rho resolve their implicit inequality (default root-find)",
     )
     b.add_argument("--explain", action="store_true", help="print the per-term breakdown to stderr")
     _add_common_output(b)

@@ -29,23 +29,24 @@ def _check(emp, beta) -> None:
         raise InputError("emp and beta must be nonnegative")
 
 
-def _row(emp: float, beta: float, new_bound: float, bp: float, c_prime: float) -> dict:
-    old_bound = c_prime * math.sqrt(bp)
+def _row(emp: float, beta: float, new_bound: float, c_prime: float) -> dict:
+    """One table row; the old form's beta' is beta, reported as ``beta_prime``."""
+    old_bound = c_prime * math.sqrt(beta)
     return {
         "emp": emp,
         "beta": beta,
-        "beta_prime": bp,
+        "beta_prime": beta,
         "new_bound": new_bound,
         "old_bound": old_bound,
         "new_smaller": bool(new_bound < old_bound),
     }
 
 
-def tightness_row(emp: float, beta: float, beta_prime: float | None = None, c_prime: float = 1.0) -> dict:
-    """Both forms at one (emp, beta); the new form is ``loss_factored_value``."""
+def tightness_row(emp: float, beta: float, *, c_prime: float = 1.0) -> dict:
+    """Both forms at one (emp, beta) with beta' = beta; the new form is
+    ``loss_factored_value``."""
     _check(emp, beta)
-    bp = beta if beta_prime is None else beta_prime
-    return _row(emp, beta, float(loss_factored_value(emp, beta)), bp, c_prime)
+    return _row(emp, beta, float(loss_factored_value(emp, beta)), c_prime)
 
 
 def compare_tightness_direct(emp_grid, beta_grid, c_prime: float = 1.0) -> dict:
@@ -84,7 +85,7 @@ def compare_tightness(
             )
             beta, d = terms["term"], terms["fat_dimension"]
             for emp, value in zip(emps, values.tolist()):
-                row = _row(emp, beta, value, beta, c_prime)
+                row = _row(emp, beta, value, c_prime)
                 row.update({"m": int(m), "rho": float(rho), "fat_dimension": d})
                 rows.append(row)
     return {

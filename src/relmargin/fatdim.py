@@ -92,12 +92,14 @@ def fat_dim_formula(params: FatDimParams) -> float:
     raise CapabilityError(f"no fat-shattering formula for kind {k!r}")
 
 
-def cover_log_bound_from_fat(d: float, m: int, c: float = FAT_COVER_CONSTANT) -> float:
-    """Cap on the log (base e) sup-distance cover: 1 + d log2(2 c^2 m) log2(2 c e m / d)."""
+def cover_log_bound_from_fat(d: float, m: int) -> float:
+    """Cap on the log (base e) sup-distance cover: 1 + d log2(2 c^2 m) log2(2 c e m / d)
+    with c = ``FAT_COVER_CONSTANT``."""
     if d < 1:
         raise InputError("dimension value must be at least 1")
     if m < 1:
         raise InputError("m must be at least 1")
+    c = FAT_COVER_CONSTANT
     arg = 2.0 * c * math.e * m / d
     if arg <= 1.0:
         raise DomainError("cover bound needs 2 c e m / d > 1")

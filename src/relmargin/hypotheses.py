@@ -9,6 +9,7 @@ construction so downstream formula code may assume them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,7 +24,6 @@ __all__ = [
     "FFNNHypothesis",
     "TableHypothesis",
     "TruncatedHypothesis",
-    "TruncationSpec",
     "truncate",
     "margin",
     "margins",
@@ -261,25 +261,17 @@ class TableHypothesis(Hypothesis):
 
 
 @dataclass(frozen=True)
-class TruncationSpec:
-    """Output clamp to [-rho, +rho]; identity on that interval."""
-
-    rho: float
-
-    def __post_init__(self):
-        if not (self.rho > 0):
-            raise InputError("truncation requires rho > 0")
-
-    def __call__(self, u):
-        return np.clip(u, -self.rho, self.rho)
-
-
-@dataclass(frozen=True)
 class TruncatedHypothesis(Hypothesis):
+    """The base hypothesis's outputs clamped to [-rho, +rho], rho finite and positive."""
+
     base: Hypothesis
     rho: float
 
     kind = "truncated"
+
+    def __post_init__(self):
+        if not (0 < self.rho < math.inf):
+            raise InputError(f"truncation rho must be finite and positive, got {self.rho!r}")
 
     def predict(self, x) -> np.ndarray:
         return np.clip(self.base.predict(x), -self.rho, self.rho)
@@ -288,16 +280,14 @@ class TruncatedHypothesis(Hypothesis):
         return {"kind": self.kind, "rho": self.rho, "base": self.base.to_json()}
 
 
-def truncate(h: Hypothesis, spec) -> TruncatedHypothesis:
+def truncate(h: Hypothesis, rho: float) -> TruncatedHypothesis:
     """Clamp a hypothesis's outputs to [-rho, rho].
 
     The clamp equals max(u, -rho) on u <= 0 and min(u, rho) on u >= 0, so it
     changes neither the binary loss 1[yh(x) <= 0] nor the margin loss
     1[yh(x) < rho].
     """
-    if not isinstance(spec, TruncationSpec):
-        spec = TruncationSpec(float(spec))
-    return TruncatedHypothesis(base=h, rho=spec.rho)
+    return TruncatedHypothesis(base=h, rho=float(rho))
 
 
 def margin(h: Hypothesis, point, label) -> float:

@@ -129,7 +129,7 @@ def _ramp_objective(signed_x, w, rho, lam):
     return r + (lam / rho) * np.sqrt(r)
 
 
-def ramp_descent(signed_x, w0, rho, lam, steps, step0=1.0):
+def ramp_descent(signed_x, w0, rho, lam, steps):
     """Projected subgradient descent on the ramp-loss + scaled-sqrt objective.
 
     ``signed_x`` holds rows ``y_i * x_i``.  Steps follow the fixed 1/sqrt(t)
@@ -137,7 +137,7 @@ def ramp_descent(signed_x, w0, rho, lam, steps, step0=1.0):
     the best-so-far point is returned with its objective.
     """
     signed_x = np.ascontiguousarray(signed_x, dtype=np.float64)
-    rho, lam, step0 = float(rho), float(lam), float(step0)
+    rho, lam = float(rho), float(lam)
     m = signed_x.shape[0]
     w = np.array(w0, dtype=np.float64)
     nrm = np.sqrt(w @ w)
@@ -153,7 +153,7 @@ def ramp_descent(signed_x, w0, rho, lam, steps, step0=1.0):
         grad = -signed_x[active].sum(axis=0) / (m * rho)
         if r > 0.0:
             grad = grad * (1.0 + lam / (rho * 2.0 * np.sqrt(r)))
-        w = w - (step0 / np.sqrt(t)) * grad
+        w = w - (1.0 / np.sqrt(t)) * grad
         nrm = np.sqrt(w @ w)
         if nrm > 1.0:
             w /= nrm

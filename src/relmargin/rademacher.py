@@ -27,7 +27,7 @@ from scipy.special import logsumexp
 from . import kernels
 from .errors import CapabilityError, DomainError, InputError
 from .estimates import ComplexityEstimate
-from .lossmatrix import LossMatrix, count_dichotomies, peel
+from .lossmatrix import LossMatrix, count_dichotomies, peel, shell_index
 from .covers import DEFAULT_EXACT_CAP, covering_number_l2
 from .rng import child_seed, substream
 
@@ -139,16 +139,12 @@ def rademacher_mc(matrix: LossMatrix, n_sigma: int, seed: int) -> ComplexityEsti
     )
 
 
-def _shell_count(m: int) -> int:
-    # column sums lie in [0, m], so k ranges over 0 .. floor(log2(m + 1))
-    return int(math.floor(math.log2(m + 1))) + 1
-
-
 def _shell_rademacher_values(matrix: LossMatrix, inner: str, n_sigma: int, rng) -> np.ndarray:
     """Rhat for every shell k of one sample matrix (0 for empty shells)."""
     partition = peel(matrix)
     m = matrix.m
-    n_shells = _shell_count(m)
+    # column sums lie in [0, m], so k ranges over 0 .. shell_index(m)
+    n_shells = shell_index(m) + 1
     out = np.zeros(n_shells)
     if inner == "mc":
         # one set of sums over the whole pool; each shell takes its columns' sups
@@ -279,14 +275,15 @@ def rm_upper_dudley(
     matrix: LossMatrix,
     k: int,
     eps_grid,
-    cover_mode: str = "auto",
     exact_cap: int = DEFAULT_EXACT_CAP,
 ) -> float:
     """Entropy-integral cap on one shell's exponent term:
     (1/16) (1 + integral of log N2(shell, sqrt(2^k/m) * eps) d eps).
 
     The integral is a trapezoid over the supplied grid, which must be
-    increasing inside [1/sqrt(m), 1].  An empty shell contributes 1/16.
+    increasing inside [1/sqrt(m), 1].  Shells of at most ``exact_cap``
+    columns are covered exactly, larger ones greedily.  An empty shell
+    contributes 1/16.
     """
     grid = np.asarray(eps_grid, dtype=np.float64)
     m = matrix.m
@@ -299,12 +296,11 @@ def rm_upper_dudley(
     if not cols:
         return 1.0 / 16.0
     sub = LossMatrix(matrix.values[:, list(cols)], "real")
-    if cover_mode == "auto":
-        cover_mode = "exact" if sub.pool_size <= exact_cap else "greedy"
+    mode = "exact" if sub.pool_size <= exact_cap else "greedy"
     scale = math.sqrt((2.0**k) / m)
     log_n = np.array(
         [
-            math.log(covering_number_l2(sub, scale * float(e), mode=cover_mode, exact_cap=exact_cap).value)
+            math.log(covering_number_l2(sub, scale * float(e), mode=mode, exact_cap=exact_cap).value)
             for e in grid
         ]
     )

@@ -157,15 +157,13 @@ def train_bound_min(
     restarts: int = 4,
     seed: int = 0,
     steps: int = 1500,
-    step0: float = 1.0,
-    warm_start: bool = True,
 ):
     """Minimize the margin-loss-plus-deviation objective over ||w|| <= 1 and a
     margin grid.
 
     For each grid rho, projected subgradient descent runs from ``restarts``
-    initializations (the first is a hinge-trained warm start when
-    ``warm_start`` is set, the rest are random unit vectors) with the fixed
+    initializations (the first is a hinge-trained warm start, the rest are
+    random unit vectors) with the fixed
     1/sqrt(t) step schedule.  Returns the best (hypothesis, rho) pair and a
     record of initial/final objectives per restart.
     """
@@ -178,19 +176,19 @@ def train_bound_min(
         raise InputError("need at least one restart")
     signed = _signed_points(sample)
     n = signed.shape[1]
-    warm = train_hinge_linear(sample, steps=min(steps, 800), seed=seed).w if warm_start else None
+    warm = train_hinge_linear(sample, steps=min(steps, 800), seed=seed).w
     best = None
     record = []
     for ri, rho in enumerate(grid):
         for s in range(int(restarts)):
-            if s == 0 and warm is not None:
+            if s == 0:
                 w0 = warm.copy()
             else:
                 rng = substream(seed, "restart", ri, s)
                 w0 = rng.standard_normal(n)
                 w0 /= max(np.linalg.norm(w0), 1e-12)
             init_obj = ramp_objective(sample, w0, rho, lam)
-            w_best, obj_best = kernels.ramp_descent(signed, w0, rho, lam, steps, step0)
+            w_best, obj_best = kernels.ramp_descent(signed, w0, rho, lam, steps)
             record.append(
                 {"rho": rho, "restart": s, "initial_objective": init_obj, "objective": obj_best}
             )

@@ -143,13 +143,13 @@ class ValidityReport:
         }
 
 
-def exact_binomial_ci(k: int, n: int, confidence: float = 0.95) -> tuple[float, float]:
-    """Clopper-Pearson interval for a binomial proportion."""
+def exact_binomial_ci(k: int, n: int) -> tuple[float, float]:
+    """95% Clopper-Pearson interval for a binomial proportion."""
     if not (0 <= k <= n) or n < 1:
         raise InputError("need 0 <= k <= n with n >= 1")
-    a = 1.0 - confidence
-    lo = 0.0 if k == 0 else float(beta_dist.ppf(a / 2.0, k, n - k + 1))
-    hi = 1.0 if k == n else float(beta_dist.ppf(1.0 - a / 2.0, k + 1, n - k))
+    tail = (1.0 - 0.95) / 2.0
+    lo = 0.0 if k == 0 else float(beta_dist.ppf(tail, k, n - k + 1))
+    hi = 1.0 if k == n else float(beta_dist.ppf(1.0 - tail, k + 1, n - k))
     return lo, hi
 
 
@@ -322,7 +322,6 @@ def validate_bounds(cfg: ExperimentConfig, threads: int = 1) -> ValidityReport:
     environment = {
         "seed": cfg.seed,
         "package_version": _pkg_version,
-        "backend": "numpy",
         "delta": p.delta,
     }
     return ValidityReport(families=families_out, rows=tuple(rows), environment=environment)

@@ -334,18 +334,31 @@ def rad_smooth_oracle(emp: float, cap: float, m: int, delta: float, alpha: float
     return raw, beta
 
 
+def gamma_tau_oracle(alpha: float, eps: float, tau: float) -> float:
+    """The moment-deviation factor Gamma_tau for any tau >= 0,
+
+    (a-1)/a (1+tau)^{1/a}
+      + (1/a) q (1 + ((a-1)/a)^a tau^{1/a})^{1/a} (1 + log(1/eps)/q)^{(a-1)/a}
+
+    with q = (a/(a-1))^{a-1}.  The bounds use tau = 0, where the factors in
+    tau are exactly 1.0 and ``relmargin.gamma_factor`` equals this to the bit."""
+    q = (alpha / (alpha - 1.0)) ** (alpha - 1.0)
+    first = (alpha - 1.0) / alpha * (1.0 + tau) ** (1.0 / alpha)
+    inner = (1.0 + ((alpha - 1.0) / alpha) ** alpha * tau ** (1.0 / alpha)) ** (1.0 / alpha)
+    bracket = (1.0 + math.log(1.0 / eps) / q) ** ((alpha - 1.0) / alpha)
+    return first + (1.0 / alpha) * q * inner * bracket
+
+
 def unbounded_oracle(emp_loss, moment, log_n, m, delta, alpha, rho, addend=0.0):
     """(eps_hat, gamma, value) of the finite-moment bound, or None where
     eps_hat > 1 (the bound does not apply)."""
-    from relmargin import gamma_factor
-
     numerator = log_n + math.log(1.0 / delta) + addend
     eps_hat = math.sqrt(numerator / m ** (2.0 * (alpha - 1.0) / alpha))
     if eps_hat > 1.0:
         return None
     if eps_hat == 0.0:
         return 0.0, None, emp_loss + rho
-    gamma = gamma_factor(alpha, eps_hat, 0.0)
+    gamma = gamma_tau_oracle(alpha, eps_hat, 0.0)
     deviation = gamma * moment ** (1.0 / alpha) * eps_hat
     return eps_hat, gamma, emp_loss + deviation + rho
 

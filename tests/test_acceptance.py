@@ -57,7 +57,7 @@ def criterion(number, name, budget_seconds):
 
 def test_criterion_1_formula_fidelity():
     with criterion(1, "formula fidelity", 1.0):
-        assert gamma_factor(2.0, 1.0, 0.0) == 1.5
+        assert gamma_factor(2.0, 1.0) == 1.5
         assert explicit_lemma_d1(1.0, 1.0, 2.0) == 7.0
         # second-moment cover bound at emp=0 with c=0.01 is 4c = 0.04
         rep = bound_cov_alpha2(0.0, 1.0, BoundParams(m=100, delta=1.0))
@@ -66,7 +66,9 @@ def test_criterion_1_formula_fidelity():
         # the fat-shattering cover conversion pins its constant at 17
         source = (Path(__file__).parent.parent / "src/relmargin/fatdim.py").read_text()
         assert re.search(r"^FAT_COVER_CONSTANT = 17\.0$", source, re.MULTILINE)
-        assert cover_log_bound_from_fat(2.0, 50) == cover_log_bound_from_fat(2.0, 50, c=17.0)
+        assert cover_log_bound_from_fat(2.0, 50) == 1.0 + 2.0 * math.log2(2.0 * 17.0 * 17.0 * 50) * math.log2(
+            2.0 * 17.0 * math.e * 50 / 2.0
+        )
 
 
 def test_criterion_2_solver_soundness():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracles import bisect_relative
+from oracles import bisect_relative, gamma_tau_oracle
 
 from relmargin import (
     ApplicabilityError,
@@ -30,8 +30,8 @@ from relmargin.estimates import ComplexityEstimate
 from relmargin.fatdim import FAT_COVER_CONSTANT
 
 
-def P(m=1000, delta=0.05, alpha=2.0, rho=1.0, tau=0.0, r=None):
-    return BoundParams(m=m, delta=delta, alpha=alpha, rho=rho, tau=tau, r=r)
+def P(m=1000, delta=0.05, alpha=2.0, rho=1.0, r=None):
+    return BoundParams(m=m, delta=delta, alpha=alpha, rho=rho, r=r)
 
 
 # ---------------------------------------------------------------------------
@@ -132,19 +132,27 @@ def test_lemma_d1_examples():
 
 
 def test_gamma_factor_values():
-    assert gamma_factor(2.0, 1.0, 0.0) == 1.5
-    assert gamma_factor(2.0, math.exp(-2.0), 0.0) == pytest.approx(0.5 + math.sqrt(2.0), rel=1e-12)
+    assert gamma_factor(2.0, 1.0) == 1.5
+    assert gamma_factor(2.0, math.exp(-2.0)) == pytest.approx(0.5 + math.sqrt(2.0), rel=1e-12)
     with pytest.raises(InputError):
-        gamma_factor(2.0, 1.5, 0.0)
+        gamma_factor(2.0, 1.5)
 
 
 def test_gamma_factor_monotonicity_and_tau_limit():
     eps = np.linspace(0.01, 1.0, 50)
-    vals = [gamma_factor(1.7, float(e), 0.0) for e in eps]
+    vals = [gamma_factor(1.7, float(e)) for e in eps]
     assert all(a >= b for a, b in zip(vals, vals[1:]))  # decreasing in eps
+    # the general Gamma_tau tends to the factor the bounds use as tau -> 0
     for tau in (1e-9, 1e-6, 1e-3):
-        drift = abs(gamma_factor(1.5, 0.3, tau) - gamma_factor(1.5, 0.3, 0.0))
+        drift = abs(gamma_tau_oracle(1.5, 0.3, tau) - gamma_factor(1.5, 0.3))
         assert drift <= 5.0 * tau ** (1.0 / 1.5) + 1e-12
+
+
+def test_gamma_factor_is_gamma_tau_at_zero_to_the_bit():
+    # the tau-free formula drops factors that are exactly 1.0 at tau = 0
+    for alpha in (1.0001, 1.01, 1.2, 1.5, 1.7, 1.9, 1.999, 2.0):
+        for eps in (1e-300, 1e-12, 1e-6, 0.01, 0.1, 0.3, 0.5, 0.77, 0.999, 1.0):
+            assert gamma_factor(alpha, eps) == gamma_tau_oracle(alpha, eps, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -560,8 +568,7 @@ def test_unbounded_builders_reject_bad_empirical_loss(emp_loss):
 
 @pytest.mark.parametrize(
     "field,value",
-    [("delta", math.inf), ("delta", math.nan), ("rho", math.inf), ("tau", math.inf),
-     ("tau", math.nan), ("r", math.inf)],
+    [("delta", math.inf), ("delta", math.nan), ("rho", math.inf), ("r", math.inf)],
 )
 def test_params_require_finite_values(field, value):
     with pytest.raises(InputError, match=field):

@@ -491,7 +491,7 @@ _BOUND_ARGV = {
     "flag,value,field",
     [("--emp", "nan", "emp"), ("--emp", "inf", "emp"), ("--emp", "-0.1", "emp"),
      ("--emp", "2", "emp"), ("--delta", "inf", "delta"), ("--rho", "inf", "rho"),
-     ("--tau", "inf", "tau"), ("--r", "inf", "r")],
+     ("--r", "inf", "r")],
 )
 def test_bad_bound_inputs_exit_2_naming_the_field(capsys, family, flag, value, field):
     argv = {"--emp": "0.1", "--m": "1000", "--delta": "0.05", flag: value}
@@ -627,6 +627,44 @@ def test_bound_family_required_flags(capsys, family):
         assert main(_drop_flag(full, flag)) == 2
         err = capsys.readouterr().err
         assert f"{flag} required for family {family}" in err
+
+
+# a value for each family input flag; --solver is read by cov-alpha and
+# cov-uniform-rho only
+_FAMILY_INPUT_ARGV = {
+    "--emp-loss": "0.1", "--logN": "3", "--fat-d": "2", "--rm": "0.5", "--rmax": "0.01", "--moment": "1",
+    "--alpha-grid": "1.5,2", "--rho-grid": "0.5,1", "--solver": "lemma-D1",
+}
+
+
+def _unread_family_inputs():
+    for family, argv in sorted(_FULL_BOUND_ARGV.items()):
+        reads = set(argv) | ({"--solver"} if family in ("cov-alpha", "cov-uniform-rho") else set())
+        yield from ((family, flag) for flag in _FAMILY_INPUT_ARGV if flag not in reads)
+
+
+@pytest.mark.parametrize("family,flag", list(_unread_family_inputs()))
+def test_bound_rejects_a_family_input_it_does_not_read(capsys, family, flag):
+    full = ["bound", "--family", family, *_emp_flag(family), "--m", "1000000", "--delta", "0.05",
+            *_FULL_BOUND_ARGV[family]]
+    assert main([*full, flag, _FAMILY_INPUT_ARGV[flag]]) == 2
+    assert capsys.readouterr().err == f"input error: family {family} does not read {flag}\n"
+
+
+def test_bound_names_every_unread_flag_and_defaults_the_solver(capsys):
+    base = ["bound", "--family", "cov-alpha2", "--logN", "3", "--m", "1000", "--delta", "0.05"]
+    assert main([*base, "--rm", "7", "--solver", "lemma-D1", "--rho-grid", "1,2"]) == 2
+    assert "family cov-alpha2 does not read --rm, --rho-grid, --solver" in capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        main([*base, "--tau", "0.5"])
+    capsys.readouterr()
+    for family in ("cov-alpha", "cov-uniform-rho"):
+        argv = ["bound", "--family", family, "--emp", "0.1", "--m", "1000000", "--delta", "0.05",
+                *_FULL_BOUND_ARGV[family]]
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["solver"] == "root-find"
+        assert main([*argv, "--solver", "lemma-D1"]) == 0
+        assert json.loads(capsys.readouterr().out)["solver"] == "lemma-D1"
 
 
 # op -> a complete argv beyond --op, with MATRIX standing for a matrix file

@@ -52,7 +52,9 @@ def test_cover_log_bound_frozen_value_and_constant():
     # the conversion constant is 17 by default, pinned in the source
     source = (Path(__file__).parent.parent / "src/relmargin/fatdim.py").read_text()
     assert re.search(r"^FAT_COVER_CONSTANT = 17\.0$", source, re.MULTILINE)
-    assert cover_log_bound_from_fat(2.0, 64) == cover_log_bound_from_fat(2.0, 64, c=17.0)
+    assert cover_log_bound_from_fat(2.0, 64) == 1.0 + 2.0 * math.log2(2.0 * 17.0 * 17.0 * 64) * math.log2(
+        2.0 * 17.0 * math.e * 64 / 2.0
+    )
 
 
 def test_cover_log_bound_monotone_in_m():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -9,12 +11,12 @@ from relmargin import (
     LabeledSample,
     LinearHypothesis,
     TableHypothesis,
-    TruncationSpec,
     hypothesis_from_json,
     margin,
     margins,
     truncate,
 )
+from relmargin.hypotheses import TruncatedHypothesis
 
 
 def test_margin_linear_examples():
@@ -93,8 +95,18 @@ def test_truncation_examples():
 def test_truncation_requires_positive_rho():
     with pytest.raises(InputError):
         truncate(LinearHypothesis(np.array([1.0])), 0.0)
-    with pytest.raises(InputError):
-        TruncationSpec(-1.0)
+
+
+@pytest.mark.parametrize("rho", [-1.0, 0.0, math.nan, math.inf])
+def test_truncated_hypothesis_rejects_a_rho_that_is_not_finite_and_positive(rho):
+    base = LinearHypothesis(np.array([1.0, 0.0]))
+    with pytest.raises(InputError, match="rho"):
+        TruncatedHypothesis(base=base, rho=rho)
+    with pytest.raises(InputError, match="rho"):
+        truncate(base, rho)
+    # hypothesis.v1.json requires rho > 0, and the loader holds a file to it
+    with pytest.raises(InputError, match="rho"):
+        hypothesis_from_json({"kind": "truncated", "rho": rho, "base": base.to_json()})
 
 
 def test_truncation_preserves_binary_and_margin_losses():

@@ -10,9 +10,18 @@ from relmargin import (
     InputError,
     LabeledSample,
     TableHypothesis,
+    bound_cov_alpha,
     bound_cov_alpha2,
+    bound_cov_fat,
+    bound_cov_uniform_rho,
+    bound_rad,
+    bound_rad_all_alpha,
+    bound_rad_smooth,
+    bound_unbounded,
+    bound_unbounded_uniform_rho,
     ramp,
 )
+from relmargin.bounds import FAMILIES
 from relmargin.cli import main
 from relmargin.estimates import ComplexityEstimate
 from relmargin.reportio import canonical_json, export_margins_csv, format_float, report_csv
@@ -61,6 +70,36 @@ def test_bound_report_csv_header_and_round_trip_schema():
         "solver,complexity_method,vacuous,clamped"
     )
     assert lines[1].startswith("cov-alpha2,500,0.05,")
+
+
+_P = BoundParams(m=100_000, delta=0.05, alpha=1.8, rho=0.25, r=0.5)
+_P2 = BoundParams(m=100_000, delta=0.05, rho=0.25, r=0.5)
+# family -> a report of it
+_FAMILY_REPORTS = {
+    "cov-alpha": lambda: bound_cov_alpha(0.1, 3.0, _P, solver="lemma-D1"),
+    "cov-alpha2": lambda: bound_cov_alpha2(0.1, 3.0, _P2),
+    "cov-fat": lambda: bound_cov_fat(0.1, 2.0, _P),
+    "cov-uniform-rho": lambda: bound_cov_uniform_rho(0.1, lambda _radius: 3.0, _P),
+    "rad": lambda: bound_rad(0.1, 0.5, _P),
+    "rad-all-alpha": lambda: bound_rad_all_alpha(0.1, 0.5, _P, [1.5, 2.0]),
+    "rad-smooth": lambda: bound_rad_smooth(0.0, 0.015625, _P),
+    "unbounded": lambda: bound_unbounded(0.3, 1.0, 3.0, _P),
+    "unbounded-uniform-rho": lambda: bound_unbounded_uniform_rho(0.3, 1.0, 3.0, [0.25, 0.5], _P),
+}
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_every_bound_family_report_matches_its_schema(family):
+    jsonschema = pytest.importorskip("jsonschema")
+    assert tuple(_FAMILY_REPORTS) == FAMILIES
+    data = json.loads(canonical_json(_FAMILY_REPORTS[family]().to_json()))
+    assert data["family"] == family
+    schema = json.loads((SCHEMA_DIR / "bound-report.v1.json").read_text())
+    jsonschema.validate(data, schema)
+    # the schema catches a params field added or dropped
+    for params in ({**data["params"], "tau": 0.0}, {k: v for k, v in data["params"].items() if k != "r"}):
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate({**data, "params": params}, schema)
 
 
 def test_complexity_estimate_schema_and_csv():
@@ -187,7 +226,12 @@ def test_validity_report_matches_its_schema(tmp_path):
     schema = json.loads((SCHEMA_DIR / "validity-report.v1.json").read_text())
     jsonschema.validate(data, schema)
     assert len(data["rows"]) == 4 * 30 and set(data["families"]) == {"cov-alpha", "cov-alpha2", "cov-fat", "rad"}
-    # the schema can fail: a row with a violation flag of 2
+    # the schema can fail: an environment field added or dropped, or a row
+    # with a violation flag of 2
+    environment = data["environment"]
+    for changed in ({**environment, "backend": "numpy"}, {k: v for k, v in environment.items() if k != "seed"}):
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate({**data, "environment": changed}, schema)
     data["rows"][0][6] = 2
     with pytest.raises(jsonschema.ValidationError):
         jsonschema.validate(data, schema)

@@ -86,7 +86,7 @@ def test_bound_min_reaches_zero_on_separable_data():
 def test_bound_min_norm_cap_holds_even_without_warm_start():
     s = _separable(m=120, seed=8, dim=3)
     h, _, info = train_bound_min(
-        s, lam=0.3, rho_grid=[0.05, 0.2], restarts=3, seed=4, steps=400, warm_start=False
+        s, lam=0.3, rho_grid=[0.05, 0.2], restarts=3, seed=4, steps=400
     )
     assert np.linalg.norm(h.w) <= 1.0 + 1e-9
     assert info["norm"] <= 1.0 + 1e-9

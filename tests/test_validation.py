@@ -51,6 +51,9 @@ def test_config_rejects_unknown_keys():
         _config(families=("pac-bayes",))
     with pytest.raises(InputError):
         _config(params={"m": 60, "delta": 0.05, "shape": 1})
+    # tau is not a bound parameter: no bound formula reads it
+    with pytest.raises(InputError, match="tau"):
+        _config(params={"m": 60, "delta": 0.05, "tau": 0.5})
 
 
 def test_campaign_runs_and_rates_are_small():
@@ -148,7 +151,7 @@ def test_shared_cover_estimate_runs_once_and_keeps_bytes(monkeypatch):
         assert canonical_json(both["families"][fam]) == canonical_json(alone["families"][fam])
         rows = [r for r in both["rows"] if r[0] == fam]
         assert canonical_json(rows) == canonical_json(alone["rows"])
-    assert both["environment"]["backend"] == "numpy"
+    assert set(both["environment"]) == {"seed", "package_version", "delta"}
 
 
 @pytest.mark.parametrize("alpha", [2.0, 1.5])
