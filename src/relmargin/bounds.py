@@ -43,17 +43,18 @@ __all__ = [
     "FAMILIES",
 ]
 
-FAMILIES = (
-    "cov-alpha",
-    "cov-alpha2",
-    "cov-fat",
-    "cov-uniform-rho",
-    "rad",
-    "rad-all-alpha",
-    "rad-smooth",
-    "unbounded",
-    "unbounded-uniform-rho",
-)
+# family -> the BoundParams fields beyond m and delta its formula reads (its reports null the rest)
+FAMILIES = {
+    "cov-alpha": ("alpha",),
+    "cov-alpha2": ("alpha",),
+    "cov-fat": (),
+    "cov-uniform-rho": ("alpha", "rho", "r"),
+    "rad": ("alpha",),
+    "rad-all-alpha": (),
+    "rad-smooth": ("alpha", "rho"),
+    "unbounded": ("alpha", "rho"),
+    "unbounded-uniform-rho": ("alpha", "r"),
+}
 
 
 @dataclass(frozen=True)
@@ -83,14 +84,11 @@ class BoundParams:
         if self.r is not None and not (0 < self.r < math.inf):
             raise InputError(f"r must be finite and positive when provided, got {self.r!r}")
 
-    def to_json(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class BoundReport:
     family: str
-    params: dict
+    params: BoundParams
     empirical_term: float
     complexity_term: float
     bound_value: float
@@ -107,7 +105,11 @@ class BoundReport:
             raise InputError("bound_value fell below the empirical term; refusing to report")
 
     def to_json(self) -> dict:
-        return {"schema": "relmargin/bound-report/v1", **asdict(self)}
+        """The report, with the params its family does not read as None."""
+        data = asdict(self)
+        reads = ("m", "delta", *FAMILIES[self.family])
+        data["params"] = {k: v if k in reads else None for k, v in data["params"].items()}
+        return {"schema": "relmargin/bound-report/v1", **data}
 
 
 def _empirical_input(emp, name: str = "emp", zero_one: bool = True) -> float:
@@ -133,7 +135,7 @@ def _complexity_input(x, name: str) -> tuple[float, str]:
 def _finalize_zero_one(family, params, emp, complexity, raw, solver, method, breakdown):
     raw = float(raw)
     return BoundReport(
-        family, params.to_json(), float(emp), float(complexity), min(raw, 1.0), solver, method,
+        family, params, float(emp), float(complexity), min(raw, 1.0), solver, method,
         {**breakdown, "raw_bound_value": raw}, vacuous=raw >= 1.0, clamped=raw > 1.0,
     )
 
@@ -244,13 +246,20 @@ def _confidence_numerator(log_n: float, params: BoundParams, addend: float = 0.0
     return total
 
 
-def cov_alpha_value(emp, log_n: float, params: BoundParams, addend: float = 0.0):
-    """Largest fixed point of x = emp + C x^{1/alpha} with
-    C = 2^{(alpha+2)/(2 alpha)} sqrt((logN + log(1/delta) + addend) / m^{2(alpha-1)/alpha})."""
+def _deviation_scale(log_n: float, params: BoundParams, addend: float) -> tuple[float, float]:
+    """The covering deviation scale of cov-alpha and the unbounded families,
+    sqrt((logN + log(1/delta) + addend) / m^{2(alpha-1)/alpha}), and its numerator."""
     a = params.alpha
     numerator = _confidence_numerator(log_n, params, addend)
-    scale = params.m ** (2.0 * (a - 1.0) / a)
-    coeff = 2.0 ** ((a + 2.0) / (2.0 * a)) * math.sqrt(numerator / scale)
+    return math.sqrt(numerator / params.m ** (2.0 * (a - 1.0) / a)), numerator
+
+
+def cov_alpha_value(emp, log_n: float, params: BoundParams, addend: float = 0.0):
+    """Largest fixed point of x = emp + C x^{1/alpha} with
+    C = 2^{(alpha+2)/(2 alpha)} times the ``_deviation_scale``."""
+    a = params.alpha
+    scale, numerator = _deviation_scale(log_n, params, addend)
+    coeff = 2.0 ** ((a + 2.0) / (2.0 * a)) * scale
     return solve_relative(emp, coeff, a), {"coefficient": coeff, "numerator": numerator}
 
 
@@ -284,10 +293,15 @@ def cov_alpha2_value(emp, log_n: float, params: BoundParams):
     return emp + 2.0 * np.sqrt(emp * c) + 4.0 * c, {"c": c}
 
 
+def check_cov_alpha2(params: BoundParams) -> None:
+    """cov-alpha2 is the alpha = 2 specialization: any other alpha is an InputError."""
+    if params.alpha != 2.0:
+        raise InputError(f"cov-alpha2 is the alpha = 2 specialization; alpha must be 2, got {params.alpha!r}")
+
+
 def bound_cov_alpha2(emp: float, log_n, params: BoundParams) -> BoundReport:
     """Second-moment cover bound in closed form (see ``cov_alpha2_value``)."""
-    if params.alpha != 2.0:
-        raise InputError("this family is the alpha = 2 specialization")
+    check_cov_alpha2(params)
     emp = _empirical_input(emp)
     log_n_value, method = _complexity_input(log_n, "logN")
     raw, terms = cov_alpha2_value(emp, log_n_value, params)
@@ -315,8 +329,7 @@ def cov_fat_dimension(class_params: FatDimParams) -> float:
 
 def cov_fat_class_value(emp, class_params: FatDimParams, m: int, delta: float):
     """``cov_fat_value`` at the class's dimension and margin rho."""
-    params = BoundParams(m=m, delta=delta, rho=class_params.rho)
-    return cov_fat_value(emp, cov_fat_dimension(class_params), params)
+    return cov_fat_value(emp, cov_fat_dimension(class_params), BoundParams(m=m, delta=delta))
 
 
 def bound_cov_fat(emp: float, d: float, params: BoundParams) -> BoundReport:
@@ -338,16 +351,12 @@ def _uniform_rho_addend(r, rho: float) -> float:
     return math.log(math.log2(2.0 * r / rho))
 
 
-def bound_cov_uniform_rho(
-    emp: float, log_n_at, params: BoundParams, solver: str = "root-find"
-) -> BoundReport:
+def bound_cov_uniform_rho(emp: float, log_n_at, params: BoundParams, solver: str = "root-find") -> BoundReport:
     """Uniform-margin cover bound: cover radius rho/4 and a log(log2(2r/rho))
     confidence addend, valid simultaneously for all rho in (0, r]."""
     addend = _uniform_rho_addend(params.r, params.rho)
     log_n = log_n_at(params.rho / 4.0) if callable(log_n_at) else log_n_at
-    return _cov_alpha_report(
-        "cov-uniform-rho", emp, log_n, params, solver, addend, loglog_addend=addend
-    )
+    return _cov_alpha_report("cov-uniform-rho", emp, log_n, params, solver, addend, loglog_addend=addend)
 
 
 # ---------------------------------------------------------------------------
@@ -484,13 +493,11 @@ def bound_rad_smooth(emp: float, rmax: float, params: BoundParams) -> BoundRepor
 
 def unbounded_value(emp_loss, log_n: float, params: BoundParams, moment: float, addend: float = 0.0):
     """emp + Gamma_0(alpha, e) moment^{1/alpha} e + rho, affine in emp, with
-    the covering deviation scale e = sqrt((logN + log(1/delta) + addend) /
-    m^{2(alpha-1)/alpha}); raises ApplicabilityError when e > 1."""
+    e the ``_deviation_scale``; raises ApplicabilityError when e > 1."""
     if not (moment >= 0 and math.isfinite(moment)):
         raise InputError("the loss moment must be finite and nonnegative")
     a = params.alpha
-    numerator = _confidence_numerator(log_n, params, addend)
-    eps_hat = math.sqrt(numerator / params.m ** (2.0 * (a - 1.0) / a))
+    eps_hat, _ = _deviation_scale(log_n, params, addend)
     if eps_hat > 1.0:
         raise ApplicabilityError(
             f"deviation scale {eps_hat:.6g} exceeds 1; the bound is vacuous in this regime"
@@ -509,7 +516,7 @@ def bound_unbounded(emp_loss: float, moment: float, log_n_loss, params: BoundPar
     log_n_value, method = _complexity_input(log_n_loss, "logN")
     value, terms = unbounded_value(emp_loss, log_n_value, params, moment)
     breakdown = {**terms, "moment": moment, "rho_term": params.rho}
-    return BoundReport("unbounded", params.to_json(), emp_loss, log_n_value, value, "closed-form", method, breakdown)
+    return BoundReport("unbounded", params, emp_loss, log_n_value, value, "closed-form", method, breakdown)
 
 
 def bound_unbounded_uniform_rho(
@@ -544,6 +551,6 @@ def bound_unbounded_uniform_rho(
         "moment": moment,
     }
     return BoundReport(
-        "unbounded-uniform-rho", params.to_json(), emp_loss, best["log_n"], best["bound_value"],
+        "unbounded-uniform-rho", params, emp_loss, best["log_n"], best["bound_value"],
         "closed-form", methods[best_rho], breakdown,
     )

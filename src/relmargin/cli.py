@@ -23,6 +23,7 @@ from pathlib import Path
 
 from . import __version__
 from .bounds import (
+    FAMILIES,
     BoundParams,
     bound_cov_alpha,
     bound_cov_alpha2,
@@ -102,49 +103,45 @@ def _require(args, flags, what: str) -> None:
 # ---------------------------------------------------------------------------
 # bound
 #
-# family -> (flags it needs beyond --emp/--m/--delta, call(args, params)).
-# Families that need --emp-loss take it in place of --emp, and reject --emp.
-# The calls look the builders up when they run, so patched module names win.
+# family -> (flags it needs beyond --emp/--m/--delta, flags it may take,
+# call(args, params)).  It also takes the BoundParams fields that
+# ``bounds.FAMILIES`` says it reads; any other family flag exits 2.  Families
+# that need --emp-loss take it in place of --emp, and reject --emp.  The calls
+# look the builders up when they run, so patched module names win.
 
 _BOUND_FAMILIES = {
-    "cov-alpha": (("logN",), lambda a, p: bound_cov_alpha(a.emp, a.logN, p, solver=a.solver)),
-    "cov-alpha2": (("logN",), lambda a, p: bound_cov_alpha2(a.emp, a.logN, p)),
-    "cov-fat": (("fat_d",), lambda a, p: bound_cov_fat(a.emp, a.fat_d, p)),
+    "cov-alpha": (("logN",), ("solver",), lambda a, p: bound_cov_alpha(a.emp, a.logN, p, solver=a.solver)),
+    "cov-alpha2": (("logN",), (), lambda a, p: bound_cov_alpha2(a.emp, a.logN, p)),
+    "cov-fat": (("fat_d",), (), lambda a, p: bound_cov_fat(a.emp, a.fat_d, p)),
     "cov-uniform-rho": (
-        ("logN", "r"),
-        lambda a, p: bound_cov_uniform_rho(a.emp, lambda _radius: a.logN, p, solver=a.solver),
+        ("logN", "r"), ("solver",), lambda a, p: bound_cov_uniform_rho(a.emp, lambda _: a.logN, p, solver=a.solver)
     ),
-    "rad": (("rm",), lambda a, p: bound_rad(a.emp, a.rm, p)),
+    "rad": (("rm",), (), lambda a, p: bound_rad(a.emp, a.rm, p)),
     "rad-all-alpha": (
-        ("rm", "alpha_grid"),
-        lambda a, p: bound_rad_all_alpha(a.emp, a.rm, p, _float_list(a.alpha_grid)),
+        ("rm", "alpha_grid"), (), lambda a, p: bound_rad_all_alpha(a.emp, a.rm, p, _float_list(a.alpha_grid))
     ),
-    "rad-smooth": (("rmax",), lambda a, p: bound_rad_smooth(a.emp, a.rmax, p)),
-    "unbounded": (
-        ("emp_loss", "moment", "logN"),
-        lambda a, p: bound_unbounded(a.emp_loss, a.moment, a.logN, p),
-    ),
+    "rad-smooth": (("rmax",), (), lambda a, p: bound_rad_smooth(a.emp, a.rmax, p)),
+    "unbounded": (("emp_loss", "moment", "logN"), (), lambda a, p: bound_unbounded(a.emp_loss, a.moment, a.logN, p)),
     "unbounded-uniform-rho": (
         ("emp_loss", "moment", "logN", "rho_grid", "r"),
-        lambda a, p: bound_unbounded_uniform_rho(
-            a.emp_loss, a.moment, lambda _radius: a.logN, _float_list(a.rho_grid), p
-        ),
+        (),
+        lambda a, p: bound_unbounded_uniform_rho(a.emp_loss, a.moment, lambda _: a.logN, _float_list(a.rho_grid), p),
     ),
 }
 
 
-# the flags that some family reads and others do not; a family exits 2 when
-# it is given one it does not read.  --solver (root-find when omitted) is
-# read by the fixed-point cover families only.
-_FAMILY_INPUTS = ("emp_loss", "logN", "fat_d", "rm", "rmax", "moment", "alpha_grid", "rho_grid", "solver")
-_SOLVER_FAMILIES = ("cov-alpha", "cov-uniform-rho")
+def _bound_flags(family: str) -> set:
+    """The flags ``family`` reads beyond --emp, --m and --delta, as attribute names."""
+    required, optional, _ = _BOUND_FAMILIES[family]
+    return {*required, *optional, *FAMILIES[family]}
 
 
 def _cmd_bound(args) -> int:
-    params = BoundParams(m=args.m, delta=args.delta, alpha=args.alpha, rho=args.rho, r=args.r)
-    flags, call = _BOUND_FAMILIES[args.family]
-    reads = flags + (("solver",) if args.family in _SOLVER_FAMILIES else ())
-    unread = ["--" + f.replace("_", "-") for f in _FAMILY_INPUTS if getattr(args, f) is not None and f not in reads]
+    fields = {f: getattr(args, f) for f in FAMILIES[args.family] if getattr(args, f) is not None}
+    params = BoundParams(m=args.m, delta=args.delta, **fields)
+    flags, _, call = _BOUND_FAMILIES[args.family]
+    others = set().union(*map(_bound_flags, _BOUND_FAMILIES)) - _bound_flags(args.family)
+    unread = ["--" + f.replace("_", "-") for f, value in vars(args).items() if f in others and value is not None]
     if unread:
         raise InputError(f"family {args.family} does not read {', '.join(unread)}")
     _require(args, flags, f"family {args.family}")
@@ -356,11 +353,10 @@ def _cmd_train(args) -> int:
 def _cmd_verify(args) -> int:
     if args.target == "binomial":
         report = verify_binomial_lemma(args.m_max, grid_size=args.grid_size)
-        report = {"schema": "relmargin/verify-report/v1", "target": "binomial", **report}
     else:
         _require(args, ("seed",), "verify monotone")
         report = verify_monotone_ratio(n_points=args.n, delta=args.delta, seed=args.seed)
-        report = {"schema": "relmargin/verify-report/v1", "target": "monotone", **report}
+    report = {"schema": "relmargin/verify-report/v1", "target": args.target, **report}
     _emit(report, args.format, args.out)
     return EXIT_OK if report["passed"] else 1
 
@@ -403,17 +399,13 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--moment", type=float, default=None)
     b.add_argument("--m", type=int, required=True)
     b.add_argument("--delta", type=float, required=True)
-    b.add_argument("--alpha", type=float, default=2.0)
-    b.add_argument("--rho", type=float, default=1.0)
+    b.add_argument("--alpha", type=float, default=None)
+    b.add_argument("--rho", type=float, default=None)
     b.add_argument("--r", type=float, default=None)
     b.add_argument("--alpha-grid", default=None)
     b.add_argument("--rho-grid", default=None)
-    b.add_argument(
-        "--solver",
-        choices=("root-find", "lemma-D1"),
-        default=None,
-        help="how cov-alpha and cov-uniform-rho resolve their implicit inequality (default root-find)",
-    )
+    b.add_argument("--solver", choices=("root-find", "lemma-D1"), default=None,
+                   help="how the family resolves its implicit inequality (default root-find)")
     b.add_argument("--explain", action="store_true", help="print the per-term breakdown to stderr")
     _add_common_output(b)
     b.set_defaults(func=_cmd_bound)

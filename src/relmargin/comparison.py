@@ -17,16 +17,23 @@ from dataclasses import replace
 
 import numpy as np
 
-from .bounds import cov_fat_class_value, loss_factored_value
+from .bounds import _empirical_input, cov_fat_class_value, loss_factored_value
 from .errors import InputError
 from .fatdim import FatDimParams
 
 __all__ = ["tightness_row", "compare_tightness_direct", "compare_tightness", "crossover_check"]
 
 
-def _check(emp, beta) -> None:
-    if beta < 0 or emp < 0:
-        raise InputError("emp and beta must be nonnegative")
+def _check(emps, betas, c_prime) -> None:
+    """Each emp a finite number in [0, 1], each beta finite and nonnegative,
+    and c' finite and positive; an InputError names the field otherwise."""
+    for emp in emps:
+        _empirical_input(emp)
+    for beta in betas:
+        if not (math.isfinite(beta) and beta >= 0.0):
+            raise InputError(f"beta must be finite and nonnegative, got {beta!r}")
+    if not (math.isfinite(c_prime) and c_prime > 0.0):
+        raise InputError(f"c_prime must be finite and positive, got {c_prime!r}")
 
 
 def _row(emp: float, beta: float, new_bound: float, c_prime: float) -> dict:
@@ -45,17 +52,15 @@ def _row(emp: float, beta: float, new_bound: float, c_prime: float) -> dict:
 def tightness_row(emp: float, beta: float, *, c_prime: float = 1.0) -> dict:
     """Both forms at one (emp, beta) with beta' = beta; the new form is
     ``loss_factored_value``."""
-    _check(emp, beta)
+    _check((emp,), (beta,), c_prime)
     return _row(emp, beta, float(loss_factored_value(emp, beta)), c_prime)
 
 
 def compare_tightness_direct(emp_grid, beta_grid, c_prime: float = 1.0) -> dict:
     """Tabulate both forms on explicit (emp, beta) grids with beta' = beta."""
-    rows = [
-        tightness_row(float(e), float(b), c_prime=c_prime)
-        for e in emp_grid
-        for b in beta_grid
-    ]
+    emps, betas = [float(e) for e in emp_grid], [float(b) for b in beta_grid]
+    _check(emps, betas, c_prime)
+    rows = [tightness_row(e, b, c_prime=c_prime) for e in emps for b in betas]
     return {
         "mode": "direct",
         "c_prime": c_prime,
@@ -76,7 +81,7 @@ def compare_tightness(
     """Tabulate both forms over (m, rho, emp), with the new form and beta =
     beta' from ``cov_fat_class_value``: the cov-fat bound and its cover term."""
     emps = [float(emp) for emp in emp_grid]
-    _check(min(emps, default=0.0), 0.0)
+    _check(emps, (), c_prime)
     rows = []
     for m in m_grid:
         for rho in rho_grid:

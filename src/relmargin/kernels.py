@@ -25,7 +25,6 @@ __all__ = [
     "linf_within",
     "pairwise_l2n",
     "ramp_descent",
-    "ramp_objective",
 ]
 
 
@@ -162,15 +161,3 @@ def ramp_descent(signed_x, w0, rho, lam, steps):
             best_obj = obj
             best_w = w.copy()
     return best_w, float(best_obj)
-
-
-def ramp_objective(signed_x, w, rho, lam) -> float:
-    """Ramp margin loss plus (lam/rho) times its square root, at one point."""
-    return float(
-        _ramp_objective(
-            np.ascontiguousarray(signed_x, dtype=np.float64),
-            np.ascontiguousarray(w, dtype=np.float64),
-            float(rho),
-            float(lam),
-        )
-    )

@@ -193,8 +193,7 @@ def report_csv(data: dict) -> str:
             data["family"],
             p["m"],
             p["delta"],
-            p["alpha"],
-            p["rho"],
+            *("" if p[k] is None else p[k] for k in ("alpha", "rho")),
             data["empirical_term"],
             data["complexity_term"],
             data["bound_value"],

@@ -147,7 +147,7 @@ def train_tiny_mlp(
 
 def ramp_objective(sample: LabeledSample, w, rho: float, lam: float) -> float:
     """Ramp margin loss plus the lambda/rho-scaled square root of itself."""
-    return kernels.ramp_objective(_signed_points(sample), w, rho, lam)
+    return float(kernels._ramp_objective(_signed_points(sample), w, rho, lam))
 
 
 def train_bound_min(

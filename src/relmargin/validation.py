@@ -26,7 +26,9 @@ import numpy as np
 from scipy.stats import beta as beta_dist
 
 from . import __version__ as _pkg_version
-from .bounds import BoundParams, cov_alpha2_value, cov_alpha_value, cov_fat_dimension, cov_fat_value, rad_value
+from .bounds import (
+    BoundParams, check_cov_alpha2, cov_alpha2_value, cov_alpha_value, cov_fat_dimension, cov_fat_value, rad_value,
+)
 from .errors import InputError, _choice, _count, _dataclass_keys, _mapping, _number, _options
 from .estimates import ComplexityEstimate
 from .fatdim import FatDimParams
@@ -98,6 +100,8 @@ class ExperimentConfig:
         if unknown:
             raise InputError(f"unsupported families {unknown}; supported: {SUPPORTED_FAMILIES}")
         put("families", tuple(self.families))
+        if "cov-alpha2" in self.families:
+            check_cov_alpha2(self.params)
         put("trials", _count("trials", self.trials, 1))
         put("seed", _count("seed", self.seed, 0))
         _choice("mode", self.mode, ("uniform-pool", "trained"))

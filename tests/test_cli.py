@@ -479,26 +479,26 @@ def test_explain_goes_to_stderr():
     json.loads(out)  # stdout still carries exactly the report
 
 
-_BOUND_ARGV = {
-    "cov-alpha2": ["--logN", "3"],
-    "cov-alpha": ["--logN", "3"],
-    "rad": ["--rm", "0.5"],
-}
+# (family, flag, bad value, field named): the --emp and --delta cases on three
+# families, and --rho and --r on families that read them
+_BAD_BOUND_INPUTS = [
+    *((family, flag, value, field)
+      for flag, value, field in [("--emp", "nan", "emp"), ("--emp", "inf", "emp"), ("--emp", "-0.1", "emp"),
+                                 ("--emp", "2", "emp"), ("--delta", "inf", "delta")]
+      for family in ("cov-alpha", "cov-alpha2", "rad")),
+    ("cov-uniform-rho", "--rho", "inf", "rho"), ("rad-smooth", "--rho", "inf", "rho"),
+    ("unbounded", "--rho", "inf", "rho"),
+    ("cov-uniform-rho", "--r", "inf", "r"), ("unbounded-uniform-rho", "--r", "inf", "r"),
+]
 
 
-@pytest.mark.parametrize("family", sorted(_BOUND_ARGV))
 @pytest.mark.parametrize(
-    "flag,value,field",
-    [("--emp", "nan", "emp"), ("--emp", "inf", "emp"), ("--emp", "-0.1", "emp"),
-     ("--emp", "2", "emp"), ("--delta", "inf", "delta"), ("--rho", "inf", "rho"),
-     ("--r", "inf", "r")],
+    "family,flag,value,field", _BAD_BOUND_INPUTS, ids=["-".join((*case[1:], case[0])) for case in _BAD_BOUND_INPUTS]
 )
 def test_bad_bound_inputs_exit_2_naming_the_field(capsys, family, flag, value, field):
-    argv = {"--emp": "0.1", "--m": "1000", "--delta": "0.05", flag: value}
-    args = ["bound", "--family", family, *_BOUND_ARGV[family]]
-    for key, val in argv.items():
-        args.append(f"{key}={val}")
-    assert main(args) == 2
+    args = ["bound", "--family", family, *_emp_flag(family), "--m", "1000", "--delta", "0.05",
+            *_FULL_BOUND_ARGV[family]]
+    assert main([*args, f"{flag}={value}"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("input error: ") and f"{field} must be" in err
 
@@ -609,7 +609,7 @@ def test_bound_table_lists_every_family():
     from relmargin.bounds import FAMILIES
     from relmargin.cli import _BOUND_FAMILIES
 
-    assert tuple(_BOUND_FAMILIES) == FAMILIES == tuple(_FULL_BOUND_ARGV)
+    assert tuple(_BOUND_FAMILIES) == tuple(FAMILIES) == tuple(_FULL_BOUND_ARGV)
 
 
 @pytest.mark.parametrize("family", sorted(_FULL_BOUND_ARGV))
@@ -643,12 +643,35 @@ def _unread_family_inputs():
         yield from ((family, flag) for flag in _FAMILY_INPUT_ARGV if flag not in reads)
 
 
-@pytest.mark.parametrize("family,flag", list(_unread_family_inputs()))
+# every (family, flag) pair of --alpha, --rho and --r whose value the family's
+# formula does not read; the other twelve pairs are read
+_UNREAD_PARAMS = [
+    ("cov-fat", "--alpha"), ("rad-all-alpha", "--alpha"),
+    ("cov-alpha", "--rho"), ("cov-alpha2", "--rho"), ("cov-fat", "--rho"), ("rad", "--rho"),
+    ("rad-all-alpha", "--rho"), ("unbounded-uniform-rho", "--rho"),
+    ("cov-alpha", "--r"), ("cov-alpha2", "--r"), ("cov-fat", "--r"), ("rad", "--r"),
+    ("rad-all-alpha", "--r"), ("rad-smooth", "--r"), ("unbounded", "--r"),
+]
+_PARAM_ARGV = {"--alpha": "2", "--rho": "0.5", "--r": "1"}
+
+
+@pytest.mark.parametrize("family,flag", [*_unread_family_inputs(), *_UNREAD_PARAMS])
 def test_bound_rejects_a_family_input_it_does_not_read(capsys, family, flag):
     full = ["bound", "--family", family, *_emp_flag(family), "--m", "1000000", "--delta", "0.05",
             *_FULL_BOUND_ARGV[family]]
-    assert main([*full, flag, _FAMILY_INPUT_ARGV[flag]]) == 2
+    assert main([*full, flag, {**_FAMILY_INPUT_ARGV, **_PARAM_ARGV}[flag]]) == 2
     assert capsys.readouterr().err == f"input error: family {family} does not read {flag}\n"
+
+
+def test_bound_takes_and_reports_every_param_its_formula_reads(capsys):
+    pairs = [(family, flag) for family in _FULL_BOUND_ARGV for flag in _PARAM_ARGV]
+    reads = [pair for pair in pairs if pair not in _UNREAD_PARAMS]
+    assert len(reads) == 12
+    for family, flag in reads:
+        argv = ["bound", "--family", family, *_emp_flag(family), "--m", "1000000", "--delta", "0.05",
+                *_FULL_BOUND_ARGV[family], flag, _PARAM_ARGV[flag]]
+        assert main(argv) == 0, (family, flag)
+        assert json.loads(capsys.readouterr().out)["params"][flag[2:]] == float(_PARAM_ARGV[flag])
 
 
 def test_bound_names_every_unread_flag_and_defaults_the_solver(capsys):

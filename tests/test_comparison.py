@@ -2,7 +2,8 @@ import math
 
 import pytest
 
-from relmargin import FatDimParams, compare_tightness, compare_tightness_direct, tightness_row
+from relmargin import FatDimParams, InputError, compare_tightness, compare_tightness_direct, tightness_row
+from relmargin.cli import main
 from relmargin.comparison import crossover_check
 
 
@@ -53,3 +54,36 @@ def test_c_prime_shifts_the_crossover():
     favorable = tightness_row(0.09, 0.01, c_prime=2.0)
     assert favorable["new_smaller"]  # 0.16 < 2 * 0.1
     assert math.isclose(favorable["old_bound"], 0.2)
+
+
+_CLASS_ARGV = ["--m-grid", "1000", "--rho-grid", "0.5", "--class-kind", "linear", "--radius", "1"]
+
+
+@pytest.mark.parametrize(
+    "argv,field",
+    [
+        (["--direct", "--emp-grid", "0.1", "--beta-grid", "0.01", "--c-prime=-2"], "c_prime"),
+        (["--direct", "--emp-grid", "0.1", "--beta-grid", "0.01", "--c-prime", "0"], "c_prime"),
+        (["--direct", "--emp-grid", "0.1", "--beta-grid", "0.01", "--c-prime", "nan"], "c_prime"),
+        (["--direct", "--emp-grid", "0.1", "--beta-grid", "0.01", "--c-prime", "inf"], "c_prime"),
+        (["--direct", "--emp-grid", "0.1", "--beta-grid", "0.01,inf"], "beta"),
+        (["--direct", "--emp-grid", "0.1", "--beta-grid=-0.1"], "beta"),
+        (["--direct", "--emp-grid", "0.1", "--beta-grid", "nan"], "beta"),
+        (["--direct", "--emp-grid", "0,2", "--beta-grid", "0.01"], "emp"),
+        (["--direct", "--emp-grid", "nan", "--beta-grid", "0.01"], "emp"),
+        (["--emp-grid", "2", *_CLASS_ARGV], "emp"),
+        (["--emp-grid", "0,-0.1", *_CLASS_ARGV], "emp"),
+        (["--emp-grid", "inf", *_CLASS_ARGV], "emp"),
+        (["--emp-grid", "0.1", "--c-prime", "nan", *_CLASS_ARGV], "c_prime"),
+    ],
+)
+def test_compare_rejects_bad_inputs_naming_the_field(capsys, argv, field):
+    assert main(["compare", *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and f"{field} must be" in err
+
+
+def test_tightness_row_rejects_bad_inputs():
+    for emp, beta, c_prime in ((1.5, 0.1, 1.0), (0.1, math.inf, 1.0), (0.1, 0.1, math.nan)):
+        with pytest.raises(InputError):
+            tightness_row(emp, beta, c_prime=c_prime)

@@ -1,13 +1,15 @@
 """README's option tables against the declarations they document: the
 dataclass fields of each distribution, the keyword parameters of each
-trainer, and the ``train`` flags each method takes."""
+trainer, the ``train`` flags each method takes and the ``bound`` flags each
+family reads."""
 
 import inspect
 import json
 import re
 from pathlib import Path
 
-from relmargin.cli import _TRAIN_FLAGS
+from relmargin.bounds import FAMILIES
+from relmargin.cli import _BOUND_FAMILIES, _TRAIN_FLAGS
 from relmargin.samples import DISTRIBUTIONS
 from relmargin.training import METHODS, train_bound_min
 
@@ -51,3 +53,14 @@ def test_readme_train_flag_table_matches_the_trainers():
     for method, trainer in trainers.items():
         takes = inspect.signature(trainer).parameters
         assert documented[method] == sorted("--" + f.replace("_", "-") for f in _TRAIN_FLAGS if f in takes)
+
+
+def test_readme_bound_flag_table_matches_the_families():
+    def flags(names) -> list:
+        return sorted("--" + name.replace("_", "-") for name in names)
+
+    documented = {row[0]: [sorted(re.findall(r"--[A-Za-z-]+", cell)) for cell in row[1:]] for row in _table("family")}
+    assert set(documented) == set(FAMILIES)
+    for family, (required, optional, _) in _BOUND_FAMILIES.items():
+        also = {*optional, *FAMILIES[family]} - set(required)
+        assert documented[family] == [flags(required), flags(also)], family

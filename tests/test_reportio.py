@@ -91,10 +91,13 @@ _FAMILY_REPORTS = {
 @pytest.mark.parametrize("family", FAMILIES)
 def test_every_bound_family_report_matches_its_schema(family):
     jsonschema = pytest.importorskip("jsonschema")
-    assert tuple(_FAMILY_REPORTS) == FAMILIES
+    assert tuple(_FAMILY_REPORTS) == tuple(FAMILIES)
     data = json.loads(canonical_json(_FAMILY_REPORTS[family]().to_json()))
     assert data["family"] == family
+    # _P and _P2 set every field, so exactly those the family reads are not null
+    assert {k for k, v in data["params"].items() if v is not None} == {"m", "delta", *FAMILIES[family]}
     schema = json.loads((SCHEMA_DIR / "bound-report.v1.json").read_text())
+    assert schema["properties"]["family"]["enum"] == list(FAMILIES)
     jsonschema.validate(data, schema)
     # the schema catches a params field added or dropped
     for params in ({**data["params"], "tau": 0.0}, {k: v for k, v in data["params"].items() if k != "r"}):

@@ -56,6 +56,16 @@ def test_config_rejects_unknown_keys():
         _config(params={"m": 60, "delta": 0.05, "tau": 0.5})
 
 
+def test_cov_alpha2_rejects_another_alpha_in_a_campaign_and_a_report():
+    params = {"m": 60, "delta": 0.05, "alpha": 1.5, "rho": 0.2}
+    # the config is refused when it is built, before any draw
+    with pytest.raises(InputError, match="cov-alpha2 is the alpha = 2 specialization; alpha must be 2, got 1.5"):
+        _config(families=("rad", "cov-alpha2"), params=params)
+    with pytest.raises(InputError, match="alpha must be 2, got 1.5"):
+        bound_cov_alpha2(0.1, 3.0, BoundParams(**params))
+    assert _config(families=("cov-alpha", "rad"), params=params).params.alpha == 1.5
+
+
 def test_campaign_runs_and_rates_are_small():
     report = validate_bounds(_config(families=("cov-alpha2", "rad")))
     for fam in ("cov-alpha2", "rad"):
