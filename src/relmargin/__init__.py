@@ -52,7 +52,6 @@ from .hypotheses import (
 )
 from .lossmatrix import (
     LossMatrix,
-    PeelingPartition,
     count_dichotomies,
     outputs_matrix,
     peel,

@@ -363,11 +363,17 @@ def bound_cov_uniform_rho(emp: float, log_n_at, params: BoundParams, solver: str
 # peeling-complexity families
 
 
+def check_peeling_m(name: str, m: int) -> None:
+    """The peeling families' confidence term log log m needs m >= 3; ``name``
+    is what the caller's input calls m."""
+    if m < 3:
+        raise InputError(f"peeling families need {name} >= 3 so that log log m is defined")
+
+
 def _peeling_confidence(params: BoundParams) -> tuple[float, float]:
     """log log m and log(16/delta), the confidence terms of the peeling
     families; needs m >= 3."""
-    if params.m < 3:
-        raise InputError("peeling families need m >= 3 so that log log m is defined")
+    check_peeling_m("m", params.m)
     return math.log(math.log(params.m)), math.log(16.0 / params.delta)
 
 

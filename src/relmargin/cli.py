@@ -176,9 +176,9 @@ def _class_params(args) -> FatDimParams:
     return FatDimParams(kind=args.class_kind, **given)
 
 
-def _peel_report(op: str, part) -> dict:
-    buckets = {str(k): list(v) for k, v in part.buckets.items()}
-    return {"schema": "relmargin/value/v1", "op": op, "m": part.m, "buckets": buckets}
+def _peel_report(op: str, matrix) -> dict:
+    buckets = {str(k): list(v) for k, v in peel(matrix).items()}
+    return {"schema": "relmargin/value/v1", "op": op, "m": matrix.m, "buckets": buckets}
 
 
 # op -> (needs --matrix, other flags it needs, call(args, matrices)); like the
@@ -197,7 +197,7 @@ _COMPLEXITY_OPS = {
     "dichotomies": (True, (), lambda a, ms: _value_report(a.op, count_dichotomies(ms[0]))),
     "rademacher-exact": (True, (), lambda a, ms: rademacher_exact(ms[0])),
     "rademacher-mc": (True, ("seed",), lambda a, ms: rademacher_mc(ms[0], a.n_sigma, a.seed)),
-    "peel": (True, (), lambda a, ms: _peel_report(a.op, peel(ms[0]))),
+    "peel": (True, (), lambda a, ms: _peel_report(a.op, ms[0])),
     "rm-peeling": (
         True,
         ("seed",),
@@ -269,10 +269,13 @@ def _apply_overrides(data: dict, overrides) -> dict:
             value = raw
         node = data
         parts = key.split(".")
+        # a section the file omits is created; the config check rejects a misspelled one
         for part in parts[:-1]:
-            if part not in node or not isinstance(node[part], dict):
-                raise InputError(f"override path {key!r} does not address the config")
-            node = node[part]
+            if not isinstance(node, dict):
+                break
+            node = node.setdefault(part, {})
+        if not isinstance(node, dict):
+            raise InputError(f"override path {key!r} does not address the config")
         node[parts[-1]] = value
     return data
 

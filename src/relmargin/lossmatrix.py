@@ -12,7 +12,7 @@ import csv
 import io
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,7 +21,6 @@ from .hypotheses import margins
 
 __all__ = [
     "LossMatrix",
-    "PeelingPartition",
     "peel",
     "shell_index",
     "count_dichotomies",
@@ -122,26 +121,9 @@ def shell_index(column_sum: float) -> int:
     return int(math.floor(math.log2(column_sum + 1.0)))
 
 
-@dataclass(frozen=True)
-class PeelingPartition:
-    """Disjoint shells of pool columns keyed by their loss-magnitude scale k."""
-
-    buckets: dict
-    m: int
-
-    def __post_init__(self):
-        object.__setattr__(
-            self,
-            "buckets",
-            {int(k): tuple(int(j) for j in cols) for k, cols in self.buckets.items()},
-        )
-
-    def columns(self, k: int) -> tuple:
-        return self.buckets.get(int(k), ())
-
-
-def peel(matrix: LossMatrix) -> PeelingPartition:
-    """Partition pool columns into shells by empirical loss magnitude."""
+def peel(matrix: LossMatrix) -> dict:
+    """Partition pool columns into shells by empirical loss magnitude:
+    {k: tuple of the columns j in shell k}, for the nonempty shells."""
     vals = matrix.values
     if vals.min() < 0.0 or vals.max() > 1.0:
         raise InputError("peeling requires entries in [0, 1]")
@@ -149,7 +131,7 @@ def peel(matrix: LossMatrix) -> PeelingPartition:
     buckets: dict = {}
     for j, s in enumerate(sums):
         buckets.setdefault(shell_index(float(s)), []).append(j)
-    return PeelingPartition(buckets=buckets, m=matrix.m)
+    return {k: tuple(cols) for k, cols in buckets.items()}
 
 
 def count_dichotomies(matrix: LossMatrix) -> int:

@@ -139,53 +139,41 @@ def rademacher_mc(matrix: LossMatrix, n_sigma: int, seed: int) -> ComplexityEsti
     )
 
 
-def _shell_rademacher_values(matrix: LossMatrix, inner: str, n_sigma: int, rng) -> np.ndarray:
+def _inner(m: int) -> str:
+    """The inner Rademacher estimator for samples of size m: exact
+    enumeration up to EXACT_ENUMERATION_MAX_M, Monte Carlo above it."""
+    return "exact" if m <= EXACT_ENUMERATION_MAX_M else "mc"
+
+
+def _shell_rademacher_values(matrix: LossMatrix, n_sigma: int, rng) -> np.ndarray:
     """Rhat for every shell k of one sample matrix (0 for empty shells)."""
-    partition = peel(matrix)
+    shells = peel(matrix)
     m = matrix.m
     # column sums lie in [0, m], so k ranges over 0 .. shell_index(m)
-    n_shells = shell_index(m) + 1
-    out = np.zeros(n_shells)
-    if inner == "mc":
+    out = np.zeros(shell_index(m) + 1)
+    exact = _inner(m) == "exact"
+    if not exact:
+        if rng is None:
+            raise InputError("monte-carlo inner estimation needs a generator")
         # one set of sums over the whole pool; each shell takes its columns' sups
         sums = _drawn_sums(matrix, n_sigma, rng)
-    for k in range(n_shells):
-        cols = list(partition.columns(k))
-        if not cols:
-            continue
-        if inner == "exact":
+    for k, cols in shells.items():
+        if exact:
             out[k] = kernels.exact_mean_sup_signed_sum(matrix.values[:, cols]) / m
         else:
             out[k] = float(sums[:, cols].max(axis=1).mean()) / m
     return out
 
 
-def _inner_method(inner: str, m: int) -> str:
-    """The inner Rademacher estimator for samples of size m: ``auto`` is exact
-    enumeration up to EXACT_ENUMERATION_MAX_M and Monte Carlo above it."""
-    if inner == "auto":
-        return "exact" if m <= EXACT_ENUMERATION_MAX_M else "mc"
-    if inner not in ("exact", "mc"):
-        raise InputError(f"inner must be 'auto', 'exact' or 'mc', got {inner!r}")
-    if inner == "exact" and m > EXACT_ENUMERATION_MAX_M:
-        raise CapabilityError(f"exact inner enumeration is capped at m = {EXACT_ENUMERATION_MAX_M}")
-    return inner
-
-
-def peeling_exponents(matrix: LossMatrix, inner: str = "auto", n_sigma: int = 1024, rng=None) -> np.ndarray:
+def peeling_exponents(matrix: LossMatrix, n_sigma: int = 1024, rng=None) -> np.ndarray:
     """Per-shell exponents m^2 * Rhat_k^2 / 2^{k+5} for one sample matrix."""
-    if matrix.values.min() < 0.0 or matrix.values.max() > 1.0:
-        raise InputError("peeling requires entries in [0, 1]")
-    inner = _inner_method(inner, matrix.m)
-    if inner == "mc" and rng is None:
-        raise InputError("monte-carlo inner estimation needs a generator")
-    rhat = _shell_rademacher_values(matrix, inner, n_sigma, rng)
+    rhat = _shell_rademacher_values(matrix, n_sigma, rng)
     ks = np.arange(rhat.shape[0])
     return (matrix.m**2) * rhat**2 / np.exp2(ks + 5)
 
 
 def peeling_complexity_for_matrices(
-    matrices, inner: str = "auto", n_sigma: int = 1024, seed: int = 0
+    matrices, n_sigma: int = 1024, seed: int = 0
 ) -> ComplexityEstimate:
     """Peeling complexity treating the given matrices as the outer sample set.
 
@@ -195,14 +183,15 @@ def peeling_complexity_for_matrices(
     m = None
     for t, mat in enumerate(matrices):
         if m is None:
-            m, inner = mat.m, _inner_method(inner, mat.m)
+            m = mat.m
         elif mat.m != m:
             raise InputError("all sample matrices must share the same m")
-        rows.append(peeling_exponents(mat, inner=inner, n_sigma=n_sigma, rng=substream(seed, "inner", t)))
+        rows.append(peeling_exponents(mat, n_sigma=n_sigma, rng=substream(seed, "inner", t)))
         del mat  # before the iterable builds the next one
     if not rows:
         raise InputError("need at least one sample matrix")
     exponents = np.stack(rows, axis=0)  # (trials, shells)
+    inner = _inner(m)
     n = exponents.shape[0]
     per_k = logsumexp(exponents, axis=0) - math.log(n)
     k_star = int(np.argmax(per_k))
@@ -232,7 +221,6 @@ def peeling_complexity(
     outer_trials: int,
     n_sigma: int = 1024,
     seed: int = 0,
-    inner: str = "auto",
 ) -> ComplexityEstimate:
     """Estimate the peeling-based complexity by outer Monte Carlo over samples.
 
@@ -244,7 +232,7 @@ def peeling_complexity(
     if outer_trials < 2:
         raise InputError("peeling_complexity needs outer_trials >= 2")
     samples = (class_sampler(child_seed(seed, "outer", t)) for t in range(int(outer_trials)))
-    return peeling_complexity_for_matrices(samples, inner=inner, n_sigma=n_sigma, seed=seed)
+    return peeling_complexity_for_matrices(samples, n_sigma=n_sigma, seed=seed)
 
 
 def rm_upper_dichotomy(class_sampler, trials: int, seed: int = 0) -> ComplexityEstimate:
@@ -292,10 +280,10 @@ def rm_upper_dudley(
     lo = 1.0 / math.sqrt(m)
     if grid[0] < lo - 1e-12 or grid[-1] > 1.0 + 1e-12:
         raise InputError("eps_grid must lie within [1/sqrt(m), 1]")
-    cols = peel(matrix).columns(int(k))
+    cols = peel(matrix).get(int(k), ())
     if not cols:
         return 1.0 / 16.0
-    sub = LossMatrix(matrix.values[:, list(cols)], "real")
+    sub = LossMatrix(matrix.values[:, cols], "real")
     mode = "exact" if sub.pool_size <= exact_cap else "greedy"
     scale = math.sqrt((2.0**k) / m)
     log_n = np.array(

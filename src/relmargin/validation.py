@@ -27,7 +27,8 @@ from scipy.stats import beta as beta_dist
 
 from . import __version__ as _pkg_version
 from .bounds import (
-    BoundParams, check_cov_alpha2, cov_alpha2_value, cov_alpha_value, cov_fat_dimension, cov_fat_value, rad_value,
+    BoundParams, check_cov_alpha2, check_peeling_m, cov_alpha2_value, cov_alpha_value, cov_fat_dimension,
+    cov_fat_value, rad_value,
 )
 from .errors import InputError, _choice, _count, _dataclass_keys, _mapping, _number, _options
 from .estimates import ComplexityEstimate
@@ -102,6 +103,8 @@ class ExperimentConfig:
         put("families", tuple(self.families))
         if "cov-alpha2" in self.families:
             check_cov_alpha2(self.params)
+        if "rad" in self.families:
+            check_peeling_m("params.m", self.params.m)
         put("trials", _count("trials", self.trials, 1))
         put("seed", _count("seed", self.seed, 0))
         _choice("mode", self.mode, ("uniform-pool", "trained"))

@@ -85,6 +85,21 @@ def shell_rademacher_mc(values, n_sigma: int, rng) -> list:
     return out
 
 
+def shell_rademacher_exact(values) -> list:
+    """Rhat per peeling shell over all 2^m sign vectors, one product per
+    shell; empty shells are 0."""
+    import numpy as np
+
+    m, pool = values.shape
+    signs = np.array(list(product((-1.0, 1.0), repeat=m)))
+    colsums = values.sum(axis=0)
+    out = []
+    for k in range(int(math.floor(math.log2(m + 1))) + 1):
+        cols = [j for j in range(pool) if 2**k <= colsums[j] + 1 < 2 ** (k + 1)]
+        out.append(float((signs @ values[:, cols]).max(axis=1).mean()) / m if cols else 0.0)
+    return out
+
+
 def packing_lower_bound(dist_rows, eps: float) -> int:
     """Greedy count of columns pairwise farther than 2*eps (covers need >= this)."""
     chosen = []

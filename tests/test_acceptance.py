@@ -101,7 +101,7 @@ def test_criterion_3_estimator_vs_oracle():
                 LossMatrix((rng.random((m, 5)) < 0.5).astype(float), "binary")
                 for _ in range(3)
             ]
-            est = peeling_complexity_for_matrices(mats, inner="exact")
+            est = peeling_complexity_for_matrices(mats)
             oracle = brute_peeling_value([mat.values.tolist() for mat in mats])
             assert abs(est.value - oracle) <= 1e-10 * max(1.0, abs(oracle))
 
@@ -172,7 +172,7 @@ def test_criterion_8_dichotomy_bound_dominates_peeling():
                 )
 
             upper = rm_upper_dichotomy(sampler, trials=8, seed=trial)
-            lower = peeling_complexity(sampler, outer_trials=8, seed=trial, inner="exact")
+            lower = peeling_complexity(sampler, outer_trials=8, seed=trial)
             assert upper.value >= lower.value - 1e-10
 
 

@@ -397,6 +397,8 @@ _HINGE = 'trainer={"method": "hinge-subgradient-linear", "steps": 10}'
         (["mode=trained", _HINGE, "trainer.steps=2.5"], 2, "trainer.steps must be an integer >= 0, got 2.5"),
         (["mode=trained", _HINGE, "trainer.steps=-3"], 2, "trainer.steps must be an integer >= 0, got -3"),
         ([_HINGE], 2, "a trainer section goes with mode 'trained' and only there; mode is 'uniform-pool'"),
+        (['families=["cov-alpha2", "rad"]', "params.m=2"], 2,
+         "peeling families need params.m >= 3 so that log log m is defined"),
     ],
 )
 def test_bad_campaign_config_is_rejected_naming_the_key(tmp_path, capsys, monkeypatch, overrides, code, text):
@@ -444,7 +446,29 @@ def test_validate_rerun_identical_and_overrides(tmp_path):
     assert code_c == 0
     assert json.loads(out_c)["families"]["cov-alpha2"]["trials"] == 4
     code_d, _, err = run_cli("validate", "--config", str(path), "--set", "nope.key=1")
-    assert code_d == 2 and "override" in err
+    assert code_d == 2 and "unknown config keys ['nope']" in err
+
+
+def test_validate_set_creates_a_section_the_file_omits(tmp_path, capsys):
+    path = _write_campaign_config(tmp_path, trials=3)
+    assert "risk" not in json.loads(path.read_text())
+    assert main(["validate", "--config", str(path), "--set", 'risk.mode="holdout"', "--set", "risk.n=500"]) == 0
+    created = capsys.readouterr().out
+    data = json.loads(path.read_text())
+    data["risk"] = {"mode": "holdout", "n": 500}
+    written = tmp_path / "with-risk.json"
+    written.write_text(json.dumps(data))
+    assert main(["validate", "--config", str(written)]) == 0
+    assert capsys.readouterr().out == created
+    # a misspelled section is still an unknown key, and a path through a value is no path
+    for item, text in (('riks.mode="holdout"', "unknown config keys ['riks']"),
+                       ("params.m.x=1", "override path 'params.m.x' does not address the config")):
+        assert main(["validate", "--config", str(path), "--set", item]) == 2
+        assert text in capsys.readouterr().err
+    # nor is a key of a file that is not a mapping
+    path.write_text("[1, 2]")
+    assert main(["validate", "--config", str(path), "--set", "trials=4"]) == 2
+    assert "override path 'trials' does not address the config" in capsys.readouterr().err
 
 
 def test_validate_csv_header(tmp_path):

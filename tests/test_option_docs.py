@@ -1,7 +1,8 @@
 """README's option tables against the declarations they document: the
 dataclass fields of each distribution, the keyword parameters of each
-trainer, the ``train`` flags each method takes and the ``bound`` flags each
-family reads."""
+trainer, the ``train`` flags each method takes, the ``bound`` flags each
+family reads and the defaults of a campaign's ``complexity`` and ``risk``
+keys."""
 
 import inspect
 import json
@@ -12,6 +13,7 @@ from relmargin.bounds import FAMILIES
 from relmargin.cli import _BOUND_FAMILIES, _TRAIN_FLAGS
 from relmargin.samples import DISTRIBUTIONS
 from relmargin.training import METHODS, train_bound_min
+from relmargin.validation import _COMPLEXITY_DEFAULTS, _COMPLEXITY_LEAST, ExperimentConfig
 
 README = Path(__file__).parent.parent / "README.md"
 
@@ -64,3 +66,26 @@ def test_readme_bound_flag_table_matches_the_families():
     for family, (required, optional, _) in _BOUND_FAMILIES.items():
         also = {*optional, *FAMILIES[family]} - set(required)
         assert documented[family] == [flags(required), flags(also)], family
+
+
+def test_readme_campaign_section_table_matches_the_defaults():
+    rows = {row[0]: row[1:] for row in _table("section key")}
+    complexity = {key.removeprefix("complexity."): cells for key, cells in rows.items() if key.startswith("complexity.")}
+    assert set(complexity) == set(_COMPLEXITY_DEFAULTS)
+    for key, (kind, least, default) in complexity.items():
+        assert json.loads(default) == _COMPLEXITY_DEFAULTS[key], key
+        if key in _COMPLEXITY_LEAST:
+            assert (kind, least) == ("integer", f"≥ {_COMPLEXITY_LEAST[key]}"), key
+    assert set(rows) - {f"complexity.{key}" for key in complexity} == {"risk.mode", "risk.n"}
+    # a config that leaves both sections out gets the documented defaults
+    cfg = ExperimentConfig.from_json({
+        "distribution": {"kind": "two-gaussian-mixture"},
+        "pool": {"size": 3},
+        "params": {"m": 10, "delta": 0.05},
+        "families": ["cov-alpha"],
+        "trials": 1,
+        "seed": 0,
+    })
+    assert cfg.complexity == _COMPLEXITY_DEFAULTS
+    assert json.dumps(cfg.risk["mode"]) == rows["risk.mode"][2]
+    assert cfg.risk["n"] == 10**6 and "10⁶ (`uniform-pool`)" in rows["risk.n"][2]

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import brute_peeling_value, brute_rademacher, shell_rademacher_mc
+from oracles import brute_peeling_value, brute_rademacher, shell_rademacher_exact, shell_rademacher_mc
 from relmargin import (
     CapabilityError,
     DomainError,
@@ -20,7 +20,9 @@ from relmargin import (
 )
 from relmargin import kernels
 from relmargin.fatdim import FatDimParams
-from relmargin.rademacher import SIGN_BLOCK_ROWS, _drawn_sums, _shell_rademacher_values, _word_signs, sign_rows
+from relmargin.rademacher import (
+    EXACT_ENUMERATION_MAX_M, SIGN_BLOCK_ROWS, _drawn_sums, _shell_rademacher_values, _word_signs, sign_rows,
+)
 from relmargin.rng import substream
 
 
@@ -177,12 +179,17 @@ def test_mc_shell_values_match_per_shell_oracle():
         real = rng.random((m, p)) * rng.random(p) ** 3
         for values, tag in ((binary, "binary"), (real, "unit-interval")):
             seed = 1000 + trial
-            got = _shell_rademacher_values(LossMatrix(values, tag), "mc", 64, np.random.default_rng(seed))
-            want = shell_rademacher_mc(values, 64, np.random.default_rng(seed))
+            got = _shell_rademacher_values(LossMatrix(values, tag), 64, np.random.default_rng(seed))
+            exact = m <= EXACT_ENUMERATION_MAX_M  # small samples enumerate every sign vector
+            if exact:
+                want = shell_rademacher_exact(values)
+            else:
+                want = shell_rademacher_mc(values, 64, np.random.default_rng(seed))
             if tag == "binary":  # integer sums: the one product is exact
                 assert got.tolist() == want
             else:
-                np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+                # an exact mean near zero keeps the rounding of its 2^m terms
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15 if exact else 0.0)
 
 
 def test_mc_shell_values_from_philox_match_per_shell_oracle():
@@ -190,13 +197,13 @@ def test_mc_shell_values_from_philox_match_per_shell_oracle():
     rng = np.random.default_rng(18)
     for m, p in ((300, 20), (2000, 9)):
         binary = (rng.random((m, p)) < rng.random(p) ** 3).astype(float)
-        got = _shell_rademacher_values(LossMatrix(binary, "binary"), "mc", 130, substream(m, "inner", 0))
+        got = _shell_rademacher_values(LossMatrix(binary, "binary"), 130, substream(m, "inner", 0))
         assert got.tolist() == shell_rademacher_mc(binary, 130, substream(m, "inner", 0))
 
 
 def test_peeling_singleton_zero_class_is_exactly_zero():
     mats = [LossMatrix(np.zeros((8, 1)), "binary") for _ in range(3)]
-    est = peeling_complexity_for_matrices(mats, inner="exact")
+    est = peeling_complexity_for_matrices(mats)
     assert est.value == 0.0
 
 
@@ -207,7 +214,7 @@ def test_peeling_matches_brute_force_on_fixed_outer_sample():
         for _ in range(3):
             vals = (rng.random((m, 5)) < 0.5).astype(float)
             mats.append(LossMatrix(vals, "binary"))
-        est = peeling_complexity_for_matrices(mats, inner="exact")
+        est = peeling_complexity_for_matrices(mats)
         expected = brute_peeling_value([mat.values.tolist() for mat in mats])
         assert est.value == pytest.approx(expected, rel=1e-10)
 
@@ -217,8 +224,8 @@ def test_peeling_invariant_under_duplicated_pool_column():
     vals = (rng.random((9, 4)) < 0.5).astype(float)
     mats1 = [LossMatrix(vals, "binary")]
     mats2 = [LossMatrix(np.hstack([vals, vals[:, [2]]]), "binary")]
-    a = peeling_complexity_for_matrices(mats1, inner="exact").value
-    b = peeling_complexity_for_matrices(mats2, inner="exact").value
+    a = peeling_complexity_for_matrices(mats1).value
+    b = peeling_complexity_for_matrices(mats2).value
     assert a == pytest.approx(b, rel=1e-12)
 
 
@@ -272,8 +279,15 @@ def test_peeling_for_matrices_takes_any_iterable():
         peeling_complexity_for_matrices(mats + [LossMatrix(np.zeros((31, 5)), "binary")], n_sigma=64)
     with pytest.raises(InputError, match="at least one"):
         peeling_complexity_for_matrices(iter(()))
-    with pytest.raises(InputError, match="inner must be"):
-        peeling_complexity_for_matrices(mats, inner="fast")
+
+
+@pytest.mark.parametrize("m,inner", [(EXACT_ENUMERATION_MAX_M, "exact"), (EXACT_ENUMERATION_MAX_M + 1, "mc")])
+def test_peeling_inner_estimator_switches_above_the_enumeration_cap(m, inner):
+    rng = np.random.default_rng(m)
+    mats = [LossMatrix(rng.random((m, 3)) < 0.4, "binary") for _ in range(2)]
+    est = peeling_complexity_for_matrices(mats, n_sigma=32, seed=1)
+    assert est.details["inner"] == inner
+    assert est.trials == ((2,) if inner == "exact" else (2, 32))
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +321,7 @@ def test_dichotomy_bound_dominates_peeling_on_binary_classes():
             return LossMatrix(((base + 0.1 * local.random((m, p))) < thresh).astype(float), "binary")
 
         upper = rm_upper_dichotomy(sampler, trials=6, seed=trial)
-        lower = peeling_complexity(sampler, outer_trials=6, n_sigma=0, seed=trial, inner="exact")
+        lower = peeling_complexity(sampler, outer_trials=6, n_sigma=0, seed=trial)
         assert upper.value >= lower.value - 1e-10
 
 

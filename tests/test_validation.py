@@ -66,6 +66,17 @@ def test_cov_alpha2_rejects_another_alpha_in_a_campaign_and_a_report():
     assert _config(families=("cov-alpha", "rad"), params=params).params.alpha == 1.5
 
 
+def test_rad_rejects_m_below_3_in_a_campaign_and_a_report():
+    params = {"m": 2, "delta": 0.05, "alpha": 2.0, "rho": 0.2}
+    # the config is refused when it is built, before any draw
+    with pytest.raises(InputError, match="peeling families need params.m >= 3"):
+        _config(families=("cov-alpha2", "rad"), params=params)
+    with pytest.raises(InputError, match="peeling families need m >= 3"):
+        bound_rad(0.1, 1.0, BoundParams(**params))
+    assert _config(families=("cov-alpha2",), params=params).params.m == 2
+    assert _config(families=("rad",), m=3).params.m == 3
+
+
 def test_campaign_runs_and_rates_are_small():
     report = validate_bounds(_config(families=("cov-alpha2", "rad")))
     for fam in ("cov-alpha2", "rad"):
