@@ -16,11 +16,11 @@ values at or above 1 are additionally flagged vacuous.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ApplicabilityError, DataError, DomainError, InputError
+from .errors import ApplicabilityError, DataError, DomainError, InputError, _fields_json
 from .estimates import ComplexityEstimate
 from .fatdim import FatDimParams, cover_log_bound_from_fat, fat_dim_formula
 from .rademacher import rm_upper_smooth
@@ -106,7 +106,7 @@ class BoundReport:
 
     def to_json(self) -> dict:
         """The report, with the params its family does not read as None."""
-        data = asdict(self)
+        data = _fields_json(self)
         reads = ("m", "delta", *FAMILIES[self.family])
         data["params"] = {k: v if k in reads else None for k, v in data["params"].items()}
         return {"schema": "relmargin/bound-report/v1", **data}

@@ -11,7 +11,7 @@ import math
 import numpy as np
 from scipy.stats import binom
 
-from .errors import InputError
+from .errors import InputError, _count
 from .rng import substream
 
 __all__ = ["deviation_ratio", "verify_binomial_lemma", "verify_monotone_ratio"]
@@ -29,6 +29,7 @@ def verify_binomial_lemma(m_max: int, grid_size: int = 200) -> dict:
     p grids (the boundary values are excluded: the facts are strict)."""
     if not (1 <= m_max <= MAX_BINOMIAL_M):
         raise InputError(f"m_max must lie in [1, {MAX_BINOMIAL_M}]")
+    _count("grid_size", grid_size, 1)
     worst_ge = (math.inf, None, None)
     worst_le = (math.inf, None, None)
     checked = 0

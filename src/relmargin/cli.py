@@ -306,7 +306,7 @@ def _cmd_compare(args) -> int:
         _require(args, ("m_grid", "rho_grid", "emp_grid", "class_kind"), "compare")
         report = compare_tightness(
             _class_params(args),
-            [int(v) for v in _float_list(args.m_grid)],
+            _float_list(args.m_grid),
             _float_list(args.rho_grid),
             _float_list(args.emp_grid),
             delta=args.delta,

@@ -18,7 +18,7 @@ from dataclasses import replace
 import numpy as np
 
 from .bounds import _empirical_input, cov_fat_class_value, loss_factored_value
-from .errors import InputError
+from .errors import InputError, _count
 from .fatdim import FatDimParams
 
 __all__ = ["tightness_row", "compare_tightness_direct", "compare_tightness", "crossover_check"]
@@ -82,16 +82,17 @@ def compare_tightness(
     beta' from ``cov_fat_class_value``: the cov-fat bound and its cover term."""
     emps = [float(emp) for emp in emp_grid]
     _check(emps, (), c_prime)
+    ms = [_count("m_grid", m, 1) for m in m_grid]
     rows = []
-    for m in m_grid:
+    for m in ms:
         for rho in rho_grid:
             values, terms = cov_fat_class_value(
-                np.array(emps), replace(class_params, rho=float(rho)), int(m), delta
+                np.array(emps), replace(class_params, rho=float(rho)), m, delta
             )
             beta, d = terms["term"], terms["fat_dimension"]
             for emp, value in zip(emps, values.tolist()):
                 row = _row(emp, beta, value, c_prime)
-                row.update({"m": int(m), "rho": float(rho), "fat_dimension": d})
+                row.update({"m": m, "rho": float(rho), "fat_dimension": d})
                 rows.append(row)
     return {
         "mode": "class",

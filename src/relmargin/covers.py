@@ -20,7 +20,7 @@ import math
 import numpy as np
 
 from . import kernels
-from .errors import CapabilityError, InputError
+from .errors import CapabilityError, InputError, _count
 from .estimates import ComplexityEstimate
 from .lossmatrix import LossMatrix, distinct_columns
 
@@ -111,6 +111,7 @@ def covering_number(
         raise InputError("eps must be nonnegative")
     if mode not in ("exact", "greedy"):
         raise InputError(f"unknown cover mode {mode!r}")
+    _count("exact_cap", exact_cap, 1)
     p = matrix.pool_size
     if mode == "exact" and p > exact_cap:
         raise CapabilityError(

@@ -1,4 +1,5 @@
-"""Exception hierarchy and the input checks shared by the whole package.
+"""Exception hierarchy, the input checks shared by the whole package, and
+the one rule of its JSON formats: a type's keys are its dataclass fields.
 
 The CLI maps these onto exit codes: InputError (and subclasses) -> 2,
 CapabilityError -> 3, ApplicabilityError -> 4.
@@ -6,7 +7,7 @@ CapabilityError -> 3, ApplicabilityError -> 4.
 
 import inspect
 import math
-from dataclasses import MISSING, fields
+from dataclasses import MISSING, fields, is_dataclass
 
 import numpy as np
 
@@ -53,6 +54,37 @@ def _dataclass_keys(cls) -> tuple[list, list]:
     """The field names of a dataclass, and those without a default."""
     names = [f.name for f in fields(cls)]
     return names, [f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING]
+
+
+def _plain(value):
+    """``value`` as JSON data: an array as nested lists, an object with
+    ``to_json`` as its JSON, a dataclass as its fields, a tuple as a list and
+    a dict with ``str`` keys, all taken apart the same way."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if hasattr(value, "to_json"):
+        return value.to_json()
+    if is_dataclass(value):
+        return _fields_json(value)
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    if isinstance(value, dict):
+        return {str(k): _plain(v) for k, v in value.items()}
+    return value
+
+
+def _fields_json(obj) -> dict:
+    """``{field: plain value}`` over the dataclass fields of ``obj``."""
+    return {f.name: _plain(getattr(obj, f.name)) for f in fields(obj)}
+
+
+def _fields_from_json(name: str, cls, data, checks) -> dict:
+    """The keyword arguments of dataclass ``cls`` from its JSON mapping
+    ``data``, keyed by its fields and ``"schema"``; the value of a key in
+    ``checks`` is ``checks[key](f"{name}.{key}", value)``."""
+    names, required = _dataclass_keys(cls)
+    data = _mapping(name, data, ("schema", *names), required)
+    return {k: checks[k](f"{name}.{k}", data[k]) if k in checks else data[k] for k in names if k in data}
 
 
 def _number(name: str, value) -> None:

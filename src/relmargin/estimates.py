@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import InputError
+from .errors import InputError, _fields_json
 
 __all__ = ["ComplexityEstimate", "METHODS"]
 
@@ -35,12 +35,4 @@ class ComplexityEstimate:
         object.__setattr__(self, "trials", tuple(int(t) for t in self.trials))
 
     def to_json(self) -> dict:
-        return {
-            "schema": "relmargin/complexity-estimate/v1",
-            "value": self.value,
-            "method": self.method,
-            "trials": list(self.trials),
-            "seed": self.seed,
-            "stderr": self.stderr,
-            "details": dict(self.details),
-        }
+        return {"schema": "relmargin/complexity-estimate/v1", **_fields_json(self)}

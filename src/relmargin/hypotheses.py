@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError, _dataclass_keys, _mapping
+from .errors import InputError, _dataclass_keys, _fields_json, _mapping
 
 __all__ = [
     "Hypothesis",
@@ -57,7 +57,7 @@ class Hypothesis:
         raise NotImplementedError
 
     def to_json(self) -> dict:
-        raise NotImplementedError
+        return {"kind": self.kind, **_fields_json(self)}
 
 
 @dataclass(frozen=True)
@@ -86,9 +86,6 @@ class LinearHypothesis(Hypothesis):
     def predict(self, x) -> np.ndarray:
         return _as_batch(x, self.dim) @ self.w
 
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "w": self.w.tolist(), "norm_cap": self.norm_cap}
-
 
 @dataclass(frozen=True)
 class DecisionStump(Hypothesis):
@@ -115,14 +112,6 @@ class DecisionStump(Hypothesis):
         raw = arr[:, self.feature] - self.threshold
         return self.polarity * np.where(raw >= 0.0, 1.0, -1.0)
 
-    def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "feature": self.feature,
-            "threshold": self.threshold,
-            "polarity": self.polarity,
-        }
-
 
 @dataclass(frozen=True)
 class EnsembleHypothesis(Hypothesis):
@@ -148,13 +137,6 @@ class EnsembleHypothesis(Hypothesis):
     def predict(self, x) -> np.ndarray:
         preds = np.stack([s.predict(x) for s in self.stumps], axis=1)
         return preds @ self.weights
-
-    def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "weights": self.weights.tolist(),
-            "stumps": [s.to_json() for s in self.stumps],
-        }
 
 
 def _project_rows_l1(mat: np.ndarray, cap: float) -> np.ndarray:
@@ -222,14 +204,6 @@ class FFNNHypothesis(Hypothesis):
             a = self._act(a @ mat.T)
         return a[:, 0]
 
-    def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "layers": [m.tolist() for m in self.layers],
-            "activation": self.activation,
-            "row_cap": self.row_cap,
-        }
-
 
 @dataclass(frozen=True)
 class TableHypothesis(Hypothesis):
@@ -256,9 +230,6 @@ class TableHypothesis(Hypothesis):
             out[i] = self.values[key]
         return out
 
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "values": {str(k): v for k, v in self.values.items()}}
-
 
 @dataclass(frozen=True)
 class TruncatedHypothesis(Hypothesis):
@@ -275,9 +246,6 @@ class TruncatedHypothesis(Hypothesis):
 
     def predict(self, x) -> np.ndarray:
         return np.clip(self.base.predict(x), -self.rho, self.rho)
-
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "rho": self.rho, "base": self.base.to_json()}
 
 
 def truncate(h: Hypothesis, rho: float) -> TruncatedHypothesis:
@@ -306,22 +274,13 @@ def hypothesis_from_json(data: dict) -> Hypothesis:
     kind = data.get("kind")
     if kind not in _KINDS:
         raise InputError(f"unknown hypothesis kind {kind!r}")
-    cls, convert = _KINDS[kind]
+    cls = _KINDS[kind]
     names, required = _dataclass_keys(cls)
     data = _mapping(f"{kind} hypothesis", data, None, required)
-    return cls(**{k: convert.get(k, lambda v: v)(data[k]) for k in names if k in data})
+    return cls(**{k: _NESTED.get(k, lambda v: v)(data[k]) for k in names if k in data})
 
 
-# kind -> (class, converters of the JSON values that need one); the class's
-# dataclass fields name its keys, and a key left out takes the field default
-_KINDS = {
-    "linear": (LinearHypothesis, {"w": np.asarray}),
-    "stump": (DecisionStump, {}),
-    "ensemble": (
-        EnsembleHypothesis,
-        {"weights": np.asarray, "stumps": lambda stumps: tuple(map(hypothesis_from_json, stumps))},
-    ),
-    "ffnn": (FFNNHypothesis, {"layers": lambda layers: tuple(map(np.asarray, layers))}),
-    "table": (TableHypothesis, {"values": lambda values: {int(k): v for k, v in values.items()}}),
-    "truncated": (TruncatedHypothesis, {"base": hypothesis_from_json}),
-}
+# kind -> class; its fields name the keys, and its constructor coerces the values
+_KINDS = {cls.kind: cls for cls in Hypothesis.__subclasses__()}
+# the fields that hold hypotheses, read back from their JSON
+_NESTED = {"stumps": lambda stumps: tuple(map(hypothesis_from_json, stumps)), "base": hypothesis_from_json}

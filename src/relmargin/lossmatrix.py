@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, _floats, _mapping
+from .errors import InputError, _fields_from_json, _fields_json, _floats
 from .hypotheses import margins
 
 __all__ = [
@@ -63,16 +63,11 @@ class LossMatrix:
         return self.values.shape[1]
 
     def to_json(self) -> dict:
-        return {
-            "schema": "relmargin/loss-matrix/v1",
-            "range_tag": self.range_tag,
-            "values": self.values.tolist(),
-        }
+        return {"schema": "relmargin/loss-matrix/v1", **_fields_json(self)}
 
     @classmethod
     def from_json(cls, data: dict) -> "LossMatrix":
-        data = _mapping("matrix", data, ("schema", "range_tag", "values"), ("values",))
-        return cls(_floats("matrix.values", data["values"]), data.get("range_tag", "real"))
+        return cls(**_fields_from_json("matrix", cls, data, {"values": _floats}))
 
     def to_csv(self) -> str:
         buf = io.StringIO()

@@ -25,7 +25,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from . import kernels
-from .errors import CapabilityError, DomainError, InputError
+from .errors import CapabilityError, DomainError, InputError, _count
 from .estimates import ComplexityEstimate
 from .lossmatrix import LossMatrix, count_dichotomies, peel, shell_index
 from .covers import DEFAULT_EXACT_CAP, covering_number_l2
@@ -179,6 +179,7 @@ def peeling_complexity_for_matrices(
 
     ``matrices`` may be any iterable; each matrix is used as it arrives and
     then dropped, so a generator keeps one sample matrix alive at a time."""
+    _count("n_sigma", n_sigma, 1)
     rows = []
     m = None
     for t, mat in enumerate(matrices):
@@ -273,6 +274,7 @@ def rm_upper_dudley(
     columns are covered exactly, larger ones greedily.  An empty shell
     contributes 1/16.
     """
+    _count("k", k, 0)
     grid = np.asarray(eps_grid, dtype=np.float64)
     m = matrix.m
     if grid.size < 2 or np.any(np.diff(grid) <= 0):

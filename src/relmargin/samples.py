@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import norm
 
-from .errors import CapabilityError, InputError, _choice, _count, _floats, _mapping, _options
+from .errors import CapabilityError, InputError, _choice, _count, _fields_from_json, _fields_json, _floats, _mapping, _options
 from .hypotheses import LinearHypothesis
 from .rng import substream
 
@@ -56,23 +56,17 @@ class LabeledSample:
         return self.points.shape[1]
 
     def to_json(self) -> dict:
-        return {
-            "schema": "relmargin/sample/v1",
-            "points": self.points.tolist(),
-            "labels": self.labels.astype(int).tolist(),
-            "seed": self.seed,
-            "generator_id": self.generator_id,
-        }
+        return {"schema": "relmargin/sample/v1", **_fields_json(self), "labels": self.labels.astype(int).tolist()}
 
     @classmethod
     def from_json(cls, data: dict) -> "LabeledSample":
-        data = _mapping("sample", data, ("schema", "points", "labels", "seed", "generator_id"), ("points", "labels"))
-        return cls(
-            points=_floats("sample.points", data["points"]),
-            labels=_floats("sample.labels", data["labels"]),
-            seed=_count("sample.seed", data.get("seed", 0), 0),
-            generator_id=str(data.get("generator_id", "unspecified")),
-        )
+        checks = {
+            "points": _floats,
+            "labels": _floats,
+            "seed": lambda name, v: _count(name, v, 0),
+            "generator_id": lambda _, v: str(v),
+        }
+        return cls(**_fields_from_json("sample", cls, data, checks))
 
 
 def _at_least(key: str, value, least) -> None:

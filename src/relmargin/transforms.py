@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapabilityError, DataError, InputError
+from .errors import CapabilityError, DataError, InputError, _fields_json
 from .hypotheses import Hypothesis, margins
 from .rng import substream
 from .samples import LabeledSample, analytic_risk
@@ -100,7 +100,7 @@ class RiskEstimate:
     method: str
 
     def to_json(self) -> dict:
-        return {"value": self.value, "stderr": self.stderr, "method": self.method}
+        return _fields_json(self)
 
 
 def true_risk(h: Hypothesis, dist, mode: str = "analytic", n: int | None = None, seed: int | None = None) -> RiskEstimate:

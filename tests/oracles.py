@@ -401,3 +401,65 @@ def compare_tightness_row_oracle(class_params, m: int, rho: float, emp: float, d
         "rho": rho,
         "fat_dimension": d,
     }
+
+
+def hypothesis_to_json_oracle(h) -> dict:
+    """A hypothesis's JSON written key by key, one body per kind."""
+    if h.kind == "linear":
+        return {"kind": h.kind, "w": h.w.tolist(), "norm_cap": h.norm_cap}
+    if h.kind == "stump":
+        return {"kind": h.kind, "feature": h.feature, "threshold": h.threshold, "polarity": h.polarity}
+    if h.kind == "ensemble":
+        return {
+            "kind": h.kind,
+            "weights": h.weights.tolist(),
+            "stumps": [hypothesis_to_json_oracle(s) for s in h.stumps],
+        }
+    if h.kind == "ffnn":
+        return {
+            "kind": h.kind,
+            "layers": [m.tolist() for m in h.layers],
+            "activation": h.activation,
+            "row_cap": h.row_cap,
+        }
+    if h.kind == "table":
+        return {"kind": h.kind, "values": {str(k): v for k, v in h.values.items()}}
+    if h.kind == "truncated":
+        return {"kind": h.kind, "rho": h.rho, "base": hypothesis_to_json_oracle(h.base)}
+    raise ValueError(f"no oracle for hypothesis kind {h.kind!r}")
+
+
+def report_to_json_oracle(obj) -> dict:
+    """The JSON of a loss matrix, sample, complexity estimate or bound
+    report, written key by key."""
+    from dataclasses import asdict
+
+    from relmargin import BoundReport, ComplexityEstimate, LabeledSample, LossMatrix
+    from relmargin.bounds import FAMILIES
+
+    if isinstance(obj, LossMatrix):
+        return {"schema": "relmargin/loss-matrix/v1", "range_tag": obj.range_tag, "values": obj.values.tolist()}
+    if isinstance(obj, LabeledSample):
+        return {
+            "schema": "relmargin/sample/v1",
+            "points": obj.points.tolist(),
+            "labels": obj.labels.astype(int).tolist(),
+            "seed": obj.seed,
+            "generator_id": obj.generator_id,
+        }
+    if isinstance(obj, ComplexityEstimate):
+        return {
+            "schema": "relmargin/complexity-estimate/v1",
+            "value": obj.value,
+            "method": obj.method,
+            "trials": list(obj.trials),
+            "seed": obj.seed,
+            "stderr": obj.stderr,
+            "details": dict(obj.details),
+        }
+    if isinstance(obj, BoundReport):
+        data = asdict(obj)
+        reads = ("m", "delta", *FAMILIES[obj.family])
+        data["params"] = {k: v if k in reads else None for k, v in data["params"].items()}
+        return {"schema": "relmargin/bound-report/v1", **data}
+    raise ValueError(f"no oracle for {type(obj).__name__}")

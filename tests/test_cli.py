@@ -783,3 +783,34 @@ def test_peeling_families_reject_a_negative_budget(capsys, argv, budget):
     assert main(["bound", *argv, "--delta", "1e6"]) == 2
     err = capsys.readouterr().err
     assert f"the peeling budget {budget} = -" in err and "is negative" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "1000.7", "0"])
+def test_compare_rejects_an_m_grid_value_that_is_not_a_count(capsys, value):
+    base = ["compare", "--rho-grid", "0.1", "--emp-grid", "0", "--class-kind", "linear", "--radius", "1"]
+    assert main([*base, "--m-grid", f"1000,{value}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: m_grid must be an integer >= 1") and "Traceback" not in err
+    assert main([*base, "--m-grid", "1000.0"]) == 0
+    assert json.loads(capsys.readouterr().out)["rows"][0]["m"] == 1000
+
+
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_verify_binomial_rejects_a_grid_size_below_1(capsys, value):
+    assert main(["verify", "binomial", "--m-max", "10", "--grid-size", value]) == 2
+    assert capsys.readouterr().err == f"input error: grid_size must be an integer >= 1, got {value}\n"
+
+
+@pytest.mark.parametrize(
+    "op,argv,text",
+    [("rm-peeling", ["--seed", "3", "--n-sigma", "-1"], "n_sigma must be an integer >= 1, got -1"),
+     ("rm-peeling", ["--seed", "3", "--n-sigma", "0"], "n_sigma must be an integer >= 1, got 0"),
+     ("rm-dudley", ["--k", "-1", "--eps-grid", "0.5,0.75,1.0"], "k must be an integer >= 0, got -1"),
+     ("cover-linf", ["--eps", "0.5", "--exact-cap", "-3"], "exact_cap must be an integer >= 1, got -3")],
+)
+def test_complexity_options_outside_their_domain_exit_2(tmp_path, capsys, op, argv, text):
+    # 24 rows: above the exact-enumeration cap, so rm-peeling draws signs
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"values": (np.arange(48).reshape(24, 2) % 3 == 0).astype(float).tolist()}))
+    assert main(["complexity", "--op", op, "--matrix", str(path), *argv]) == 2
+    assert capsys.readouterr().err == f"input error: {text}\n"

@@ -321,7 +321,7 @@ def test_dichotomy_bound_dominates_peeling_on_binary_classes():
             return LossMatrix(((base + 0.1 * local.random((m, p))) < thresh).astype(float), "binary")
 
         upper = rm_upper_dichotomy(sampler, trials=6, seed=trial)
-        lower = peeling_complexity(sampler, outer_trials=6, n_sigma=0, seed=trial)
+        lower = peeling_complexity(sampler, outer_trials=6, n_sigma=1, seed=trial)
         assert upper.value >= lower.value - 1e-10
 
 

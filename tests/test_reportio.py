@@ -9,6 +9,7 @@ from relmargin import (
     BoundParams,
     InputError,
     LabeledSample,
+    LossMatrix,
     TableHypothesis,
     bound_cov_alpha,
     bound_cov_alpha2,
@@ -27,7 +28,7 @@ from relmargin.estimates import ComplexityEstimate
 from relmargin.reportio import canonical_json, export_margins_csv, format_float, report_csv
 from relmargin.validation import ExperimentConfig, validate_bounds
 
-from oracles import canonical_json_oracle
+from oracles import canonical_json_oracle, report_to_json_oracle
 
 ROOT = Path(__file__).parent.parent
 SCHEMA_DIR = ROOT / "src/relmargin/schemas"
@@ -103,6 +104,36 @@ def test_every_bound_family_report_matches_its_schema(family):
     for params in ({**data["params"], "tau": 0.0}, {k: v for k, v in data["params"].items() if k != "r"}):
         with pytest.raises(jsonschema.ValidationError):
             jsonschema.validate({**data, "params": params}, schema)
+
+
+def _json_formats():
+    """A loss matrix, samples, complexity estimates by cover, Monte Carlo and
+    peeling, and one bound report per family, as (name, object)."""
+    from relmargin import MarginSeparable, covering_number_linf, generate
+    from relmargin.rademacher import peeling_complexity_for_matrices, rademacher_mc
+
+    rng = np.random.default_rng(11)
+    real = LossMatrix(rng.random((12, 6)))
+    binary = LossMatrix((rng.random((30, 6)) < 0.4).astype(float), "binary")
+    cases = [
+        ("matrix", real),
+        ("binary-matrix", binary),
+        ("sample", generate(MarginSeparable(dim=2, gap=0.3, noise_rate=0.0), 20, seed=4)),
+        ("hand-sample", LabeledSample(points=np.array([[0.5], [-1.0]]), labels=np.array([1, -1]), seed=3)),
+        ("cover", covering_number_linf(real, 0.4)),
+        ("monte-carlo", rademacher_mc(binary, 64, seed=3)),
+        ("peeling", peeling_complexity_for_matrices([binary, binary], n_sigma=64, seed=3)),
+        ("exact-peeling", peeling_complexity_for_matrices([LossMatrix(binary.values[:12], "binary")], seed=3)),
+    ]
+    return cases + [(family, make()) for family, make in _FAMILY_REPORTS.items()]
+
+
+@pytest.mark.parametrize("name,obj", _json_formats(), ids=lambda v: v if isinstance(v, str) else "")
+def test_json_formats_are_their_dataclass_fields(name, obj):
+    assert canonical_json(obj.to_json()) == canonical_json(report_to_json_oracle(obj))
+    if isinstance(obj, (LossMatrix, LabeledSample)):
+        data = obj.to_json()
+        assert type(obj).from_json(json.loads(json.dumps(data))).to_json() == data
 
 
 def test_complexity_estimate_schema_and_csv():
