@@ -10,7 +10,8 @@ distance), never the distances themselves.
 
 The exact solver is a branch-and-bound set-cover search seeded with the
 greedy solution; it is capped at ``exact_cap`` pool columns (default 25)
-and rejects larger instances with a CapabilityError.
+and rejects larger instances with a CapabilityError.  A column within eps
+of no other counts 1 in both modes, without search.
 """
 
 from __future__ import annotations
@@ -98,6 +99,23 @@ def _exact_cover(masks: list[int], full: int) -> int:
     return best
 
 
+def _cover_size(within: np.ndarray, exact: bool) -> int:
+    """The least (exact) or greedily found number of columns covering every
+    column, where column j covers the columns i with within[j, i], a
+    symmetric and reflexive relation.
+
+    A column linked to no other covers only itself and only itself covers
+    it, so it counts 1 without search, and the rest are solved as one
+    instance; the greedy count does not change, since the whole relation's
+    greedy also spends exactly one pick on each such column."""
+    rest = np.flatnonzero(np.count_nonzero(within, axis=1) > 1)
+    size = len(within) - len(rest)
+    if rest.size:
+        masks = _coverage_masks(within[np.ix_(rest, rest)])
+        size += (_exact_cover if exact else _greedy_cover)(masks, (1 << len(rest)) - 1)
+    return size
+
+
 def covering_number(
     matrix: LossMatrix,
     eps: float,
@@ -121,17 +139,9 @@ def covering_number(
     # changes neither the exact nor the greedy value
     within = _within(distinct_columns(matrix.values).T, eps, metric)
     q = within.shape[0]
-    masks = _coverage_masks(within)
-    full = (1 << q) - 1
-    if mode == "exact":
-        value = _exact_cover(masks, full)
-        method = "exact-enumeration"
-    else:
-        value = _greedy_cover(masks, full)
-        method = "greedy-upper"
     return ComplexityEstimate(
-        value=float(value),
-        method=method,
+        value=float(_cover_size(within, mode == "exact")),
+        method="exact-enumeration" if mode == "exact" else "greedy-upper",
         details={"metric": metric, "eps": float(eps), "pool": p, "distinct": q},
     )
 

@@ -276,7 +276,7 @@ def hypothesis_from_json(data: dict) -> Hypothesis:
         raise InputError(f"unknown hypothesis kind {kind!r}")
     cls = _KINDS[kind]
     names, required = _dataclass_keys(cls)
-    data = _mapping(f"{kind} hypothesis", data, None, required)
+    data = _mapping(f"{kind} hypothesis", data, ("kind", *names), required)
     return cls(**{k: _NESTED.get(k, lambda v: v)(data[k]) for k in names if k in data})
 
 

@@ -29,7 +29,7 @@ from .errors import CapabilityError, DomainError, InputError, _count
 from .estimates import ComplexityEstimate
 from .lossmatrix import LossMatrix, count_dichotomies, peel, shell_index
 from .covers import DEFAULT_EXACT_CAP, covering_number_l2
-from .rng import child_seed, substream
+from .rng import _coin_words, _word_signs, child_seed, substream
 
 __all__ = [
     "sign_rows",
@@ -52,20 +52,6 @@ EXACT_ENUMERATION_MAX_M = 20
 SIGN_BLOCK_ROWS = 64
 # float32 holds every integer up to 2^24 exactly
 _FLOAT32_EXACT_M = 1 << 24
-_SIGN_BITS = np.uint64(0x8000_0000_8000_0000)
-_FLOAT32_ONES = np.uint64(0x3F80_0000_3F80_0000)
-
-
-def _word_signs(words: np.ndarray, k: int) -> np.ndarray:
-    """The first k signs of the 32-bit halves of ``words``, low half first:
-    +1.0 where the half's top bit is set, -1.0 where it is clear.  Consumes
-    ``words``.  Each half becomes the bits of a float32 one with the negated
-    top bit as its sign bit, read in little-endian byte order whatever the
-    host's."""
-    np.invert(words, out=words)
-    words &= _SIGN_BITS
-    words |= _FLOAT32_ONES
-    return words.astype("<u8", copy=False).view("<f4")[:k]
 
 
 def sign_rows(rng, n: int, m: int) -> np.ndarray:
@@ -73,23 +59,16 @@ def sign_rows(rng, n: int, m: int) -> np.ndarray:
     size=(n, m)) * 2 - 1``, drawing the same words and leaving ``rng`` in
     the same state.
 
-    ``integers(0, 2)`` keeps the top bit of each 32-bit draw, and Philox
-    serves each 64-bit word as two 32-bit draws, low half first, so the raw
-    words give the signs two at a time.  An odd count leaves the unused high
-    half buffered, as ``integers`` does.  Another bit generator, or a Philox
-    already holding a buffered half, takes the ``integers`` call itself.
+    A Philox holding no buffered half gives the signs from its raw words,
+    two a word (see ``rng``).  Another bit generator, or a Philox already
+    holding a buffered half, takes the ``integers`` call itself.
     """
     n, m = int(n), int(m)
     bits = rng.bit_generator
     if not isinstance(bits, np.random.Philox) or bits.state["has_uint32"]:
         return (rng.integers(0, 2, size=(n, m)) * 2 - 1).astype(np.float32)
     k = n * m
-    words = bits.random_raw((k + 1) // 2)
-    if k % 2:
-        state = bits.state
-        state.update(has_uint32=1, uinteger=int(words[-1] >> np.uint64(32)))
-        bits.state = state
-    return _word_signs(words, k).reshape(n, m)
+    return _word_signs(_coin_words(bits, k), k).reshape(n, m)
 
 
 def _drawn_sums(matrix: LossMatrix, n_sigma: int, rng) -> np.ndarray:

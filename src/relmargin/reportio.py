@@ -19,12 +19,38 @@ from .hypotheses import Hypothesis, margins
 from .samples import LabeledSample
 
 __all__ = [
+    "Table",
     "format_float",
     "canonical",
     "canonical_json",
     "report_csv",
     "export_margins_csv",
 ]
+
+
+class Table:
+    """Report rows held as columns: equal-length 1-D numpy arrays of floats,
+    integers or strings, one per cell of a row.  It iterates, compares and
+    takes ``len`` as the tuple of its row tuples, whose cells are Python
+    scalars; ``canonical_json`` writes it column by column, and its JSON is
+    the list of its rows as lists."""
+
+    def __init__(self, *columns):
+        self.columns = tuple(np.asarray(c) for c in columns)
+
+    def __len__(self) -> int:
+        return len(self.columns[0]) if self.columns else 0
+
+    def __iter__(self):
+        return zip(*(c.tolist() for c in self.columns))
+
+    def __eq__(self, other):
+        if isinstance(other, Table):
+            other = tuple(other)
+        return tuple(self) == other if isinstance(other, tuple) else NotImplemented
+
+    def to_json(self) -> list:
+        return [list(row) for row in self]
 
 
 def format_float(x: float) -> str:
@@ -63,8 +89,9 @@ def canonical(obj):
 
 def canonical_json(obj) -> str:
     """``json.dumps(canonical(obj), sort_keys=True, indent=2) + "\\n"``, written
-    in one pass: each distinct float is formatted once, and a list of scalars
-    (a report row) is joined at once."""
+    in one pass: each distinct float is formatted once, a list of scalars
+    (a report row) is joined at once, and a ``Table`` is formatted column by
+    column."""
     floats = {}
     parts = []
     put = parts.append
@@ -101,9 +128,24 @@ def canonical_json(obj) -> str:
             return number(float(v))
         return None
 
+    def column(c: np.ndarray) -> list:
+        """The JSON texts of a table column, each distinct value formatted
+        once; floats are told apart by their bits, so -0.0 keeps its sign."""
+        floats = c.dtype.kind == "f"
+        keys, inverse = np.unique(c.astype(np.float64).view(np.uint64) if floats else c, return_inverse=True)
+        texts = [scalar(v) for v in (keys.view(np.float64) if floats else keys).tolist()]
+        return np.array(texts, dtype=object)[inverse].tolist()
+
     def write(v, newline: str) -> None:
         inner = newline + "  "
-        if isinstance(v, dict):
+        if isinstance(v, Table):
+            if not len(v):
+                put("[]")
+                return
+            cell = inner + "  "
+            rows = map(("," + cell).join, zip(*map(column, v.columns)))
+            put("[" + inner + "[" + cell + (inner + "]," + inner + "[" + cell).join(rows) + inner + "]" + newline + "]")
+        elif isinstance(v, dict):
             if not v:
                 put("{}")
                 return

@@ -7,10 +7,15 @@ so results never depend on the order in which trials run or on the degree
 of parallelism.
 
 A campaign draws its trials in blocks: ``substreams(seed, "trial",
-indices=range(lo, hi))`` derives the Philox keys of the whole block in one
-array pass of ``SeedSequence``'s hash, then sets one reused generator to
-each trial's stream in turn, exactly as ``substream(seed, "trial", t)``
-would create it.
+indices=range(trials))`` derives the Philox keys of every trial in one
+array pass of ``SeedSequence``'s hash, each block iterates its slice, and
+iterating sets one reused generator to each trial's stream in turn,
+exactly as ``substream(seed, "trial", t)`` would create it.
+
+``integers(0, 2)`` keeps the top bit of a 32-bit draw, and Philox serves
+each 64-bit word as two of them, low half first, so coin flips can be
+read straight from raw words (``coin_signs``); this module is the one
+place that decodes them.
 """
 
 from __future__ import annotations
@@ -22,13 +27,16 @@ import numpy as np
 
 from .errors import InputError
 
-__all__ = ["substream", "substreams", "child_seed"]
+__all__ = ["substream", "substreams", "coin_signs", "child_seed"]
 
 # numpy's SeedSequence hash on uint32 words: its pool size and constants
 _POOL = 4
 _MASK = 0xFFFFFFFF
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+# in both 32-bit halves of a word: the top bit, and the bits of float32 1.0
+_SIGN_BITS = np.uint64(0x8000_0000_8000_0000)
+_FLOAT32_ONES = np.uint64(0x3F80_0000_3F80_0000)
 
 
 def _encode(part) -> int:
@@ -139,14 +147,19 @@ def _philox_keys(seed: int, prefix: tuple, indices) -> np.ndarray:
 
 class _Substreams:
     """The substreams of a block of indices, in order.  Iterating yields one
-    reused generator, set to each stream in turn; each stream is valid until
-    the next one is yielded."""
+    reused generator, set to each stream in turn at the start of the stream
+    (counter 0, an empty buffer, no buffered half word); each stream is
+    valid until the next one is yielded."""
 
     def __init__(self, keys: np.ndarray):
         self._keys = keys
 
     def __len__(self) -> int:
         return len(self._keys)
+
+    def __getitem__(self, part: slice) -> "_Substreams":
+        """The substreams of a slice of the indices, with no new key pass."""
+        return _Substreams(self._keys[part])
 
     def __iter__(self):
         bitgen = np.random.Philox(key=0)
@@ -173,3 +186,47 @@ def substreams(seed: int, *prefix, indices) -> _Substreams:
     ``indices`` (each below 2**32), drawing the same numbers, as a sized
     iterable that reuses one generator."""
     return _Substreams(_philox_keys(seed, prefix, indices))
+
+
+def _coin_words(bits: np.random.Philox, k: int) -> np.ndarray:
+    """The raw words that serve the next k ``integers(0, 2)`` draws of a
+    Philox holding no buffered half, two draws a word.  An odd k leaves the
+    unused high half of the last word buffered, as ``integers`` does."""
+    words = bits.random_raw((k + 1) // 2)
+    if k % 2:
+        state = bits.state
+        state.update(has_uint32=1, uinteger=int(words[-1] >> np.uint64(32)))
+        bits.state = state
+    return words
+
+
+def _word_signs(words: np.ndarray, k: int) -> np.ndarray:
+    """The first k signs of the 32-bit halves of each row of ``words``, low
+    half first: +1.0 where the half's top bit is set, -1.0 where it is
+    clear.  Consumes ``words``.  Each half becomes the bits of a float32 one
+    with the negated top bit as its sign bit, read in little-endian byte
+    order whatever the host's."""
+    np.invert(words, out=words)
+    words &= _SIGN_BITS
+    words |= _FLOAT32_ONES
+    return words.astype("<u8", copy=False).view("<f4")[..., :k]
+
+
+def coin_signs(rngs, m: int, then) -> np.ndarray:
+    """The (n, m) float64 matrix whose row b is ``gen.integers(0, 2,
+    size=m) * 2 - 1`` for the b-th generator ``gen`` of the sized iterable
+    ``rngs``, each draw followed by ``then(b, gen)``.  The streams of a
+    ``substreams`` block start with no buffered half, so their signs come
+    from their raw words, decoded once for the block; other generators call
+    ``integers``."""
+    if not isinstance(rngs, _Substreams):
+        flips = np.empty((len(rngs), m), dtype=np.int64)
+        for b, gen in enumerate(rngs):
+            flips[b] = gen.integers(0, 2, size=m)
+            then(b, gen)
+        return flips * 2.0 - 1.0
+    words = np.empty((len(rngs), (m + 1) // 2), dtype=np.uint64)
+    for b, gen in enumerate(rngs):
+        words[b] = _coin_words(gen.bit_generator, m)
+        then(b, gen)
+    return _word_signs(words, m).astype(np.float64)

@@ -10,7 +10,7 @@ from scipy.stats import norm
 
 from .errors import CapabilityError, InputError, _choice, _count, _fields_from_json, _fields_json, _floats, _mapping, _options
 from .hypotheses import LinearHypothesis
-from .rng import substream
+from .rng import coin_signs, substream
 
 __all__ = [
     "LabeledSample",
@@ -147,13 +147,10 @@ class TwoGaussianMixture:
         """One sample of m points from each generator of the sized iterable
         ``rngs``: x is n x m x dim, y is n x m.  Each generator draws its
         labels, then its normals; the scaling, the shift and the clip are
-        done once for the whole block."""
+        done once for the whole block.  The labels of a ``substreams``
+        block come from its raw words (``rng.coin_signs``)."""
         x = np.empty((len(rngs), m, self.dim))
-        y = np.empty((len(rngs), m), dtype=np.int64)
-        for b, rng in enumerate(rngs):
-            y[b] = rng.integers(0, 2, size=m)
-            rng.standard_normal(out=x[b])
-        y = y * 2.0 - 1.0
+        y = coin_signs(rngs, m, lambda b, rng: rng.standard_normal(out=x[b]))
         x *= self.sigma
         x[..., 0] += y * self.separation
         return _clip_to_ball(x, self.radius), y

@@ -6,14 +6,18 @@ exceeds its bound (the uniform event a uniform-convergence guarantee
 protects against).  Complexity inputs are estimated once per estimator
 from their own substreams (families that share an estimator share its
 value).  Each trial then draws from its own substream into one row of a
-(trials x pool) matrix of empirical terms.  A uniform-pool campaign draws
-its trials in blocks of max(1, 2**13 // m): one ``substreams`` key pass,
-one ``sample_many`` transform and one margin-count product per block, with
-every trial's numbers taken from its own stream in the same order as a
-lone draw would take them.  A trained campaign draws trial by trial.  Only
-these draws (blocks, or trials) run on threads.  Judging is one array call
-per family on the whole matrix, so the report is reproducible bit-for-bit
-at any thread count.
+(trials x pool) matrix of empirical terms.  A uniform-pool campaign
+derives the keys of all its trial substreams in one ``substreams`` key
+pass and draws its trials in blocks of max(1, 2**13 // m): one
+``sample_many`` call per block, whose labels come from the streams' raw
+words, and margin-count products over chunks of max(1, 2**11 // m) whole
+trials, with every trial's numbers taken from its own stream in the same
+order as a lone draw would take them.  A trained campaign draws trial by
+trial.  Only these draws (blocks, or trials) run on threads.  Judging is
+one array call per family on the whole matrix, so the report is
+reproducible bit-for-bit at any thread count; the judge keeps each
+family's rows as columns (the worst member's emp, bound and risk, and
+whether the trial violated), which the report writer formats by column.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ from .hypotheses import LinearHypothesis, truncate
 from .lossmatrix import LossMatrix, outputs_matrix, transform_matrix
 from .covers import covering_number_linf
 from .rademacher import peeling_complexity
+from .reportio import Table
 from .rng import child_seed, substream, substreams
 from .samples import DISTRIBUTIONS, LabeledSample, analytic_risk, make_distribution
 from .training import METHODS
@@ -57,6 +62,10 @@ _COMPLEXITY_LEAST = {"cover_draws": 1, "peel_draws": 2, "n_sigma": 1, "exact_cap
 _RISK_N = {"uniform-pool": 10**6, "trained": 10**5}
 # points per block of uniform-pool trials: a block holds max(1, _BLOCK_ROWS // m) trials
 _BLOCK_ROWS = 2**13
+# points per margin-count product: it covers max(1, _COUNT_POINTS // m) whole
+# trials; one trial is always one product, since splitting a 5000-point
+# trial measured 5-15 % slower
+_COUNT_POINTS = 2**11
 
 
 @dataclass(frozen=True)
@@ -138,17 +147,17 @@ class ExperimentConfig:
 @dataclass(frozen=True)
 class ValidityReport:
     families: dict
-    rows: tuple
+    rows: Table
     environment: dict
 
-    def to_json(self) -> dict:
-        # not ``_fields_json``: walking the 3 x 10^4 rows of 7 cells of a
-        # 10^4-trial campaign value by value took 190 ms against 8 ms for
-        # these list copies (2-core host), about a fifth of that campaign
+    def to_json(self, table: bool = False) -> dict:
+        # not ``_fields_json``, which would copy the rows cell by cell.  The
+        # rows are lists, or with ``table`` the ``Table`` itself, which
+        # ``canonical_json`` writes column by column: what the CLI writes
         return {
             "schema": "relmargin/validity-report/v1",
             "families": dict(self.families),
-            "rows": [list(r) for r in self.rows],
+            "rows": self.rows if table else self.rows.to_json(),
             "environment": dict(self.environment),
         }
 
@@ -251,11 +260,17 @@ def family_bound_values(family: str, emp: np.ndarray, complexity_value: float, p
 def _margin_counts(w_stack: np.ndarray, x: np.ndarray, y: np.ndarray, rho: float) -> np.ndarray:
     """For each sample of the block (x is n x m x dim, y is n x m) and each
     pool member (row of ``w_stack``), the number of points with margin
-    y w.x < rho; n x pool.  One product, pool x (n m), covers the block, so
-    each count runs along a contiguous stretch of a row."""
+    y w.x < rho; n x pool.  One product, pool x (k m), covers each chunk of
+    k = max(1, _COUNT_POINTS // m) whole samples, so each count runs along a
+    contiguous stretch of a row that stays in cache."""
     n, m, dim = x.shape
-    below = w_stack @ (x * y[..., None]).reshape(n * m, dim).T < rho
-    return below.reshape(len(w_stack), n, m).sum(axis=2, dtype=np.int32).T
+    counts = np.empty((n, len(w_stack)), dtype=np.int32)
+    step = max(1, _COUNT_POINTS // m)
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        below = w_stack @ (x[lo:hi] * y[lo:hi, :, None]).reshape((hi - lo) * m, dim).T < rho
+        counts[lo:hi] = below.reshape(len(w_stack), hi - lo, m).sum(axis=2, dtype=np.int32).T
+    return counts
 
 
 def validate_bounds(cfg: ExperimentConfig, threads: int = 1) -> ValidityReport:
@@ -277,10 +292,11 @@ def validate_bounds(cfg: ExperimentConfig, threads: int = 1) -> ValidityReport:
         emp = np.empty((cfg.trials, len(pool)))
         block = max(1, _BLOCK_ROWS // p.m)
         jobs = range(0, cfg.trials, block)
+        streams = substreams(cfg.seed, "trial", indices=range(cfg.trials))
 
         def draw(lo: int) -> None:
             hi = min(lo + block, cfg.trials)
-            x, y = dist.sample_many(p.m, substreams(cfg.seed, "trial", indices=range(lo, hi)))
+            x, y = dist.sample_many(p.m, streams[lo:hi])
             emp[lo:hi] = _margin_counts(w_stack, x, y, p.rho) / p.m
 
     else:
@@ -305,7 +321,7 @@ def validate_bounds(cfg: ExperimentConfig, threads: int = 1) -> ValidityReport:
         list(map(draw, jobs))
 
     families_out = {}
-    rows = []
+    columns = []  # per family, the columns of its rows
     event = "uniform-over-pool" if cfg.mode == "uniform-pool" else "trained-single-hypothesis"
     for fam in cfg.families:
         complexity = complexities[fam]
@@ -325,13 +341,14 @@ def validate_bounds(cfg: ExperimentConfig, threads: int = 1) -> ValidityReport:
             "complexity": complexity.to_json(),
         }
         emps, bnds, rsks = (
-            np.take_along_axis(np.broadcast_to(a, emp.shape), worst, axis=1)[:, 0].tolist() for a in (emp, bounds, risks)
+            np.take_along_axis(np.broadcast_to(a, emp.shape), worst, axis=1)[:, 0] for a in (emp, bounds, risks)
         )
-        values = [complexity.value] * cfg.trials
-        rows.extend(zip([fam] * cfg.trials, range(cfg.trials), emps, values, bnds, rsks, violated.astype(int).tolist()))
+        values = np.full(cfg.trials, complexity.value)
+        columns.append((np.full(cfg.trials, fam), np.arange(cfg.trials), emps, values, bnds, rsks, violated.astype(int)))
     environment = {
         "seed": cfg.seed,
         "package_version": _pkg_version,
         "delta": p.delta,
     }
-    return ValidityReport(families=families_out, rows=tuple(rows), environment=environment)
+    rows = Table(*map(np.concatenate, zip(*columns)))
+    return ValidityReport(families=families_out, rows=rows, environment=environment)

@@ -39,6 +39,21 @@ def brute_min_cover(dist_rows, eps: float) -> int:
     return p
 
 
+def greedy_cover_oracle(within) -> int:
+    """Greedy cover of the whole relation at once, as first written: pick the
+    first column that covers the most uncovered columns, until none is left
+    (column j covers the columns i with within[j][i])."""
+    p = len(within)
+    masks = [sum(1 << i for i in range(p) if within[j][i]) for j in range(p)]
+    uncovered = (1 << p) - 1
+    count = 0
+    while uncovered:
+        best = max(masks, key=lambda mask: (mask & uncovered).bit_count())
+        uncovered &= ~best
+        count += 1
+    return count
+
+
 def brute_peeling_value(matrices) -> float:
     """Peeling complexity for a fixed outer sample set, everything enumerated."""
     m = len(matrices[0])

@@ -3,10 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from oracles import brute_min_cover, packing_lower_bound
+from oracles import brute_min_cover, greedy_cover_oracle, packing_lower_bound
 from relmargin import CapabilityError, InputError, LossMatrix, covering_number_l2, covering_number_linf
 from relmargin.cli import main
-from relmargin.covers import _coverage_masks
+from relmargin.covers import _cover_size, _coverage_masks
 from relmargin.kernels import linf_within, pairwise_l2n, pairwise_linf
 from relmargin.lossmatrix import distinct_columns
 
@@ -191,3 +191,32 @@ def test_wide_pool_with_few_distinct_columns_builds_the_relation_on_those_only(m
     q = len(distinct_columns(values))
     assert q <= 1024 and calls == [(10, q)]
     assert est.value == q and est.details["distinct"] == q and est.details["pool"] == 20000
+
+
+def _relation_with_components(rng, p, k):
+    """A random symmetric, reflexive relation on p columns whose links form
+    exactly k connected components: a random path through each of k
+    nonempty groups, plus random links inside the groups."""
+    order = rng.permutation(p)
+    cuts = np.sort(rng.choice(np.arange(1, p), size=k - 1, replace=False))
+    within = np.eye(p, dtype=bool)
+    for group in np.split(order, cuts):
+        for a, b in zip(group, group[1:]):
+            within[a, b] = within[b, a] = True
+        extra = rng.random((len(group), len(group))) < 0.3
+        within[np.ix_(group, group)] |= extra | extra.T
+    return within
+
+
+def test_cover_with_lone_columns_is_the_minimum_and_the_whole_greedy():
+    # k components on p columns, many of them single columns when k is near p
+    rng = np.random.default_rng(14)
+    for trial in range(120):
+        k = 1 + trial % 6
+        p = int(rng.integers(k, 13))
+        within = _relation_with_components(rng, p, k)
+        dist = np.where(within, 0.0, 1.0).tolist()
+        assert _cover_size(within, exact=True) == brute_min_cover(dist, 0.5)
+        assert _cover_size(within, exact=False) == greedy_cover_oracle(within.tolist())
+    # every column alone: the cover is the pool in both modes
+    assert _cover_size(np.eye(50, dtype=bool), exact=True) == _cover_size(np.eye(50, dtype=bool), exact=False) == 50

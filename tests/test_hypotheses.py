@@ -200,3 +200,18 @@ def test_hypothesis_json_is_its_kind_and_fields():
         # renormalizes the loaded weights, which can move the last bit
         if "ensemble" not in name:
             assert hypothesis_from_json(json.loads(json.dumps(data))).to_json() == data, name
+
+
+def test_hypothesis_reader_rejects_a_key_its_kind_does_not_have():
+    with pytest.raises(InputError, match=r"unknown linear hypothesis keys \['normcap'\]"):
+        hypothesis_from_json({"kind": "linear", "w": [3.0, 4.0], "normcap": 5.0})
+    for name, h in _json_cases():
+        data = json.loads(json.dumps(h.to_json()))
+        assert hypothesis_from_json(data).kind == h.kind, name
+        with pytest.raises(InputError, match=rf"unknown {h.kind} hypothesis keys \['extra', 'schema'\]"):
+            hypothesis_from_json({**data, "extra": 1, "schema": "relmargin/hypothesis/v1"})
+    # a nested hypothesis is read as strictly
+    data = json.loads(json.dumps(truncate(EnsembleHypothesis(np.array([1.0]), (DecisionStump(1, 0.25),)), 0.5).to_json()))
+    data["base"]["stumps"][0]["sign"] = -1
+    with pytest.raises(InputError, match=r"unknown stump hypothesis keys \['sign'\]"):
+        hypothesis_from_json(data)

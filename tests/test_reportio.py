@@ -25,7 +25,7 @@ from relmargin import (
 from relmargin.bounds import FAMILIES
 from relmargin.cli import main
 from relmargin.estimates import ComplexityEstimate
-from relmargin.reportio import canonical_json, export_margins_csv, format_float, report_csv
+from relmargin.reportio import Table, canonical, canonical_json, export_margins_csv, format_float, report_csv
 from relmargin.validation import ExperimentConfig, validate_bounds
 
 from oracles import canonical_json_oracle, report_to_json_oracle
@@ -245,8 +245,54 @@ def test_writer_is_the_oracle_on_campaign_reports(shape):
     data = json.loads(REFERENCE_CAMPAIGN.read_text())
     for key, value in _CAMPAIGN_SHAPES[shape].items():
         data[key] = {**data[key], **value} if isinstance(value, dict) else value
-    report = validate_bounds(ExperimentConfig.from_json(data)).to_json()
-    assert canonical_json(report) == canonical_json_oracle(report)
+    report = validate_bounds(ExperimentConfig.from_json(data))
+    assert isinstance(report.rows, Table)
+    # to_json is plain JSON with the rows as lists, which the oracle gets, so
+    # it never sees the table; the CLI writes the table itself
+    listed = report.to_json()
+    assert listed["rows"] == [list(r) for r in report.rows] and json.loads(json.dumps(listed)) == listed
+    tabled = report.to_json(table=True)
+    assert tabled["rows"] is report.rows and len(tabled["rows"]) == len(listed["rows"])
+    assert canonical_json(tabled) == canonical_json(listed) == canonical_json_oracle(listed)
+    assert report_csv(canonical(tabled)) == report_csv(canonical(listed))
+
+
+_TABLES = {
+    "signed zeros and infinities": (
+        np.array(["cov-alpha", "rad", "rad"]),
+        np.array([0, 1, 2]),
+        np.array([-0.0, 0.0, -0.0]),
+        np.array([np.inf, -np.inf, 0.1 + 0.2]),
+        np.array([1, 0, 1]),
+    ),
+    "repeated floats": (
+        np.repeat(np.array([1 / 3, 1e16, 1e-7, 123456789012.0, 0.3]), 4),
+        np.arange(20),
+        np.tile(np.array([0.5, 0.5, 2.0, -0.0]), 5),
+        np.tile(np.float32([0.1, 2.5]), 10),
+    ),
+    "zero trials": (np.array([], dtype=str), np.array([], dtype=int), np.array([])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_TABLES))
+def test_table_writer_is_the_oracle_on_its_rows(name):
+    table = Table(*_TABLES[name])
+    rows = [list(r) for r in table]
+    assert len(table) == len(rows) == len(_TABLES[name][0])
+    assert table == tuple(map(tuple, rows)) and table == Table(*_TABLES[name])
+    assert all(type(v) in (str, int, float) for row in rows for v in row)
+    for obj, listed in ((table, rows), ({"rows": table, "n": 2.5}, {"rows": rows, "n": 2.5}), ([table, [table]], [rows, [rows]])):
+        assert canonical_json(obj) == canonical_json_oracle(listed)
+        assert canonical(obj) == canonical(listed)
+
+
+def test_table_writer_rejects_nan_as_the_oracle_does():
+    table = Table(np.array(["a", "b"]), np.array([0.5, np.nan]))
+    with pytest.raises(InputError, match="reports must not contain NaN"):
+        canonical_json_oracle([list(r) for r in table])
+    with pytest.raises(InputError, match="reports must not contain NaN"):
+        canonical_json({"rows": table})
 
 
 def test_validity_report_matches_its_schema(tmp_path):

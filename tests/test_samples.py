@@ -210,6 +210,56 @@ def test_two_gaussian_sample_many_is_the_per_stream_draw(dim, radius, m):
                 assert 5 <= clipped <= 35
 
 
+@pytest.mark.parametrize("m", [1, 3, 199, 200, 201, 4097, 5001])
+def test_block_labels_from_raw_words_are_the_integers_draw(m):
+    # an odd m leaves the high half of the last label word unused, and the
+    # normals after it must still start on the next word
+    from relmargin.rng import substream, substreams
+
+    from oracles import two_gaussian_sample_oracle
+
+    dist = TwoGaussianMixture(dim=2)
+    x, y = dist.sample_many(m, substreams(11, "trial", indices=range(2, 5)))
+    for b in range(3):
+        x0, y0 = two_gaussian_sample_oracle(dist, m, substream(11, "trial", 2 + b))
+        assert np.array_equal(y[b], y0) and np.array_equal(x[b], x0)
+
+
+class _IntegersSpy:
+    """A generator that records its ``integers`` calls."""
+
+    def __init__(self, gen):
+        self.gen, self.calls = gen, 0
+
+    def integers(self, *args, **kwargs):
+        self.calls += 1
+        return self.gen.integers(*args, **kwargs)
+
+    def standard_normal(self, *args, **kwargs):
+        return self.gen.standard_normal(*args, **kwargs)
+
+
+def test_sample_many_draws_labels_with_integers_outside_a_substreams_block():
+    from relmargin.rng import substream
+
+    from oracles import two_gaussian_sample_oracle
+
+    dist = TwoGaussianMixture(dim=3)
+    spies = [_IntegersSpy(substream(2, "trial", t)) for t in range(3)]
+    x, y = dist.sample_many(7, spies)
+    assert [spy.calls for spy in spies] == [1, 1, 1]
+    # a generator holding a buffered half word serves it as its first label,
+    # which the raw words of a fresh stream would not give
+    gens, twins = [substream(2, "trial", t) for t in range(4)], [substream(2, "trial", t) for t in range(4)]
+    for gen in (gens[1], twins[1], gens[3], twins[3]):
+        gen.integers(0, 2, size=1)
+    assert gens[1].bit_generator.state["has_uint32"] == 1
+    x, y = dist.sample_many(9, tuple(gens))
+    for b, twin in enumerate(twins):
+        x0, y0 = two_gaussian_sample_oracle(dist, 9, twin)
+        assert np.array_equal(y[b], y0) and np.array_equal(x[b], x0)
+
+
 def test_margin_separable_sample_many_stacks_its_samples():
     from relmargin.rng import substream, substreams
 

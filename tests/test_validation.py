@@ -227,7 +227,7 @@ def test_margin_counts_match_the_m_by_pool_count():
     # dyadic points, weights and rho make every margin exact, so some equal rho
     rng = np.random.default_rng(21)
     rho = 0.25
-    for m, pool, dim in ((1, 1, 1), (9, 4, 2), (64, 50, 4), (201, 7, 3)):
+    for m, pool, dim in ((1, 1, 1), (9, 4, 2), (64, 50, 4), (201, 7, 3), (2100, 3, 2)):
         x = rng.integers(-8, 9, size=(m, dim)) / 8.0
         y = np.where(rng.random(m) < 0.5, -1.0, 1.0)
         w_stack = rng.integers(-4, 5, size=(pool, dim)) / 4.0
@@ -239,8 +239,10 @@ def test_margin_counts_match_the_m_by_pool_count():
         assert margins[0, 0] == rho
         want = np.count_nonzero(margins < rho, axis=0)
         assert np.array_equal(validation._margin_counts(w_stack, x[None], y[None], rho), want[None])
-        # the same sample in blocks of several trials, next to other samples
-        for n, at in ((2, 0), (3, 1), (5, 4)):
+        # the same sample in blocks of several trials, next to other samples;
+        # the blocks end just before, at and past a chunk of whole trials
+        step = max(1, validation._COUNT_POINTS // m)
+        for n, at in ((2, 0), (3, 1), (5, 4), (step + 1, step), (2 * step + 1, step - 1), (step, step - 1)):
             xs = rng.integers(-8, 9, size=(n, m, dim)) / 8.0
             ys = np.where(rng.random((n, m)) < 0.5, -1.0, 1.0)
             xs[at], ys[at] = x, y
