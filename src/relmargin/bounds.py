@@ -10,13 +10,16 @@ available for transparency.
 Logs are natural throughout except where a formula is explicitly base-2
 (the fat-shattering cover bound and the uniform-margin log-log addend).
 Zero-one families clamp reported values at 1 with an explicit flag;
-values at or above 1 are additionally flagged vacuous.
+values at or above 1 are additionally flagged vacuous.  Each family is one
+``Family`` record in ``FAMILIES``, from which the CLI takes its flags and
+the campaigns take their formulas.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from typing import Callable
 
 import numpy as np
 
@@ -26,6 +29,7 @@ from .fatdim import FatDimParams, cover_log_bound_from_fat, fat_dim_formula
 from .rademacher import rm_upper_smooth
 
 __all__ = [
+    "Family",
     "BoundParams",
     "BoundReport",
     "solve_relative",
@@ -42,20 +46,6 @@ __all__ = [
     "bound_unbounded_uniform_rho",
     "FAMILIES",
 ]
-
-# family -> the BoundParams fields beyond m and delta its formula reads (its reports null the rest)
-FAMILIES = {
-    "cov-alpha": ("alpha",),
-    "cov-alpha2": ("alpha",),
-    "cov-fat": (),
-    "cov-uniform-rho": ("alpha", "rho", "r"),
-    "rad": ("alpha",),
-    "rad-all-alpha": (),
-    "rad-smooth": ("alpha", "rho"),
-    "unbounded": ("alpha", "rho"),
-    "unbounded-uniform-rho": ("alpha", "r"),
-}
-
 
 @dataclass(frozen=True)
 class BoundParams:
@@ -107,7 +97,7 @@ class BoundReport:
     def to_json(self) -> dict:
         """The report, with the params its family does not read as None."""
         data = _fields_json(self)
-        reads = ("m", "delta", *FAMILIES[self.family])
+        reads = ("m", "delta", *FAMILIES[self.family].reads)
         data["params"] = {k: v if k in reads else None for k, v in data["params"].items()}
         return {"schema": "relmargin/bound-report/v1", **data}
 
@@ -277,14 +267,14 @@ def _cov_alpha_report(family, emp, log_n, params, solver, addend=0.0, **extra) -
     return _finalize_zero_one(family, params, emp, log_n_value, raw, solver, method, breakdown)
 
 
-def bound_cov_alpha(emp: float, log_n, params: BoundParams, solver: str = "root-find") -> BoundReport:
+def bound_cov_alpha(emp: float, logN, params: BoundParams, solver: str = "root-find") -> BoundReport:
     """General-moment cover bound: resolve x <= emp + C x^{1/alpha} (see
     ``cov_alpha_value`` for C).
 
     The default solver is the largest fixed point; "lemma-D1" selects the
     looser explicit conversion instead.  Both values appear in the breakdown.
     """
-    return _cov_alpha_report("cov-alpha", emp, log_n, params, solver)
+    return _cov_alpha_report("cov-alpha", emp, logN, params, solver)
 
 
 def cov_alpha2_value(emp, log_n: float, params: BoundParams):
@@ -299,11 +289,11 @@ def check_cov_alpha2(params: BoundParams) -> None:
         raise InputError(f"cov-alpha2 is the alpha = 2 specialization; alpha must be 2, got {params.alpha!r}")
 
 
-def bound_cov_alpha2(emp: float, log_n, params: BoundParams) -> BoundReport:
+def bound_cov_alpha2(emp: float, logN, params: BoundParams) -> BoundReport:
     """Second-moment cover bound in closed form (see ``cov_alpha2_value``)."""
     check_cov_alpha2(params)
     emp = _empirical_input(emp)
-    log_n_value, method = _complexity_input(log_n, "logN")
+    log_n_value, method = _complexity_input(logN, "logN")
     raw, terms = cov_alpha2_value(emp, log_n_value, params)
     return _finalize_zero_one("cov-alpha2", params, emp, log_n_value, raw, "closed-form", method, terms)
 
@@ -332,10 +322,10 @@ def cov_fat_class_value(emp, class_params: FatDimParams, m: int, delta: float):
     return cov_fat_value(emp, cov_fat_dimension(class_params), BoundParams(m=m, delta=delta))
 
 
-def bound_cov_fat(emp: float, d: float, params: BoundParams) -> BoundReport:
+def bound_cov_fat(emp: float, fat_d: float, params: BoundParams) -> BoundReport:
     """Fat-shattering cover bound (see ``cov_fat_value``)."""
     emp = _empirical_input(emp)
-    d, _ = _complexity_input(d, "fat_d")
+    d, _ = _complexity_input(fat_d, "fat_d")
     raw, terms = cov_fat_value(emp, d, params)
     log_n = cover_log_bound_from_fat(d, params.m)
     return _finalize_zero_one("cov-fat", params, emp, log_n, raw, "closed-form", "formula", terms)
@@ -351,11 +341,11 @@ def _uniform_rho_addend(r, rho: float) -> float:
     return math.log(math.log2(2.0 * r / rho))
 
 
-def bound_cov_uniform_rho(emp: float, log_n_at, params: BoundParams, solver: str = "root-find") -> BoundReport:
+def bound_cov_uniform_rho(emp: float, logN, params: BoundParams, solver: str = "root-find") -> BoundReport:
     """Uniform-margin cover bound: cover radius rho/4 and a log(log2(2r/rho))
     confidence addend, valid simultaneously for all rho in (0, r]."""
     addend = _uniform_rho_addend(params.r, params.rho)
-    log_n = log_n_at(params.rho / 4.0) if callable(log_n_at) else log_n_at
+    log_n = logN(params.rho / 4.0) if callable(logN) else logN
     return _cov_alpha_report("cov-uniform-rho", emp, log_n, params, solver, addend, loglog_addend=addend)
 
 
@@ -516,17 +506,17 @@ def unbounded_value(emp_loss, log_n: float, params: BoundParams, moment: float, 
     return emp_loss + deviation + params.rho, {"eps_hat": eps_hat, "gamma": gamma}
 
 
-def bound_unbounded(emp_loss: float, moment: float, log_n_loss, params: BoundParams) -> BoundReport:
+def bound_unbounded(emp_loss: float, moment: float, logN, params: BoundParams) -> BoundReport:
     """Finite-moment bound for unbounded losses (see ``unbounded_value``)."""
     emp_loss = _empirical_input(emp_loss, "emp_loss", zero_one=False)
-    log_n_value, method = _complexity_input(log_n_loss, "logN")
+    log_n_value, method = _complexity_input(logN, "logN")
     value, terms = unbounded_value(emp_loss, log_n_value, params, moment)
     breakdown = {**terms, "moment": moment, "rho_term": params.rho}
     return BoundReport("unbounded", params, emp_loss, log_n_value, value, "closed-form", method, breakdown)
 
 
 def bound_unbounded_uniform_rho(
-    emp_loss: float, moment: float, log_n_at, rho_grid, params: BoundParams
+    emp_loss: float, moment: float, logN, rho_grid, params: BoundParams
 ) -> BoundReport:
     """Minimum over a rho grid of the finite-moment bound with the uniform-rho
     log(log2(2r/rho)) addend (>= 0, so never below ``bound_unbounded`` at the
@@ -538,7 +528,7 @@ def bound_unbounded_uniform_rho(
     emp_loss = _empirical_input(emp_loss, "emp_loss", zero_one=False)
     per_rho, methods, failures = {}, {}, {}
     for rho in grid:
-        log_n = log_n_at(rho / 2.0) if callable(log_n_at) else log_n_at
+        log_n = logN(rho / 2.0) if callable(logN) else logN
         log_n_value, methods[rho] = _complexity_input(log_n, "logN")
         try:
             value, terms = unbounded_value(emp_loss, log_n_value, replace(params, rho=rho), moment, addends[rho])
@@ -560,3 +550,32 @@ def bound_unbounded_uniform_rho(
         "unbounded-uniform-rho", params, emp_loss, best["log_n"], best["bound_value"],
         "closed-form", methods[best_rho], breakdown,
     )
+
+
+# ---------------------------------------------------------------------------
+# the family registry
+
+
+@dataclass(frozen=True)
+class Family:
+    """A bound family: its report builder, the BoundParams fields beyond m
+    and delta its formula reads (its reports null the rest) and, if campaigns
+    judge it, its array formula and the builder parameter of its complexity."""
+
+    build: Callable[..., BoundReport]
+    reads: tuple = ()
+    value: Callable | None = None
+    complexity: str | None = None
+
+
+FAMILIES = {
+    "cov-alpha": Family(bound_cov_alpha, ("alpha",), cov_alpha_value, "logN"),
+    "cov-alpha2": Family(bound_cov_alpha2, ("alpha",), cov_alpha2_value, "logN"),
+    "cov-fat": Family(bound_cov_fat, (), cov_fat_value, "fat_d"),
+    "cov-uniform-rho": Family(bound_cov_uniform_rho, ("alpha", "rho", "r")),
+    "rad": Family(bound_rad, ("alpha",), rad_value, "rm"),
+    "rad-all-alpha": Family(bound_rad_all_alpha),
+    "rad-smooth": Family(bound_rad_smooth, ("alpha", "rho")),
+    "unbounded": Family(bound_unbounded, ("alpha", "rho")),
+    "unbounded-uniform-rho": Family(bound_unbounded_uniform_rho, ("alpha", "r")),
+}

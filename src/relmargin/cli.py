@@ -22,19 +22,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .bounds import (
-    FAMILIES,
-    BoundParams,
-    bound_cov_alpha,
-    bound_cov_alpha2,
-    bound_cov_fat,
-    bound_cov_uniform_rho,
-    bound_rad,
-    bound_rad_all_alpha,
-    bound_rad_smooth,
-    bound_unbounded,
-    bound_unbounded_uniform_rho,
-)
+from .bounds import FAMILIES, BoundParams
 from .checks import verify_binomial_lemma, verify_monotone_ratio
 from .comparison import compare_tightness, compare_tightness_direct
 from .covers import covering_number_l2, covering_number_linf
@@ -103,53 +91,36 @@ def _require(args, flags, what: str) -> None:
 # ---------------------------------------------------------------------------
 # bound
 #
-# family -> (flags it needs beyond --emp/--m/--delta, flags it may take,
-# call(args, params)).  It also takes the BoundParams fields that
-# ``bounds.FAMILIES`` says it reads; any other family flag exits 2.  Families
-# that need --emp-loss take it in place of --emp, and reject --emp.  The calls
-# look the builders up when they run, so patched module names win.
-
-_BOUND_FAMILIES = {
-    "cov-alpha": (("logN",), ("solver",), lambda a, p: bound_cov_alpha(a.emp, a.logN, p, solver=a.solver)),
-    "cov-alpha2": (("logN",), (), lambda a, p: bound_cov_alpha2(a.emp, a.logN, p)),
-    "cov-fat": (("fat_d",), (), lambda a, p: bound_cov_fat(a.emp, a.fat_d, p)),
-    "cov-uniform-rho": (
-        ("logN", "r"), ("solver",), lambda a, p: bound_cov_uniform_rho(a.emp, lambda _: a.logN, p, solver=a.solver)
-    ),
-    "rad": (("rm",), (), lambda a, p: bound_rad(a.emp, a.rm, p)),
-    "rad-all-alpha": (
-        ("rm", "alpha_grid"), (), lambda a, p: bound_rad_all_alpha(a.emp, a.rm, p, _float_list(a.alpha_grid))
-    ),
-    "rad-smooth": (("rmax",), (), lambda a, p: bound_rad_smooth(a.emp, a.rmax, p)),
-    "unbounded": (("emp_loss", "moment", "logN"), (), lambda a, p: bound_unbounded(a.emp_loss, a.moment, a.logN, p)),
-    "unbounded-uniform-rho": (
-        ("emp_loss", "moment", "logN", "rho_grid", "r"),
-        (),
-        lambda a, p: bound_unbounded_uniform_rho(a.emp_loss, a.moment, lambda _: a.logN, _float_list(a.rho_grid), p),
-    ),
-}
+# A family's flags beyond --emp, --m and --delta are its builder's parameters
+# (as attribute names) and the BoundParams fields its ``bounds.FAMILIES``
+# record reads.  Parameters without a default are needed, and so are read
+# fields whose default is None (r); another family's flag exits 2.  Families
+# that need --emp-loss take it in place of --emp, and reject --emp.
 
 
-def _bound_flags(family: str) -> set:
-    """The flags ``family`` reads beyond --emp, --m and --delta, as attribute names."""
-    required, optional, _ = _BOUND_FAMILIES[family]
-    return {*required, *optional, *FAMILIES[family]}
+def _bound_flags(family: str) -> tuple[list, set]:
+    """The flags ``family`` needs and all the flags it reads, as attribute names."""
+    record = FAMILIES[family]
+    takes = [p for p in inspect.signature(record.build).parameters.values() if p.name not in ("emp", "params")]
+    unset = [f.name for f in dataclasses.fields(BoundParams) if f.name in record.reads and f.default is None]
+    return [p.name for p in takes if p.default is p.empty] + unset, {p.name for p in takes} | set(record.reads)
 
 
 def _cmd_bound(args) -> int:
-    fields = {f: getattr(args, f) for f in FAMILIES[args.family] if getattr(args, f) is not None}
+    fields = {f: getattr(args, f) for f in FAMILIES[args.family].reads if getattr(args, f) is not None}
     params = BoundParams(m=args.m, delta=args.delta, **fields)
-    flags, _, call = _BOUND_FAMILIES[args.family]
-    others = set().union(*map(_bound_flags, _BOUND_FAMILIES)) - _bound_flags(args.family)
+    needed, reads = _bound_flags(args.family)
+    others = set().union(*(_bound_flags(f)[1] for f in FAMILIES)) - reads
     unread = ["--" + f.replace("_", "-") for f, value in vars(args).items() if f in others and value is not None]
     if unread:
         raise InputError(f"family {args.family} does not read {', '.join(unread)}")
-    _require(args, flags, f"family {args.family}")
-    if "emp_loss" in flags and args.emp is not None:
+    _require(args, needed, f"family {args.family}")
+    if "emp_loss" in needed and args.emp is not None:
         raise InputError(f"--emp does not apply to family {args.family}; give --emp-loss")
-    args.emp = 0.0 if args.emp is None else args.emp
-    args.solver = args.solver or "root-find"
-    report = call(args, params)
+    values = {**vars(args), "emp": 0.0 if args.emp is None else args.emp, "params": params}
+    build = FAMILIES[args.family].build
+    given = {name: values[name] for name in inspect.signature(build).parameters if values[name] is not None}
+    report = build(**{name: _float_list(v) if name.endswith("_grid") else v for name, v in given.items()})
     if args.explain:
         data = report.to_json()
         print(f"family {data['family']}:", file=sys.stderr)
@@ -181,8 +152,8 @@ def _peel_report(op: str, matrix) -> dict:
     return {"schema": "relmargin/value/v1", "op": op, "m": matrix.m, "buckets": buckets}
 
 
-# op -> (needs --matrix, other flags it needs, call(args, matrices)); like the
-# bound table, the calls look the library up when they run.
+# op -> (needs --matrix, other flags it needs, call(args, matrices)); the
+# calls look the library up when they run.
 _COMPLEXITY_OPS = {
     "cover-linf": (
         True,
@@ -392,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     b = sub.add_parser("bound", help="evaluate one bound family")
-    b.add_argument("--family", required=True, choices=_BOUND_FAMILIES)
+    b.add_argument("--family", required=True, choices=FAMILIES)
     b.add_argument("--emp", type=float, default=None, help="empirical margin loss (default 0)")
     b.add_argument("--emp-loss", type=float, default=None, help="empirical unbounded loss")
     b.add_argument("--logN", type=float, default=None)

@@ -115,7 +115,9 @@ class DecisionStump(Hypothesis):
 
 @dataclass(frozen=True)
 class EnsembleHypothesis(Hypothesis):
-    """Convex combination of stumps: weights are clipped at zero and renormalized."""
+    """Convex combination of stumps: weights are clipped at zero and, unless
+    they already sum to 1 within 1e-12, renormalized, so that a written
+    ensemble loads with the exact weights it wrote."""
 
     weights: np.ndarray
     stumps: tuple
@@ -129,7 +131,8 @@ class EnsembleHypothesis(Hypothesis):
         total = float(w.sum())
         if total <= 0:
             raise InputError("ensemble weights must have positive sum")
-        w = w / total
+        if abs(total - 1.0) > 1e-12:
+            w = w / total
         w.flags.writeable = False
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "stumps", tuple(self.stumps))

@@ -3,9 +3,10 @@
 A campaign draws fresh samples, evaluates a bound family for every member
 of a fixed hypothesis pool, and counts trials where any member's true risk
 exceeds its bound (the uniform event a uniform-convergence guarantee
-protects against).  Complexity inputs are estimated once per estimator
-from their own substreams (families that share an estimator share its
-value).  Each trial then draws from its own substream into one row of a
+protects against).  It judges the families whose ``bounds.FAMILIES``
+record has an array formula, and estimates each complexity input once,
+from its own substreams; families that share an input share its value.
+Each trial then draws from its own substream into one row of a
 (trials x pool) matrix of empirical terms.  A uniform-pool campaign
 derives the keys of all its trial substreams in one ``substreams`` key
 pass and draws its trials in blocks of max(1, 2**13 // m): one
@@ -30,10 +31,7 @@ import numpy as np
 from scipy.stats import beta as beta_dist
 
 from . import __version__ as _pkg_version
-from .bounds import (
-    BoundParams, check_cov_alpha2, check_peeling_m, cov_alpha2_value, cov_alpha_value, cov_fat_dimension,
-    cov_fat_value, rad_value,
-)
+from .bounds import FAMILIES, BoundParams, check_cov_alpha2, check_peeling_m, cov_fat_dimension
 from .errors import InputError, _choice, _count, _dataclass_keys, _mapping, _number, _options
 from .estimates import ComplexityEstimate
 from .fatdim import FatDimParams
@@ -106,9 +104,13 @@ class ExperimentConfig:
             put("params", BoundParams(**params))
         if not isinstance(self.families, (list, tuple)) or not self.families:
             raise InputError("families must be a nonempty list of bound families")
-        unknown = [f for f in self.families if f not in SUPPORTED_FAMILIES]
+        judged = ", ".join(SUPPORTED_FAMILIES)
+        unknown = [f for f in self.families if not (isinstance(f, str) and f in FAMILIES)]
         if unknown:
-            raise InputError(f"unsupported families {unknown}; supported: {SUPPORTED_FAMILIES}")
+            raise InputError(f"unknown bound families {unknown}; campaign families: {judged}")
+        unjudged = [f for f in self.families if f not in SUPPORTED_FAMILIES]
+        if unjudged:
+            raise InputError(f"bound families {unjudged} have no campaign formula; campaign families: {judged}")
         put("families", tuple(self.families))
         if "cov-alpha2" in self.families:
             check_cov_alpha2(self.params)
@@ -238,22 +240,18 @@ def _estimate_fat_dimension(cfg, dist, pool) -> ComplexityEstimate:
     return ComplexityEstimate(value=d, method="formula", details={"class": "linear", "radius": radius})
 
 
-# family -> (complexity estimator, bound formula from ``bounds``)
-_FAMILIES = {
-    "cov-alpha": (_estimate_log_cover, cov_alpha_value),
-    "cov-alpha2": (_estimate_log_cover, cov_alpha2_value),
-    "cov-fat": (_estimate_fat_dimension, cov_fat_value),
-    "rad": (_estimate_peeling, rad_value),
-}
-SUPPORTED_FAMILIES = tuple(_FAMILIES)
+# complexity input (the ``Family.complexity`` of a campaign family) -> its estimator
+_ESTIMATORS = {"logN": _estimate_log_cover, "rm": _estimate_peeling, "fat_d": _estimate_fat_dimension}
+# the families with an array formula, which is what a campaign judges
+SUPPORTED_FAMILIES = tuple(name for name, record in FAMILIES.items() if record.value is not None)
 
 
 def family_bound_values(family: str, emp: np.ndarray, complexity_value: float, p: BoundParams) -> np.ndarray:
     """Vectorized bound values for a family: the per-report formula applied
     to an array of empirical terms, clamped at 1 like the reports."""
-    if family not in _FAMILIES:
+    if family not in SUPPORTED_FAMILIES:
         raise InputError(f"unsupported family {family!r}")
-    raw, _ = _FAMILIES[family][1](np.asarray(emp, dtype=np.float64), complexity_value, p)
+    raw, _ = FAMILIES[family].value(np.asarray(emp, dtype=np.float64), complexity_value, p)
     return np.minimum(raw, 1.0)
 
 
@@ -279,12 +277,9 @@ def validate_bounds(cfg: ExperimentConfig, threads: int = 1) -> ValidityReport:
     dist = cfg.distribution
     pool = _build_pool(cfg, dist)
     p = cfg.params
-    estimates = {}
-    for fam in cfg.families:
-        estimator = _FAMILIES[fam][0]
-        if estimator not in estimates:
-            estimates[estimator] = estimator(cfg, dist, pool)
-    complexities = {fam: estimates[_FAMILIES[fam][0]] for fam in cfg.families}
+    # families that share a complexity input share its estimate
+    inputs = dict.fromkeys(FAMILIES[fam].complexity for fam in cfg.families)
+    estimates = {name: _ESTIMATORS[name](cfg, dist, pool) for name in inputs}
 
     if cfg.mode == "uniform-pool":
         w_stack = np.stack([h.w for h in pool], axis=0)
@@ -324,7 +319,7 @@ def validate_bounds(cfg: ExperimentConfig, threads: int = 1) -> ValidityReport:
     columns = []  # per family, the columns of its rows
     event = "uniform-over-pool" if cfg.mode == "uniform-pool" else "trained-single-hypothesis"
     for fam in cfg.families:
-        complexity = complexities[fam]
+        complexity = estimates[FAMILIES[fam].complexity]
         bounds = family_bound_values(fam, emp, complexity.value, p)
         gaps = risks - bounds
         violated = (gaps > 0).any(axis=1)

@@ -201,6 +201,7 @@ def per_trial_campaign(cfg):
     import numpy as np
 
     from relmargin import validation
+    from relmargin.bounds import FAMILIES
     from relmargin.rng import child_seed, substream
     from relmargin.samples import LabeledSample
     from relmargin.training import train
@@ -209,7 +210,7 @@ def per_trial_campaign(cfg):
     dist = cfg.distribution
     pool = validation._build_pool(cfg, dist)
     p = cfg.params
-    complexities = {fam: validation._FAMILIES[fam][0](cfg, dist, pool) for fam in cfg.families}
+    complexities = {fam: validation._ESTIMATORS[FAMILIES[fam].complexity](cfg, dist, pool) for fam in cfg.families}
 
     def judge(emp, risks):
         out = {}
@@ -474,7 +475,7 @@ def report_to_json_oracle(obj) -> dict:
         }
     if isinstance(obj, BoundReport):
         data = asdict(obj)
-        reads = ("m", "delta", *FAMILIES[obj.family])
+        reads = ("m", "delta", *FAMILIES[obj.family].reads)
         data["params"] = {k: v if k in reads else None for k, v in data["params"].items()}
         return {"schema": "relmargin/bound-report/v1", **data}
     raise ValueError(f"no oracle for {type(obj).__name__}")

@@ -399,6 +399,11 @@ _HINGE = 'trainer={"method": "hinge-subgradient-linear", "steps": 10}'
         ([_HINGE], 2, "a trainer section goes with mode 'trained' and only there; mode is 'uniform-pool'"),
         (['families=["cov-alpha2", "rad"]', "params.m=2"], 2,
          "peeling families need params.m >= 3 so that log log m is defined"),
+        # a bound family with no array formula, and a misspelled one
+        (['families=["rad", "unbounded"]'], 2,
+         "bound families ['unbounded'] have no campaign formula; campaign families: cov-alpha, cov-alpha2, cov-fat, rad"),
+        (['families=["cov-alfa", "unbounded"]'], 2,
+         "unknown bound families ['cov-alfa']; campaign families: cov-alpha, cov-alpha2, cov-fat, rad"),
     ],
 )
 def test_bad_campaign_config_is_rejected_naming_the_key(tmp_path, capsys, monkeypatch, overrides, code, text):
@@ -409,8 +414,8 @@ def test_bad_campaign_config_is_rejected_naming_the_key(tmp_path, capsys, monkey
         def estimate(*args):
             raise AssertionError("a complexity estimate ran before the config was rejected")
 
-        for fam, (_, formula) in list(validation._FAMILIES.items()):
-            monkeypatch.setitem(validation._FAMILIES, fam, (estimate, formula))
+        for name in list(validation._ESTIMATORS):
+            monkeypatch.setitem(validation._ESTIMATORS, name, estimate)
     path = _write_campaign_config(tmp_path, trials=2)
     argv = ["validate", "--config", str(path)]
     for item in overrides:
@@ -631,20 +636,20 @@ def _drop_flag(argv, flag):
 
 def test_bound_table_lists_every_family():
     from relmargin.bounds import FAMILIES
-    from relmargin.cli import _BOUND_FAMILIES
 
-    assert tuple(_BOUND_FAMILIES) == tuple(FAMILIES) == tuple(_FULL_BOUND_ARGV)
+    assert tuple(FAMILIES) == tuple(_FULL_BOUND_ARGV)
 
 
 @pytest.mark.parametrize("family", sorted(_FULL_BOUND_ARGV))
 def test_bound_family_required_flags(capsys, family):
-    from relmargin.cli import _BOUND_FAMILIES
+    from relmargin.cli import _bound_flags
 
     base = ["bound", "--family", family, *_emp_flag(family), "--m", "1000000", "--delta", "0.05"]
     full = base + _FULL_BOUND_ARGV[family]
     assert main(full) == 0
-    capsys.readouterr()
-    flags = _BOUND_FAMILIES[family][0]
+    # the family's record builds a report of that family
+    assert json.loads(capsys.readouterr().out)["family"] == family
+    flags = _bound_flags(family)[0]
     assert flags
     for attr in flags:
         flag = "--" + attr.replace("_", "-")

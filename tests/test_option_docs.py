@@ -1,8 +1,8 @@
 """README's option tables against the declarations they document: the
 dataclass fields of each distribution, the keyword parameters of each
 trainer, the ``train`` flags each method takes, the ``bound`` flags each
-family reads and the defaults of a campaign's ``complexity`` and ``risk``
-keys."""
+family reads, the campaign families and the defaults of a campaign's
+``complexity`` and ``risk`` keys."""
 
 import inspect
 import json
@@ -10,10 +10,10 @@ import re
 from pathlib import Path
 
 from relmargin.bounds import FAMILIES
-from relmargin.cli import _BOUND_FAMILIES, _TRAIN_FLAGS
+from relmargin.cli import _TRAIN_FLAGS, _bound_flags
 from relmargin.samples import DISTRIBUTIONS
 from relmargin.training import METHODS, train_bound_min
-from relmargin.validation import _COMPLEXITY_DEFAULTS, _COMPLEXITY_LEAST, ExperimentConfig
+from relmargin.validation import _COMPLEXITY_DEFAULTS, _COMPLEXITY_LEAST, SUPPORTED_FAMILIES, ExperimentConfig
 
 README = Path(__file__).parent.parent / "README.md"
 
@@ -63,9 +63,16 @@ def test_readme_bound_flag_table_matches_the_families():
 
     documented = {row[0]: [sorted(re.findall(r"--[A-Za-z-]+", cell)) for cell in row[1:]] for row in _table("family")}
     assert set(documented) == set(FAMILIES)
-    for family, (required, optional, _) in _BOUND_FAMILIES.items():
-        also = {*optional, *FAMILIES[family]} - set(required)
+    for family in FAMILIES:
+        required, reads = _bound_flags(family)
+        also = reads - set(required)
         assert documented[family] == [flags(required), flags(also)], family
+
+
+def test_readme_campaign_families_are_the_supported_families():
+    paragraph = next(p for p in README.read_text().split("\n\n") if p.startswith("`families` is a list of"))
+    listed = re.findall(r"`([a-z0-9-]+)`", paragraph.split(";")[0])
+    assert listed == ["families", *SUPPORTED_FAMILIES]
 
 
 def test_readme_campaign_section_table_matches_the_defaults():

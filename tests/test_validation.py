@@ -5,7 +5,6 @@ from relmargin import (
     BoundParams,
     ExperimentConfig,
     InputError,
-    bound_cov_alpha,
     bound_cov_alpha2,
     bound_rad,
     exact_binomial_ci,
@@ -13,7 +12,8 @@ from relmargin import (
 )
 from relmargin import validation
 from relmargin.reportio import canonical_json
-from relmargin.validation import family_bound_values
+from relmargin.bounds import FAMILIES
+from relmargin.validation import SUPPORTED_FAMILIES, family_bound_values
 
 from oracles import per_trial_campaign
 
@@ -90,19 +90,21 @@ def test_campaign_runs_and_rates_are_small():
 
 
 def test_campaign_reports_match_bound_functions():
-    cfg = _config(trials=6, families=("cov-alpha2", "cov-alpha", "rad"))
-    report = validate_bounds(cfg)
-    p = cfg.params
-    emp = np.array([0.0, 0.13, 0.4, 1.0])
-    for fam, builder in (
-        ("cov-alpha2", bound_cov_alpha2),
-        ("cov-alpha", bound_cov_alpha),
-        ("rad", bound_rad),
-    ):
-        complexity = report.families[fam]["complexity"]["value"]
-        vec = family_bound_values(fam, emp, complexity, p)
-        for e, v in zip(emp, vec):
-            assert builder(float(e), complexity, p).bound_value == pytest.approx(v, rel=1e-12)
+    # the campaign families are the records with an array formula, and each
+    # judges exactly what its record's builder reports
+    assert SUPPORTED_FAMILIES == ("cov-alpha", "cov-alpha2", "cov-fat", "rad")
+    emp = np.append(np.linspace(0.0, 1.0, 301), 0.13)
+    for alpha in (2.0, 1.37):
+        families = [fam for fam in SUPPORTED_FAMILIES if alpha == 2.0 or fam != "cov-alpha2"]
+        cfg = _config(trials=6, families=families, params={"m": 60, "delta": 0.05, "alpha": alpha, "rho": 0.2})
+        report = validate_bounds(cfg)
+        for fam in families:
+            complexity = report.families[fam]["complexity"]["value"]
+            vec = family_bound_values(fam, emp, complexity, cfg.params)
+            for e, v in zip(emp, vec):
+                built = FAMILIES[fam].build(float(e), complexity, cfg.params)
+                assert built.family == fam
+                assert built.bound_value == v, (fam, alpha, e)
 
 
 def test_campaign_deterministic_and_thread_invariant():
