@@ -70,8 +70,8 @@ def verify_monotone_ratio(n_points: int = 10000, delta: float = 1e-6, seed: int 
     """Check that the deviation ratio strictly increases in x and strictly
     decreases in y at n random (x, y, eta, alpha) points under a
     delta-perturbation."""
-    if n_points < 1 or delta <= 0:
-        raise InputError("need n_points >= 1 and delta > 0")
+    if n_points < 1 or not 0 < delta < math.inf:
+        raise InputError(f"need n_points >= 1 and a finite delta > 0, got delta {delta!r}")
     rng = substream(seed, "monotone")
     x = rng.uniform(0.01, 10.0, n_points)
     y = rng.uniform(0.01, 10.0, n_points)

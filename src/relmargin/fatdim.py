@@ -95,8 +95,8 @@ def fat_dim_formula(params: FatDimParams) -> float:
 def cover_log_bound_from_fat(d: float, m: int) -> float:
     """Cap on the log (base e) sup-distance cover: 1 + d log2(2 c^2 m) log2(2 c e m / d)
     with c = ``FAT_COVER_CONSTANT``."""
-    if d < 1:
-        raise InputError("dimension value must be at least 1")
+    if not d >= 1:
+        raise InputError(f"dimension value must be at least 1, got {d!r}")
     if m < 1:
         raise InputError("m must be at least 1")
     c = FAT_COVER_CONSTANT

@@ -256,6 +256,8 @@ def rm_upper_dudley(
     _count("k", k, 0)
     grid = np.asarray(eps_grid, dtype=np.float64)
     m = matrix.m
+    if not np.isfinite(grid).all():
+        raise InputError(f"eps_grid must hold finite numbers, got {grid.tolist()}")
     if grid.size < 2 or np.any(np.diff(grid) <= 0):
         raise InputError("eps_grid must be increasing with at least two points")
     lo = 1.0 / math.sqrt(m)

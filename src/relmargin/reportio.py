@@ -1,16 +1,19 @@
 """Byte-stable report serialization.
 
-JSON artifacts use sorted keys and floats rounded to 12 significant
-digits, so identical inputs serialize to identical bytes regardless of
-thread count or platform.  CSV emitters share the same float formatting.
+A JSON report is ``json.dumps`` of its ``canonical`` form: sorted keys,
+floats rounded to 12 significant digits and each ``Table`` of rows written
+column by column, so identical inputs serialize to identical bytes
+regardless of thread count or platform.  CSV emitters share the same float
+formatting.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import json
 import math
-from json.encoder import encode_basestring_ascii as _string
+import re
 
 import numpy as np
 
@@ -68,8 +71,9 @@ def _scalar(x) -> float | str:
     return float(format_float(x))
 
 
-def canonical(obj):
-    """Recursively normalize a report object for byte-stable serialization."""
+def canonical(obj, _tables: bool = False):
+    """Recursively normalize a report object for byte-stable serialization;
+    with ``_tables``, as ``canonical_json`` calls it, a ``Table`` stays as is."""
     if obj is None or isinstance(obj, (bool, str)):
         return obj
     if isinstance(obj, (int, np.integer)):
@@ -77,122 +81,58 @@ def canonical(obj):
     if isinstance(obj, (float, np.floating)):
         return _scalar(obj)
     if isinstance(obj, dict):
-        return {str(k): canonical(v) for k, v in obj.items()}
+        return {str(k): canonical(v, _tables) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [canonical(v) for v in obj]
+        return [canonical(v, _tables) for v in obj]
     if isinstance(obj, np.ndarray):
-        return [canonical(v) for v in obj.tolist()]
+        return [canonical(v, _tables) for v in obj.tolist()]
+    if _tables and isinstance(obj, Table):
+        return obj
     if hasattr(obj, "to_json"):
-        return canonical(obj.to_json())
+        return canonical(obj.to_json(), _tables)
     raise InputError(f"cannot serialize object of type {type(obj)!r}")
 
 
 def canonical_json(obj) -> str:
-    """``json.dumps(canonical(obj), sort_keys=True, indent=2) + "\\n"``, written
-    in one pass: each distinct float is formatted once, a list of scalars
-    (a report row) is joined at once, and a ``Table`` is formatted column by
-    column."""
-    floats = {}
-    parts = []
-    put = parts.append
+    """``json.dumps(canonical(obj), sort_keys=True, indent=2) + "\\n"``, with
+    each ``Table`` written column by column.  ``json.dumps`` writes a table as
+    a bare ``NaN``, which no canonical value gives, and the table's rows then
+    take its place at the indentation of its line."""
+    tables = []
 
-    def number(x: float) -> str:
-        # -0.0 == 0.0 as dict keys, so zeros are keyed by their repr
-        key = x if x else repr(x)
-        text = floats.get(key)
-        if text is None:
-            value = _scalar(x)
-            text = floats[key] = _string(value) if isinstance(value, str) else repr(value)
-        return text
+    def table(t: Table) -> float:
+        # json.dumps calls this for each table in the order it writes them
+        tables.append(t)
+        return math.nan
 
-    def scalar(v) -> str | None:
-        """The JSON text of a scalar, or None for anything else."""
-        kind = type(v)
-        if kind is float:
-            return number(v)
-        if kind is int:
-            return repr(v)
-        if kind is str:
-            return _string(v)
-        if v is None:
-            return "null"
-        if v is True:
-            return "true"
-        if v is False:
-            return "false"
-        if isinstance(v, str):
-            return _string(v)
-        if isinstance(v, (int, np.integer)):
-            return repr(int(v))
-        if isinstance(v, (float, np.floating)):
-            return number(float(v))
-        return None
+    text = json.dumps(canonical(obj, True), sort_keys=True, indent=2, default=table)
+    if tables:
+        # strings are quoted and canonical floats finite: only a table ends a line in NaN
+        rest = iter(tables)
+        text = re.sub(r"(?m)^( *)(.*)NaN(?=,?$)", lambda m: m[1] + m[2] + _table_json(next(rest), m[1]), text)
+    return text + "\n"
 
-    def column(c: np.ndarray) -> list:
-        """The JSON texts of a table column, each distinct value formatted
-        once; floats are told apart by their bits, so -0.0 keeps its sign."""
-        floats = c.dtype.kind == "f"
-        keys, inverse = np.unique(c.astype(np.float64).view(np.uint64) if floats else c, return_inverse=True)
-        texts = [scalar(v) for v in (keys.view(np.float64) if floats else keys).tolist()]
-        return np.array(texts, dtype=object)[inverse].tolist()
 
-    def write(v, newline: str) -> None:
-        inner = newline + "  "
-        if isinstance(v, Table):
-            if not len(v):
-                put("[]")
-                return
-            cell = inner + "  "
-            rows = map(("," + cell).join, zip(*map(column, v.columns)))
-            put("[" + inner + "[" + cell + (inner + "]," + inner + "[" + cell).join(rows) + inner + "]" + newline + "]")
-        elif isinstance(v, dict):
-            if not v:
-                put("{}")
-                return
-            named = {str(k): x for k, x in v.items()}
-            put("{")
-            sep = inner
-            for k in sorted(named):
-                put(sep + _string(k) + ": ")
-                write(named[k], inner)
-                sep = "," + inner
-            put(newline + "}")
-        elif isinstance(v, (list, tuple, np.ndarray)):
-            items = v.tolist() if isinstance(v, np.ndarray) else v
-            if not items:
-                put("[]")
-                return
-            texts = []
-            for x in items:
-                text = scalar(x)
-                if text is None:
-                    break
-                texts.append(text)
-            else:
-                put("[" + inner + ("," + inner).join(texts) + newline + "]")
-                return
-            put("[")
-            sep = inner
-            for i, x in enumerate(items):
-                put(sep)
-                if i < len(texts):
-                    put(texts[i])
-                else:
-                    write(x, inner)
-                sep = "," + inner
-            put(newline + "]")
-        else:
-            text = scalar(v)
-            if text is not None:
-                put(text)
-            elif hasattr(v, "to_json"):
-                write(v.to_json(), newline)
-            else:
-                raise InputError(f"cannot serialize object of type {type(v)!r}")
+def _table_json(t: Table, indent: str) -> str:
+    """The JSON text of a table, as ``json.dumps`` indents it on a line that
+    starts with ``indent``."""
+    if not len(t):
+        return "[]"
+    row, cell = "\n" + indent + "  ", "\n" + indent + "    "
+    rows = map(("," + cell).join, zip(*map(_column_json, t.columns)))
+    return "[" + row + "[" + cell + (row + "]," + row + "[" + cell).join(rows) + row + "]\n" + indent + "]"
 
-    write(obj, "\n")
-    put("\n")
-    return "".join(parts)
+
+def _column_json(c: np.ndarray) -> list:
+    """The JSON texts of a table column, each distinct value written once;
+    floats are told apart by their bits, so -0.0 keeps its sign."""
+    floats = c.dtype.kind == "f"
+    keys, inverse = np.unique(c.astype(np.float64).view(np.uint64) if floats else c, return_inverse=True)
+    # integers and strings are canonical once they are Python scalars
+    values = canonical(keys.view(np.float64).tolist()) if floats else keys.tolist()
+    # newline-separated: the JSON text of a scalar never holds a raw newline
+    texts = json.dumps(values, separators=("\n", ":"))[1:-1].split("\n")
+    return np.array(texts, dtype=object)[inverse].tolist()
 
 
 def _csv_cell(v) -> str:

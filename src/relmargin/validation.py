@@ -111,6 +111,9 @@ class ExperimentConfig:
         unjudged = [f for f in self.families if f not in SUPPORTED_FAMILIES]
         if unjudged:
             raise InputError(f"bound families {unjudged} have no campaign formula; campaign families: {judged}")
+        repeated = sorted({f for f in self.families if self.families.count(f) > 1})
+        if repeated:
+            raise InputError(f"families lists {repeated} more than once; name each bound family once")
         put("families", tuple(self.families))
         if "cov-alpha2" in self.families:
             check_cov_alpha2(self.params)

@@ -116,6 +116,8 @@ def test_complexity_formula_ops(capsys):
     code, out, _ = run_cli("complexity", "--op", "cover-log-fat", "--fat-d", "1", "--m", "1")
     assert code == 0
     assert json.loads(out)["value"] == pytest.approx(60.91371326362413, rel=1e-12)
+    assert main(["complexity", "--op", "cover-log-fat", "--fat-d", "nan", "--m", "10"]) == 2
+    assert capsys.readouterr().err == "input error: dimension value must be at least 1, got nan\n"
 
 
 def test_remaining_bound_families_wiring():
@@ -404,6 +406,8 @@ _HINGE = 'trainer={"method": "hinge-subgradient-linear", "steps": 10}'
          "bound families ['unbounded'] have no campaign formula; campaign families: cov-alpha, cov-alpha2, cov-fat, rad"),
         (['families=["cov-alfa", "unbounded"]'], 2,
          "unknown bound families ['cov-alfa']; campaign families: cov-alpha, cov-alpha2, cov-fat, rad"),
+        # a repeated family would write its rows twice and count them once
+        (['families=["rad", "rad"]', "trials=3"], 2, "families lists ['rad'] more than once"),
     ],
 )
 def test_bad_campaign_config_is_rejected_naming_the_key(tmp_path, capsys, monkeypatch, overrides, code, text):
@@ -800,6 +804,13 @@ def test_compare_rejects_an_m_grid_value_that_is_not_a_count(capsys, value):
     assert json.loads(capsys.readouterr().out)["rows"][0]["m"] == 1000
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "0"])
+def test_verify_monotone_rejects_a_delta_that_is_not_finite_and_positive(capsys, value):
+    assert main(["verify", "monotone", "--seed", "1", "--n", "10", "--delta", value]) == 2
+    expected = f"input error: need n_points >= 1 and a finite delta > 0, got delta {float(value)!r}\n"
+    assert capsys.readouterr().err == expected
+
+
 @pytest.mark.parametrize("value", ["0", "-5"])
 def test_verify_binomial_rejects_a_grid_size_below_1(capsys, value):
     assert main(["verify", "binomial", "--m-max", "10", "--grid-size", value]) == 2
@@ -811,7 +822,8 @@ def test_verify_binomial_rejects_a_grid_size_below_1(capsys, value):
     [("rm-peeling", ["--seed", "3", "--n-sigma", "-1"], "n_sigma must be an integer >= 1, got -1"),
      ("rm-peeling", ["--seed", "3", "--n-sigma", "0"], "n_sigma must be an integer >= 1, got 0"),
      ("rm-dudley", ["--k", "-1", "--eps-grid", "0.5,0.75,1.0"], "k must be an integer >= 0, got -1"),
-     ("cover-linf", ["--eps", "0.5", "--exact-cap", "-3"], "exact_cap must be an integer >= 1, got -3")],
+     ("cover-linf", ["--eps", "0.5", "--exact-cap", "-3"], "exact_cap must be an integer >= 1, got -3"),
+     ("rm-dudley", ["--k", "1", "--eps-grid", "0.5,nan"], "eps_grid must hold finite numbers, got [0.5, nan]")],
 )
 def test_complexity_options_outside_their_domain_exit_2(tmp_path, capsys, op, argv, text):
     # 24 rows: above the exact-enumeration cap, so rm-peeling draws signs

@@ -206,6 +206,14 @@ class _Reported:
         {"per_shell": {10: 0.5, 2: 0.25, 1: [0.125]}, 3: "three"},
         {"rows": [["cov-alpha2", 0, 0.1, 3.912, 0.9, 0.2, 0], ["rad", 1, 1 / 3, 0.5, 1.0, 0.25, 1]]},
         [1, {"k": [1.5, {"z": [None, []]}]}, "tail"],
+        # the writer marks a table's place with a bare NaN: strings holding
+        # NUL and NaN beside tables, at the top and nested
+        Table(np.array(["NaN", "\0"]), np.array([0.5, -0.0])),
+        {"NaN": "NaN", "nul": "\0NaN", "rows": Table(np.array(["a\0b NaN,"]), np.array([1])), "z": ["x NaN", "NaN"]},
+        [["NaN", Table(np.array([1e-7, math.inf]))], {"\0": {"NaN,": Table(np.array([2]), np.array([0.3]))}}],
+        # an empty table beside non-empty ones
+        [Table(), Table(np.array([1.5]), np.array(["a"])), Table(np.array([], dtype=float)), Table(np.array([3]))],
+        {"empty": Table(np.array([], dtype=str), np.array([], dtype=int)), "rows": Table(np.array([0.25]))},
     ],
 )
 def test_writer_is_the_two_pass_oracle(obj):
@@ -226,7 +234,8 @@ def test_writer_rejects_nan_as_the_oracle_does(obj):
 
 
 def test_writer_rejects_what_the_oracle_cannot_serialize():
-    for obj in ({"a": object()}, [1.0, {1, 2}], np.bool_(True)):
+    table = Table(np.array(["rad"]), np.array([0.5]))
+    for obj in ({"a": object()}, [1.0, {1, 2}], np.bool_(True), {"rows": table, "z": object()}, [table, {1, 2}, table]):
         with pytest.raises(InputError, match="cannot serialize"):
             canonical_json_oracle(obj)
         with pytest.raises(InputError, match="cannot serialize"):
