@@ -25,10 +25,11 @@ _INTEGER_SLOP = 1e-9
 
 def verify_binomial_lemma(m_max: int, grid_size: int = 200) -> dict:
     """Check the exact binomial tail facts Pr[X >= m p] > 1/4 for p > 1/m and
-    Pr[X <= m p] > 1/4 for p < 1 - 1/m, over all m <= m_max and interior
-    p grids (the boundary values are excluded: the facts are strict)."""
-    if not (1 <= m_max <= MAX_BINOMIAL_M):
-        raise InputError(f"m_max must lie in [1, {MAX_BINOMIAL_M}]")
+    Pr[X <= m p] > 1/4 for p < 1 - 1/m, over all 2 <= m <= m_max and
+    interior p grids (the boundary values are excluded: the facts are
+    strict, and m = 1 has no interior p)."""
+    if not (2 <= m_max <= MAX_BINOMIAL_M):
+        raise InputError(f"m_max must lie in [2, {MAX_BINOMIAL_M}], got {m_max!r}")
     _count("grid_size", grid_size, 1)
     worst_ge = (math.inf, None, None)
     worst_le = (math.inf, None, None)

@@ -25,11 +25,12 @@ from . import __version__
 from .bounds import FAMILIES, BoundParams
 from .checks import verify_binomial_lemma, verify_monotone_ratio
 from .comparison import compare_tightness, compare_tightness_direct
-from .covers import covering_number_l2, covering_number_linf
+from .covers import DEFAULT_EXACT_CAP, covering_number_l2, covering_number_linf
 from .errors import ApplicabilityError, CapabilityError, InputError, RelmarginError, _options
 from .fatdim import FatDimParams, cover_log_bound_from_fat, fat_dim_formula, fat_shattering_exact
 from .lossmatrix import LossMatrix, count_dichotomies, peel
 from .rademacher import (
+    DEFAULT_N_SIGMA,
     peeling_complexity_for_matrices,
     rademacher_exact,
     rademacher_mc,
@@ -37,7 +38,7 @@ from .rademacher import (
     rm_upper_smooth,
     worst_case_rademacher,
 )
-from .reportio import canonical, canonical_json, report_csv
+from .reportio import canonical_json, format_float, report_csv
 from .samples import LabeledSample
 from .training import METHODS, train_bound_min
 from .validation import ExperimentConfig, validate_bounds
@@ -49,8 +50,7 @@ EXIT_APPLICABILITY = 4
 
 
 def _emit(report, fmt: str, out: str | None) -> None:
-    data = report.to_json() if hasattr(report, "to_json") else report
-    text = canonical_json(data) if fmt == "json" else report_csv(canonical(data))
+    text = canonical_json(report) if fmt == "json" else report_csv(report)
     if out:
         Path(out).write_text(text)
         print(f"wrote {out}", file=sys.stderr)
@@ -124,11 +124,11 @@ def _cmd_bound(args) -> int:
     if args.explain:
         data = report.to_json()
         print(f"family {data['family']}:", file=sys.stderr)
-        print(f"  empirical_term  = {data['empirical_term']:.12g}", file=sys.stderr)
-        print(f"  complexity_term = {data['complexity_term']:.12g}", file=sys.stderr)
+        print(f"  empirical_term  = {format_float(data['empirical_term'])}", file=sys.stderr)
+        print(f"  complexity_term = {format_float(data['complexity_term'])}", file=sys.stderr)
         for key, val in sorted(data["breakdown"].items()):
             print(f"  {key} = {val}", file=sys.stderr)
-        print(f"  bound_value     = {data['bound_value']:.12g}", file=sys.stderr)
+        print(f"  bound_value     = {format_float(data['bound_value'])}", file=sys.stderr)
     _emit(report, args.format, args.out)
     return EXIT_OK
 
@@ -390,8 +390,8 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--range-tag", choices=("binary", "unit-interval", "real"), default="real")
     c.add_argument("--eps", type=float, default=None)
     c.add_argument("--mode", choices=("exact", "greedy"), default="exact")
-    c.add_argument("--exact-cap", type=int, default=25)
-    c.add_argument("--n-sigma", type=int, default=1024)
+    c.add_argument("--exact-cap", type=int, default=DEFAULT_EXACT_CAP)
+    c.add_argument("--n-sigma", type=int, default=DEFAULT_N_SIGMA)
     c.add_argument("--seed", type=_seed, default=None)
     c.add_argument("--k", type=int, default=None)
     c.add_argument("--eps-grid", default=None)

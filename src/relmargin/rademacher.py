@@ -45,6 +45,8 @@ __all__ = [
 ]
 
 EXACT_ENUMERATION_MAX_M = 20
+# Monte-Carlo sign vectors drawn when a caller gives no count
+DEFAULT_N_SIGMA = 1024
 
 # sign rows drawn and multiplied at a time; even, so that no block but the
 # last leaves a buffered 32-bit half, which would send the next block to
@@ -144,7 +146,7 @@ def _shell_rademacher_values(matrix: LossMatrix, n_sigma: int, rng) -> np.ndarra
     return out
 
 
-def peeling_exponents(matrix: LossMatrix, n_sigma: int = 1024, rng=None) -> np.ndarray:
+def peeling_exponents(matrix: LossMatrix, n_sigma: int = DEFAULT_N_SIGMA, rng=None) -> np.ndarray:
     """Per-shell exponents m^2 * Rhat_k^2 / 2^{k+5} for one sample matrix."""
     rhat = _shell_rademacher_values(matrix, n_sigma, rng)
     ks = np.arange(rhat.shape[0])
@@ -152,7 +154,7 @@ def peeling_exponents(matrix: LossMatrix, n_sigma: int = 1024, rng=None) -> np.n
 
 
 def peeling_complexity_for_matrices(
-    matrices, n_sigma: int = 1024, seed: int = 0
+    matrices, n_sigma: int = DEFAULT_N_SIGMA, seed: int = 0
 ) -> ComplexityEstimate:
     """Peeling complexity treating the given matrices as the outer sample set.
 
@@ -199,7 +201,7 @@ def peeling_complexity_for_matrices(
 def peeling_complexity(
     class_sampler,
     outer_trials: int,
-    n_sigma: int = 1024,
+    n_sigma: int = DEFAULT_N_SIGMA,
     seed: int = 0,
 ) -> ComplexityEstimate:
     """Estimate the peeling-based complexity by outer Monte Carlo over samples.

@@ -3,8 +3,9 @@
 A JSON report is ``json.dumps`` of its ``canonical`` form: sorted keys,
 floats rounded to 12 significant digits and each ``Table`` of rows written
 column by column, so identical inputs serialize to identical bytes
-regardless of thread count or platform.  CSV emitters share the same float
-formatting.
+regardless of thread count or platform.  A CSV report is the columns its
+schema declares in ``_CSV_COLUMNS`` (else one key,value row per leaf) of
+the same canonical form, each cell written by one rule.
 """
 
 from __future__ import annotations
@@ -135,11 +136,43 @@ def _column_json(c: np.ndarray) -> list:
     return np.array(texts, dtype=object)[inverse].tolist()
 
 
+# schema -> the keys of its CSV columns, one row per report, or per entry of
+# its ``rows`` where it has them; ``params.m`` is key ``m`` of section
+# ``params``, and a column's header is its key's last part
+_CSV_COLUMNS = {
+    "relmargin/bound-report/v1": (
+        "family",
+        "params.m",
+        "params.delta",
+        "params.alpha",
+        "params.rho",
+        "empirical_term",
+        "complexity_term",
+        "bound_value",
+        "solver",
+        "complexity_method",
+        "vacuous",
+        "clamped",
+    ),
+    "relmargin/complexity-estimate/v1": ("value", "method", "trials", "seed", "stderr"),
+    "relmargin/tightness-report/v1": ("m", "rho", "emp", "beta", "beta_prime", "new_bound", "old_bound", "new_smaller"),
+}
+# validity rows are lists, with these columns
+_VALIDITY_HEADER = ("family", "trial", "emp", "complexity", "bound", "true_risk", "violated")
+
+
 def _csv_cell(v) -> str:
+    """The one CSV cell rule: a null is empty, a bool 0/1, a float
+    ``format_float``, and a list its items joined by ``;``, where an item
+    that is itself a list or a mapping keeps its ``str``."""
+    if v is None:
+        return ""
     if isinstance(v, bool):
         return str(int(v))
     if isinstance(v, float):
         return format_float(v)
+    if isinstance(v, list):
+        return ";".join(str(x) if isinstance(x, (list, dict)) else _csv_cell(x) for x in v)
     return str(v)
 
 
@@ -152,70 +185,28 @@ def _write_rows(header, rows) -> str:
     return buf.getvalue()
 
 
-def report_csv(data: dict) -> str:
-    """CSV rendering of a serialized report, keyed by its schema tag."""
-    schema = data.get("schema", "")
-    if schema == "relmargin/bound-report/v1":
-        p = data["params"]
-        header = [
-            "family",
-            "m",
-            "delta",
-            "alpha",
-            "rho",
-            "empirical_term",
-            "complexity_term",
-            "bound_value",
-            "solver",
-            "complexity_method",
-            "vacuous",
-            "clamped",
-        ]
-        row = [
-            data["family"],
-            p["m"],
-            p["delta"],
-            *("" if p[k] is None else p[k] for k in ("alpha", "rho")),
-            data["empirical_term"],
-            data["complexity_term"],
-            data["bound_value"],
-            data["solver"],
-            data["complexity_method"],
-            data["vacuous"],
-            data["clamped"],
-        ]
-        return _write_rows(header, [row])
+def _leaves(value, prefix: str = ""):
+    """The (dotted key, value) pairs of a canonical mapping's leaves, keys sorted."""
+    if not isinstance(value, dict):
+        yield prefix, value
+        return
+    for k in sorted(value):
+        yield from _leaves(value[k], f"{prefix}.{k}" if prefix else k)
+
+
+def report_csv(report) -> str:
+    """CSV rendering of a report's ``canonical`` form, keyed by its schema
+    tag: the declared columns of its schema, the validity rows, or else one
+    key,value row per leaf."""
+    data = canonical(report)
+    schema = data.get("schema")
+    if schema in _CSV_COLUMNS:
+        keys = _CSV_COLUMNS[schema]
+        rows = ([dict(_leaves(r)).get(k) for k in keys] for r in data.get("rows", [data]))
+        return _write_rows([k.split(".")[-1] for k in keys], rows)
     if schema == "relmargin/validity-report/v1":
-        header = ["family", "trial", "emp", "complexity", "bound", "true_risk", "violated"]
-        return _write_rows(header, data["rows"])
-    if schema == "relmargin/tightness-report/v1":
-        keys = ["m", "rho", "emp", "beta", "beta_prime", "new_bound", "old_bound", "new_smaller"]
-        rows = [[r.get(k, "") for k in keys] for r in data["rows"]]
-        return _write_rows(keys, rows)
-    if schema == "relmargin/complexity-estimate/v1":
-        header = ["value", "method", "trials", "seed", "stderr"]
-        row = [
-            data["value"],
-            data["method"],
-            ";".join(str(t) for t in data["trials"]),
-            "" if data.get("seed") is None else data["seed"],
-            "" if data.get("stderr") is None else data["stderr"],
-        ]
-        return _write_rows(header, [row])
-    # generic fallback: flattened key/value rows
-    rows = []
-
-    def flatten(prefix, value):
-        if isinstance(value, dict):
-            for k in sorted(value):
-                flatten(f"{prefix}.{k}" if prefix else str(k), value[k])
-        elif isinstance(value, (list, tuple)):
-            rows.append([prefix, ";".join(_csv_cell(canonical(v)) for v in value)])
-        else:
-            rows.append([prefix, _csv_cell(value)])
-
-    flatten("", canonical(data))
-    return _write_rows(["key", "value"], rows)
+        return _write_rows(_VALIDITY_HEADER, data["rows"])
+    return _write_rows(["key", "value"], _leaves(data))
 
 
 def export_margins_csv(h: Hypothesis, sample: LabeledSample, transform) -> str:

@@ -37,8 +37,8 @@ from .estimates import ComplexityEstimate
 from .fatdim import FatDimParams
 from .hypotheses import LinearHypothesis, truncate
 from .lossmatrix import LossMatrix, outputs_matrix, transform_matrix
-from .covers import covering_number_linf
-from .rademacher import peeling_complexity
+from .covers import DEFAULT_EXACT_CAP, covering_number_linf
+from .rademacher import DEFAULT_N_SIGMA, peeling_complexity
 from .reportio import Table
 from .rng import child_seed, substream, substreams
 from .samples import DISTRIBUTIONS, LabeledSample, analytic_risk, make_distribution
@@ -51,8 +51,8 @@ __all__ = ["ExperimentConfig", "ValidityReport", "validate_bounds", "exact_binom
 _COMPLEXITY_DEFAULTS = {
     "cover_draws": 64,
     "peel_draws": 64,
-    "n_sigma": 1024,
-    "exact_cap": 25,
+    "n_sigma": DEFAULT_N_SIGMA,
+    "exact_cap": DEFAULT_EXACT_CAP,
     "cover_mode": "exact",
 }
 _COMPLEXITY_LEAST = {"cover_draws": 1, "peel_draws": 2, "n_sigma": 1, "exact_cap": 1}

@@ -276,6 +276,99 @@ def canonical_json_oracle(obj) -> str:
     return json.dumps(canonical(obj), sort_keys=True, indent=2) + "\n"
 
 
+def _csv_cell_oracle(v) -> str:
+    from relmargin.reportio import format_float
+
+    if isinstance(v, bool):
+        return str(int(v))
+    if isinstance(v, float):
+        return format_float(v)
+    return str(v)
+
+
+def _write_rows_oracle(header, rows) -> str:
+    import csv
+    import io
+
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([_csv_cell_oracle(v) for v in row])
+    return buf.getvalue()
+
+
+def report_csv_oracle(data: dict) -> str:
+    """The CSV writer as first written, one hand-built branch per schema
+    and a key,value fallback, each with its own cell rules; ``data`` is a
+    canonical report."""
+    from relmargin.reportio import canonical
+
+    _csv_cell, _write_rows = _csv_cell_oracle, _write_rows_oracle
+    schema = data.get("schema", "")
+    if schema == "relmargin/bound-report/v1":
+        p = data["params"]
+        header = [
+            "family",
+            "m",
+            "delta",
+            "alpha",
+            "rho",
+            "empirical_term",
+            "complexity_term",
+            "bound_value",
+            "solver",
+            "complexity_method",
+            "vacuous",
+            "clamped",
+        ]
+        row = [
+            data["family"],
+            p["m"],
+            p["delta"],
+            *("" if p[k] is None else p[k] for k in ("alpha", "rho")),
+            data["empirical_term"],
+            data["complexity_term"],
+            data["bound_value"],
+            data["solver"],
+            data["complexity_method"],
+            data["vacuous"],
+            data["clamped"],
+        ]
+        return _write_rows(header, [row])
+    if schema == "relmargin/validity-report/v1":
+        header = ["family", "trial", "emp", "complexity", "bound", "true_risk", "violated"]
+        return _write_rows(header, data["rows"])
+    if schema == "relmargin/tightness-report/v1":
+        keys = ["m", "rho", "emp", "beta", "beta_prime", "new_bound", "old_bound", "new_smaller"]
+        rows = [[r.get(k, "") for k in keys] for r in data["rows"]]
+        return _write_rows(keys, rows)
+    if schema == "relmargin/complexity-estimate/v1":
+        header = ["value", "method", "trials", "seed", "stderr"]
+        row = [
+            data["value"],
+            data["method"],
+            ";".join(str(t) for t in data["trials"]),
+            "" if data.get("seed") is None else data["seed"],
+            "" if data.get("stderr") is None else data["stderr"],
+        ]
+        return _write_rows(header, [row])
+    # generic fallback: flattened key/value rows
+    rows = []
+
+    def flatten(prefix, value):
+        if isinstance(value, dict):
+            for k in sorted(value):
+                flatten(f"{prefix}.{k}" if prefix else str(k), value[k])
+        elif isinstance(value, (list, tuple)):
+            rows.append([prefix, ";".join(_csv_cell(canonical(v)) for v in value)])
+        else:
+            rows.append([prefix, _csv_cell(value)])
+
+    flatten("", canonical(data))
+    return _write_rows(["key", "value"], rows)
+
+
 def clip_to_ball_oracle(x, radius: float):
     """Each row scaled by radius / norm where its norm exceeds radius, and by
     1.0 elsewhere, with no shortcut."""

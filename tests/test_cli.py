@@ -817,6 +817,15 @@ def test_verify_binomial_rejects_a_grid_size_below_1(capsys, value):
     assert capsys.readouterr().err == f"input error: grid_size must be an integer >= 1, got {value}\n"
 
 
+@pytest.mark.parametrize("value", ["1", "0", "2001"])
+def test_verify_binomial_rejects_an_m_max_with_no_points_or_past_the_cap(capsys, value):
+    # the check starts at m = 2, so m_max = 1 would pass with 0 points checked
+    assert main(["verify", "binomial", "--m-max", value, "--grid-size", "5"]) == 2
+    assert capsys.readouterr().err == f"input error: m_max must lie in [2, 2000], got {value}\n"
+    assert main(["verify", "binomial", "--m-max", "2", "--grid-size", "5"]) == 0
+    assert json.loads(capsys.readouterr().out)["points_checked"] == 10
+
+
 @pytest.mark.parametrize(
     "op,argv,text",
     [("rm-peeling", ["--seed", "3", "--n-sigma", "-1"], "n_sigma must be an integer >= 1, got -1"),

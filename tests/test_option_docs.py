@@ -2,7 +2,8 @@
 dataclass fields of each distribution, the keyword parameters of each
 trainer, the ``train`` flags each method takes, the ``bound`` flags each
 family reads, the campaign families and the defaults of a campaign's
-``complexity`` and ``risk`` keys."""
+``complexity`` and ``risk`` keys, and the CSV columns of each report
+schema."""
 
 import inspect
 import json
@@ -11,6 +12,7 @@ from pathlib import Path
 
 from relmargin.bounds import FAMILIES
 from relmargin.cli import _TRAIN_FLAGS, _bound_flags
+from relmargin.reportio import _CSV_COLUMNS, _VALIDITY_HEADER
 from relmargin.samples import DISTRIBUTIONS
 from relmargin.training import METHODS, train_bound_min
 from relmargin.validation import _COMPLEXITY_DEFAULTS, _COMPLEXITY_LEAST, SUPPORTED_FAMILIES, ExperimentConfig
@@ -67,6 +69,12 @@ def test_readme_bound_flag_table_matches_the_families():
         required, reads = _bound_flags(family)
         also = reads - set(required)
         assert documented[family] == [flags(required), flags(also)], family
+
+
+def test_readme_csv_table_matches_the_declared_columns():
+    documented = {row[0]: re.findall(r"[a-z_.]+", row[1]) for row in _table("schema")}
+    declared = {schema: list(keys) for schema, keys in _CSV_COLUMNS.items()}
+    assert documented == {**declared, "relmargin/validity-report/v1": list(_VALIDITY_HEADER)}
 
 
 def test_readme_campaign_families_are_the_supported_families():

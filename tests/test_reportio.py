@@ -28,7 +28,7 @@ from relmargin.estimates import ComplexityEstimate
 from relmargin.reportio import Table, canonical, canonical_json, export_margins_csv, format_float, report_csv
 from relmargin.validation import ExperimentConfig, validate_bounds
 
-from oracles import canonical_json_oracle, report_to_json_oracle
+from oracles import canonical_json_oracle, report_csv_oracle, report_to_json_oracle
 
 ROOT = Path(__file__).parent.parent
 SCHEMA_DIR = ROOT / "src/relmargin/schemas"
@@ -163,6 +163,85 @@ def test_generic_csv_fallback_flattens():
     assert lines[0] == "key,value"
     assert "a.b,2" in lines
     assert "passed,1" in lines
+
+
+_BOUND = ["bound", "--m", "100000", "--delta", "0.05"]
+_TRAIN = ["train", "--data", "{sample}", "--seed", "3"]
+# report -> the CLI call that writes it; {matrix}, {binary}, {binary24} and
+# {sample} are input files
+_CSV_CASES = {
+    "cov-alpha": [*_BOUND, "--family", "cov-alpha", "--emp", "0.1", "--logN", "10"],
+    "cov-alpha-lemma-D1": [*_BOUND, "--family", "cov-alpha", "--emp", "0.1", "--logN", "10", "--solver", "lemma-D1"],
+    "cov-alpha2": [*_BOUND, "--family", "cov-alpha2", "--emp", "0", "--logN", "10"],
+    "cov-fat": [*_BOUND, "--family", "cov-fat", "--emp", "0.1", "--fat-d", "3"],
+    "cov-uniform-rho": [*_BOUND, "--family", "cov-uniform-rho", "--emp", "0.1", "--logN", "10", "--r", "0.5",
+                        "--rho", "0.25"],
+    "rad": [*_BOUND, "--family", "rad", "--emp", "0.1", "--rm", "0.7"],
+    "rad-overflow": [*_BOUND, "--family", "rad", "--emp", "0.1", "--rm", "0.7", "--alpha", "1.001"],
+    "rad-all-alpha": [*_BOUND, "--family", "rad-all-alpha", "--emp", "0.1", "--rm", "0.7", "--alpha-grid", "1.5,2"],
+    "rad-smooth": [*_BOUND, "--family", "rad-smooth", "--emp", "0", "--rmax", "1"],
+    "unbounded": [*_BOUND, "--family", "unbounded", "--emp-loss", "0.3", "--moment", "1", "--logN", "3"],
+    "unbounded-uniform-rho": [*_BOUND, "--family", "unbounded-uniform-rho", "--emp-loss", "0.3", "--moment", "1",
+                              "--logN", "3", "--rho-grid", "0.25,0.5", "--r", "0.5"],
+    "exact-cover": ["complexity", "--op", "cover-linf", "--matrix", "{matrix}", "--eps", "0.3"],
+    "greedy-cover": ["complexity", "--op", "cover-l2", "--matrix", "{matrix}", "--eps", "0.3", "--mode", "greedy"],
+    "rademacher-exact": ["complexity", "--op", "rademacher-exact", "--matrix", "{matrix}"],
+    "rademacher-mc": ["complexity", "--op", "rademacher-mc", "--matrix", "{matrix}", "--n-sigma", "64", "--seed", "7"],
+    "exact-peeling": ["complexity", "--op", "rm-peeling", "--matrix", "{binary}", "{binary}", "--seed", "3"],
+    "mc-peeling": ["complexity", "--op", "rm-peeling", "--matrix", "{binary24}", "{binary24}", "--seed", "3"],
+    "value-with-k": ["complexity", "--op", "rm-dudley", "--matrix", "{matrix}", "--k", "1", "--eps-grid", "0.5,1.0"],
+    "peel-buckets": ["complexity", "--op", "peel", "--matrix", "{binary}", "--range-tag", "binary"],
+    "direct-tightness": ["compare", "--direct", "--emp-grid", "0,0.05", "--beta-grid", "0.001,0.1"],
+    "class-tightness": ["compare", "--m-grid", "1000,10000", "--rho-grid", "0.1,0.2", "--emp-grid", "0,0.05",
+                        "--class-kind", "linear", "--radius", "1"],
+    "verify-binomial": ["verify", "binomial", "--m-max", "30", "--grid-size", "40"],
+    "verify-monotone": ["verify", "monotone", "--seed", "1", "--n", "100"],
+    "validity": ["validate", "--config", str(REFERENCE_CAMPAIGN), "--set", "trials=20"],
+    "train-bound-min": [*_TRAIN, "--method", "bound-min", "--rho-grid", "0.1,0.3", "--steps", "100"],
+    "train-hinge": [*_TRAIN, "--method", "hinge-subgradient-linear", "--steps", "100"],
+    "train-stumps": [*_TRAIN, "--method", "boost-stumps", "--rounds", "3"],
+    "train-tiny-mlp": [*_TRAIN, "--method", "tiny-mlp", "--steps", "100"],
+}
+
+
+@pytest.fixture(scope="module")
+def csv_inputs(tmp_path_factory):
+    from relmargin import MarginSeparable, generate
+
+    rng = np.random.default_rng(5)
+    root = tmp_path_factory.mktemp("csv-inputs")
+    files = {
+        "matrix": {"values": rng.random((8, 6)).round(3).tolist()},
+        "binary": {"values": (rng.random((10, 8)) < 0.4).astype(float).tolist(), "range_tag": "binary"},
+        "binary24": {"values": (rng.random((24, 6)) < 0.4).astype(float).tolist(), "range_tag": "binary"},
+        "sample": generate(MarginSeparable(dim=2, gap=0.3, noise_rate=0.0), 40, seed=4).to_json(),
+    }
+    for name, data in files.items():
+        (root / f"{name}.json").write_text(json.dumps(data))
+    return {name: str(root / f"{name}.json") for name in files}
+
+
+@pytest.mark.parametrize("case", sorted(_CSV_CASES))
+def test_csv_writer_is_the_oracle_on_every_report(case, csv_inputs, tmp_path):
+    out = tmp_path / "report.json"
+    assert main([arg.format(**csv_inputs) for arg in _CSV_CASES[case]] + ["--out", str(out)]) == 0
+    data = json.loads(out.read_text())
+    assert report_csv(data) == report_csv_oracle(data)
+
+
+def test_csv_writer_is_the_oracle_on_each_estimation_method():
+    from relmargin.estimates import METHODS
+
+    estimates = [
+        ComplexityEstimate(value=2.5, method="exact-enumeration", details={"m": 3}),
+        ComplexityEstimate(value=1 / 3, method="monte-carlo", trials=(48, 1024), seed=5, stderr=0.25),
+        ComplexityEstimate(value=7.0, method="greedy-upper", trials=(3,), details={"eps": 0.1}),
+        ComplexityEstimate(value=math.inf, method="formula", seed=0, stderr=0.0),
+    ]
+    assert sorted(e.method for e in estimates) == sorted(METHODS)
+    for est in estimates:
+        data = json.loads(canonical_json(est))
+        assert report_csv(data) == report_csv(est) == report_csv_oracle(data)
 
 
 class _Reported:
