@@ -15,6 +15,7 @@ Diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import inspect
 import json
@@ -49,13 +50,17 @@ EXIT_CAPABILITY = 3
 EXIT_APPLICABILITY = 4
 
 
+# characters of a report per write, so that no encoded copy of a whole report is made
+_WRITE_CHARS = 2**16
+
+
 def _emit(report, fmt: str, out: str | None) -> None:
     text = canonical_json(report) if fmt == "json" else report_csv(report)
+    with open(out, "w") if out else contextlib.nullcontext(sys.stdout) as stream:
+        for lo in range(0, len(text), _WRITE_CHARS):
+            stream.write(text[lo : lo + _WRITE_CHARS])
     if out:
-        Path(out).write_text(text)
         print(f"wrote {out}", file=sys.stderr)
-    else:
-        sys.stdout.write(text)
 
 
 def _float_list(text: str) -> list[float]:

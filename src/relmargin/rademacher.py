@@ -48,10 +48,12 @@ EXACT_ENUMERATION_MAX_M = 20
 # Monte-Carlo sign vectors drawn when a caller gives no count
 DEFAULT_N_SIGMA = 1024
 
-# sign rows drawn and multiplied at a time; even, so that no block but the
-# last leaves a buffered 32-bit half, which would send the next block to
-# the slower ``integers`` call
+# sign rows drawn and multiplied at a time: at least SIGN_BLOCK_ROWS, and
+# about _SIGN_BLOCK_SIGNS signs a block; even, so that no block but the last
+# leaves a buffered 32-bit half, which would send the next block to the
+# slower ``integers`` call
 SIGN_BLOCK_ROWS = 64
+_SIGN_BLOCK_SIGNS = 2**16
 # float32 holds every integer up to 2^24 exactly
 _FLOAT32_EXACT_M = 1 << 24
 
@@ -77,18 +79,20 @@ def _drawn_sums(matrix: LossMatrix, n_sigma: int, rng) -> np.ndarray:
     """Per sign row and column, ``sum_i sigma_i * values[i, j]`` in float64,
     over the rows ``sign_rows(rng, n_sigma, m)``.
 
-    A binary matrix with m < 2^24 takes float32 products of SIGN_BLOCK_ROWS
-    rows at a time: each sum is an integer of size at most m, so float32 is
-    exact.  Any other matrix takes one float64 product of all rows, because
-    BLAS may round a block of rows differently from the whole product.
+    A binary matrix with m < 2^24 takes float32 products of
+    max(SIGN_BLOCK_ROWS, about 2^16 / m) rows at a time: each sum is an
+    integer of size at most m, so float32 is exact.  Any other matrix takes
+    one float64 product of all rows, because BLAS may round a block of rows
+    differently from the whole product.
     """
     n, m = int(n_sigma), matrix.m
     if matrix.range_tag != "binary" or m >= _FLOAT32_EXACT_M:
         return kernels.signed_sums(matrix.values, sign_rows(rng, n, m))
     values = matrix.values.astype(np.float32)
     sums = np.empty((n, matrix.pool_size))
-    for start in range(0, n, SIGN_BLOCK_ROWS):
-        stop = min(start + SIGN_BLOCK_ROWS, n)
+    block = max(SIGN_BLOCK_ROWS, (_SIGN_BLOCK_SIGNS // m) & ~1)
+    for start in range(0, n, block):
+        stop = min(start + block, n)
         sums[start:stop] = sign_rows(rng, stop - start, m) @ values
     return sums
 

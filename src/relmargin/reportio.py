@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 import re
@@ -19,8 +20,6 @@ import re
 import numpy as np
 
 from .errors import InputError
-from .hypotheses import Hypothesis, margins
-from .samples import LabeledSample
 
 __all__ = [
     "Table",
@@ -28,7 +27,6 @@ __all__ = [
     "canonical",
     "canonical_json",
     "report_csv",
-    "export_margins_csv",
 ]
 
 
@@ -97,8 +95,10 @@ def canonical(obj, _tables: bool = False):
 def canonical_json(obj) -> str:
     """``json.dumps(canonical(obj), sort_keys=True, indent=2) + "\\n"``, with
     each ``Table`` written column by column.  ``json.dumps`` writes a table as
-    a bare ``NaN``, which no canonical value gives, and the table's rows then
-    take its place at the indentation of its line."""
+    a bare ``NaN``, which no canonical value gives; the text is then one
+    ``"".join`` of the pieces of ``json.dumps``'s text around each ``NaN`` and
+    the table's rows in its place, at the indentation of its line, joined
+    ``_TABLE_ROWS`` rows to a piece."""
     tables = []
 
     def table(t: Table) -> float:
@@ -107,21 +107,35 @@ def canonical_json(obj) -> str:
         return math.nan
 
     text = json.dumps(canonical(obj, True), sort_keys=True, indent=2, default=table)
-    if tables:
-        # strings are quoted and canonical floats finite: only a table ends a line in NaN
-        rest = iter(tables)
-        text = re.sub(r"(?m)^( *)(.*)NaN(?=,?$)", lambda m: m[1] + m[2] + _table_json(next(rest), m[1]), text)
-    return text + "\n"
+    pieces, end = [], 0
+    # strings are quoted and canonical floats finite: only a table ends a line in NaN
+    for t, m in zip(tables, re.finditer(r"(?m)^( *).*(NaN)(?=,?$)", text)):
+        pieces.append(text[end : m.start(2)])
+        pieces.extend(_table_json(t, m[1]))
+        end = m.end(2)
+    pieces += [text[end:], "\n"]
+    return "".join(pieces)
 
 
-def _table_json(t: Table, indent: str) -> str:
-    """The JSON text of a table, as ``json.dumps`` indents it on a line that
-    starts with ``indent``."""
+# rows of a table joined to one piece of ``canonical_json``'s text
+_TABLE_ROWS = 4096
+
+
+def _table_json(t: Table, indent: str):
+    """The pieces of the JSON text of a table, as ``json.dumps`` indents it on
+    a line that starts with ``indent``."""
     if not len(t):
-        return "[]"
+        yield "[]"
+        return
     row, cell = "\n" + indent + "  ", "\n" + indent + "    "
+    between = row + "]," + row + "[" + cell
     rows = map(("," + cell).join, zip(*map(_column_json, t.columns)))
-    return "[" + row + "[" + cell + (row + "]," + row + "[" + cell).join(rows) + row + "]\n" + indent + "]"
+    yield "[" + row + "[" + cell
+    for n in range(0, len(t), _TABLE_ROWS):
+        if n:
+            yield between
+        yield between.join(itertools.islice(rows, _TABLE_ROWS))
+    yield row + "]\n" + indent + "]"
 
 
 def _column_json(c: np.ndarray) -> list:
@@ -164,7 +178,8 @@ _VALIDITY_HEADER = ("family", "trial", "emp", "complexity", "bound", "true_risk"
 def _csv_cell(v) -> str:
     """The one CSV cell rule: a null is empty, a bool 0/1, a float
     ``format_float``, and a list its items joined by ``;``, where an item
-    that is itself a list or a mapping keeps its ``str``."""
+    that is itself a list or a mapping is written as its ``str`` with every
+    float in it ``format_float``'s."""
     if v is None:
         return ""
     if isinstance(v, bool):
@@ -172,8 +187,19 @@ def _csv_cell(v) -> str:
     if isinstance(v, float):
         return format_float(v)
     if isinstance(v, list):
-        return ";".join(str(x) if isinstance(x, (list, dict)) else _csv_cell(x) for x in v)
+        return ";".join(_nested_text(x) if isinstance(x, (list, dict)) else _csv_cell(x) for x in v)
     return str(v)
+
+
+def _nested_text(v) -> str:
+    """``str`` of a canonical list or mapping, with its floats as ``format_float`` writes them."""
+    if isinstance(v, float):
+        return format_float(v)
+    if isinstance(v, list):
+        return "[" + ", ".join(map(_nested_text, v)) + "]"
+    if isinstance(v, dict):
+        return "{" + ", ".join(f"{k!r}: {_nested_text(x)}" for k, x in v.items()) + "}"
+    return repr(v)
 
 
 def _write_rows(header, rows) -> str:
@@ -208,10 +234,3 @@ def report_csv(report) -> str:
         return _write_rows(_VALIDITY_HEADER, data["rows"])
     return _write_rows(["key", "value"], _leaves(data))
 
-
-def export_margins_csv(h: Hypothesis, sample: LabeledSample, transform) -> str:
-    """Per-example export with the fixed header ``index,margin,loss``."""
-    u = margins(h, sample)
-    losses = transform(u)
-    rows = [[i, float(u[i]), float(losses[i])] for i in range(sample.m)]
-    return _write_rows(["index", "margin", "loss"], rows)

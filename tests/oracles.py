@@ -279,11 +279,25 @@ def canonical_json_oracle(obj) -> str:
 def _csv_cell_oracle(v) -> str:
     from relmargin.reportio import format_float
 
+    class Formatted(float):
+        def __repr__(self):
+            return format_float(self)
+
+    def formatted(x):
+        if isinstance(x, float):
+            return Formatted(x)
+        if isinstance(x, list):
+            return [formatted(y) for y in x]
+        if isinstance(x, dict):
+            return {k: formatted(y) for k, y in x.items()}
+        return x
+
     if isinstance(v, bool):
         return str(int(v))
     if isinstance(v, float):
         return format_float(v)
-    return str(v)
+    # a list or mapping is its str, with every float in it format_float's
+    return str(formatted(v))
 
 
 def _write_rows_oracle(header, rows) -> str:
@@ -301,7 +315,8 @@ def _write_rows_oracle(header, rows) -> str:
 def report_csv_oracle(data: dict) -> str:
     """The CSV writer as first written, one hand-built branch per schema
     and a key,value fallback, each with its own cell rules; ``data`` is a
-    canonical report."""
+    canonical report.  One rule has changed since: a float inside a nested
+    list item is written as ``format_float`` writes it, not by ``repr``."""
     from relmargin.reportio import canonical
 
     _csv_cell, _write_rows = _csv_cell_oracle, _write_rows_oracle

@@ -614,6 +614,24 @@ def test_csv_emit_matches_json_round_trip(capsys):
     assert "value,Infinity" in out and "nested.b,1;-Infinity;2" in out
 
 
+def test_emit_writes_a_report_in_slices_whole(monkeypatch, capsys, tmp_path):
+    from relmargin import cli
+    from relmargin.reportio import canonical_json, report_csv
+
+    report = {"schema": "relmargin/value/v1", "op": "x", "value": 1 / 3, "note": "caf\u00e9 \u2264", "n": list(range(40))}
+    # slices of 7 characters, of the default size, and one slice
+    for chars in (7, cli._WRITE_CHARS, 10**6):
+        monkeypatch.setattr(cli, "_WRITE_CHARS", chars)
+        for fmt, text in (("json", canonical_json(report)), ("csv", report_csv(report))):
+            assert len(text) > 7 and len(text) % 7
+            out = tmp_path / f"report-{chars}.{fmt}"
+            cli._emit(report, fmt, str(out))
+            cli._emit(report, fmt, None)
+            captured = capsys.readouterr()
+            assert out.read_text() == captured.out == text
+            assert captured.err == f"wrote {out}\n"
+
+
 # ---------------------------------------------------------------------------
 # the family and op tables (in-process: each subprocess pays the import)
 

@@ -18,7 +18,7 @@ from relmargin import (
     rm_upper_smooth,
     worst_case_rademacher,
 )
-from relmargin import kernels
+from relmargin import kernels, rademacher
 from relmargin.fatdim import FatDimParams
 from relmargin.rademacher import (
     EXACT_ENUMERATION_MAX_M, SIGN_BLOCK_ROWS, _drawn_sums, _shell_rademacher_values, _word_signs, sign_rows,
@@ -167,6 +167,22 @@ def test_drawn_sums_equal_the_float64_product():
                 signs = substream(n, "sigma").integers(0, 2, size=(n, m)) * 2.0 - 1.0
                 assert got.dtype == np.float64
                 assert np.array_equal(got, kernels.signed_sums(values, signs)), (m, p, tag, n)
+
+
+@pytest.mark.parametrize("m", [3, 200, 201])
+def test_drawn_sums_in_sign_blocks_are_one_product(m):
+    # a block holds at least SIGN_BLOCK_ROWS rows and about 2^16 signs; the
+    # sign counts cover one block, several whole blocks and a partial last one
+    values = (np.random.default_rng(m).random((m, 6)) < 0.4).astype(float)
+    block = max(SIGN_BLOCK_ROWS, (rademacher._SIGN_BLOCK_SIGNS // m) & ~1)
+    assert block % 2 == 0 and block * m <= rademacher._SIGN_BLOCK_SIGNS
+    for n in (block - 1, 2 * block, 2 * block + 7):
+        blocked, whole = substream(m, "sigma", n), substream(m, "sigma", n)
+        got = _drawn_sums(LossMatrix(values, "binary"), n, blocked)
+        assert np.array_equal(got, sign_rows(whole, n, m) @ values.astype(np.float32))
+        # the generator is left where one draw leaves it, buffered half included
+        assert blocked.integers(0, 2, size=9).tolist() == whole.integers(0, 2, size=9).tolist()
+        assert blocked.random() == whole.random()
 
 
 def test_mc_shell_values_match_per_shell_oracle():

@@ -10,7 +10,6 @@ from relmargin import (
     InputError,
     LabeledSample,
     LossMatrix,
-    TableHypothesis,
     bound_cov_alpha,
     bound_cov_alpha2,
     bound_cov_fat,
@@ -20,12 +19,12 @@ from relmargin import (
     bound_rad_smooth,
     bound_unbounded,
     bound_unbounded_uniform_rho,
-    ramp,
 )
 from relmargin.bounds import FAMILIES
 from relmargin.cli import main
 from relmargin.estimates import ComplexityEstimate
-from relmargin.reportio import Table, canonical, canonical_json, export_margins_csv, format_float, report_csv
+from relmargin import reportio
+from relmargin.reportio import Table, canonical, canonical_json, format_float, report_csv
 from relmargin.validation import ExperimentConfig, validate_bounds
 
 from oracles import canonical_json_oracle, report_csv_oracle, report_to_json_oracle
@@ -147,22 +146,28 @@ def test_complexity_estimate_schema_and_csv():
     assert lines[1] == "1.5,monte-carlo,32;64,7,0.01"
 
 
-def test_margins_csv_header_and_values():
-    h = TableHypothesis({0: 0.6, 1: 0.3})
-    s = LabeledSample(points=np.array([[0.0], [1.0]]), labels=np.array([1.0, 1.0]))
-    text = export_margins_csv(h, s, ramp(0.5))
-    lines = text.splitlines()
-    assert lines[0] == "index,margin,loss"
-    assert lines[1] == "0,0.6,0"
-    assert lines[2] == "1,0.3,0.4"
-
-
 def test_generic_csv_fallback_flattens():
     text = report_csv({"schema": "relmargin/verify-report/v1", "passed": True, "a": {"b": 2}})
     lines = text.splitlines()
     assert lines[0] == "key,value"
     assert "a.b,2" in lines
     assert "passed,1" in lines
+
+
+def test_csv_writes_a_float_in_a_nested_list_item_as_every_other_float():
+    report = {
+        "schema": "x",
+        "a": [[1.0, 123456789012.0, -0.0, [0.5, 2.0]], 3.0],
+        "b": 1.0,
+        "c": [{"w": 1.0, "s": "1.0", "n": None, "t": True, "k": 2, "inf": math.inf}],
+    }
+    lines = report_csv(report).splitlines()
+    assert lines[1:] == [
+        'a,"[1, 123456789012, -0, [0.5, 2]];3"',
+        "b,1",
+        "c,\"{'w': 1, 's': '1.0', 'n': None, 't': True, 'k': 2, 'inf': 'Infinity'}\"",
+        "schema,x",
+    ]
 
 
 _BOUND = ["bound", "--m", "100000", "--delta", "0.05"]
@@ -364,15 +369,20 @@ _TABLES = {
 
 
 @pytest.mark.parametrize("name", sorted(_TABLES))
-def test_table_writer_is_the_oracle_on_its_rows(name):
+def test_table_writer_is_the_oracle_on_its_rows(monkeypatch, name):
     table = Table(*_TABLES[name])
     rows = [list(r) for r in table]
     assert len(table) == len(rows) == len(_TABLES[name][0])
     assert table == tuple(map(tuple, rows)) and table == Table(*_TABLES[name])
     assert all(type(v) in (str, int, float) for row in rows for v in row)
-    for obj, listed in ((table, rows), ({"rows": table, "n": 2.5}, {"rows": rows, "n": 2.5}), ([table, [table]], [rows, [rows]])):
-        assert canonical_json(obj) == canonical_json_oracle(listed)
-        assert canonical(obj) == canonical(listed)
+    cases = ((table, rows), ({"rows": table, "n": 2.5}, {"rows": rows, "n": 2.5}), ([table, [table]], [rows, [rows]]))
+    # rows per piece of the text: the default, one, and a divisor and a
+    # non-divisor of the 20 repeated-float rows
+    for piece_rows in (reportio._TABLE_ROWS, 1, 3, 4):
+        monkeypatch.setattr(reportio, "_TABLE_ROWS", piece_rows)
+        for obj, listed in cases:
+            assert canonical_json(obj) == canonical_json_oracle(listed)
+            assert canonical(obj) == canonical(listed)
 
 
 def test_table_writer_rejects_nan_as_the_oracle_does():

@@ -204,10 +204,21 @@ def test_campaign_judge_matches_per_trial_oracle(monkeypatch, mode, extra, alpha
         complexity={"cover_draws": 2, "peel_draws": 2, "n_sigma": 64},
         **extra,
     )
-    report = validate_bounds(cfg)
-    families_out, rows = per_trial_campaign(cfg)
-    assert report.families == families_out
-    assert report.rows == tuple(rows)
+    width = cfg.pool["size"] if mode == "uniform-pool" else 1
+    # the default judge chunks, and chunks of 7 trials and of about half the
+    # trials, which split every shape here unevenly
+    judge_pairs = (validation._JUDGE_PAIRS, 7 * width, (cfg.trials // 2 + 1) * width)
+
+    def judged_as_the_oracle():
+        families_out, rows = per_trial_campaign(cfg)
+        for pairs in judge_pairs:
+            monkeypatch.setattr(validation, "_JUDGE_PAIRS", pairs)
+            report = validate_bounds(cfg)
+            assert report.families == families_out
+            assert report.rows == tuple(rows)
+        return report, rows
+
+    report, rows = judged_as_the_oracle()
     if (m, alpha) == (200, 1.5):
         # every bound is clamped at 1 there, so the judge's rows are all
         # alike and no shift of the bounds can split the trials
@@ -218,11 +229,55 @@ def test_campaign_judge_matches_per_trial_oracle(monkeypatch, mode, extra, alpha
     shift = 0.01 - report.families["cov-alpha"]["worst_violation_margin"]
     real = validation.family_bound_values
     monkeypatch.setattr(validation, "family_bound_values", lambda *args: real(*args) - shift)
-    report = validate_bounds(cfg)
-    families_out, rows = per_trial_campaign(cfg)
-    assert report.families == families_out
-    assert report.rows == tuple(rows)
+    report, _ = judged_as_the_oracle()
     assert 0 < report.families["cov-alpha"]["violations"] < cfg.trials
+
+
+@pytest.mark.parametrize("alpha", [1.5, 2.0])
+@pytest.mark.parametrize("m", [1, 3, 200, 5001])
+@pytest.mark.parametrize("family", SUPPORTED_FAMILIES)
+def test_count_table_is_the_formula_on_the_count_matrix(family, m, alpha):
+    # the judge reads a member's bound at index k of the family's formula on
+    # the m + 1 terms k / m; that is exact only because each formula is
+    # elementwise in emp and never raises for emp in [0, 1]
+    params = {"m": m, "delta": 0.05, "alpha": alpha, "rho": 0.2}
+    try:
+        cfg = _config(families=(family,), m=m, params=params)
+    except InputError:
+        # cov-alpha2 at alpha != 2 and rad at m < 3: no campaign judges these
+        assert (family, alpha) == ("cov-alpha2", 1.5) or (family, m) == ("rad", 1)
+        return
+    rng = np.random.default_rng(m)
+    counts = rng.integers(0, m + 1, size=(37, 11), dtype=np.int32)
+    counts[0, :2] = 0, m
+    values = {"logN": (0.0, np.log(50.0), 25.0), "rm": (0.0, 0.0734, 2.5), "fat_d": (1.0, 6.25)}
+    for value in values[FAMILIES[family].complexity]:
+        table = family_bound_values(family, np.arange(m + 1) / m, value, cfg.params)
+        direct = family_bound_values(family, counts / m, value, cfg.params)
+        assert table.shape == (m + 1,) and np.all(np.isfinite(table))
+        assert np.array_equal(table[counts].view(np.uint64), direct.view(np.uint64)), value
+
+
+def test_judge_memory_grows_with_a_chunk_not_with_trials_times_pool():
+    import tracemalloc
+
+    trials, pool = 20_000, 50
+    cfg = _config(
+        trials=trials,
+        pool=pool,
+        m=200,
+        params={"m": 200, "delta": 0.05, "alpha": 2.0, "rho": 0.2},
+        complexity={"cover_draws": 2, "peel_draws": 2, "n_sigma": 64, "exact_cap": pool},
+    )
+    tracemalloc.start()
+    try:
+        report = validate_bounds(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(report.rows) == trials
+    # one trials x pool float64 matrix is 8 MB; the int32 counts are half of it
+    assert peak < 1.5 * trials * pool * 8, peak
 
 
 def test_margin_counts_match_the_m_by_pool_count():
