@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapabilityError, DataError, InputError, _fields_json
+from .errors import DataError, InputError, _choice, _count, _fields_json
 from .hypotheses import Hypothesis, margins
 from .rng import substream
 from .samples import LabeledSample, analytic_risk
@@ -104,16 +104,17 @@ class RiskEstimate:
 
 
 def true_risk(h: Hypothesis, dist, mode: str = "analytic", n: int | None = None, seed: int | None = None) -> RiskEstimate:
-    """Generalization error, either closed-form or by a fresh holdout draw."""
+    """Generalization error, either closed-form or by a fresh holdout draw of
+    ``n`` points (an integer >= 1) from ``seed``."""
+    _choice("mode", mode, ("analytic", "holdout"))
     if mode == "analytic":
         return RiskEstimate(value=analytic_risk(h, dist), stderr=0.0, method="analytic")
-    if mode == "holdout":
-        if n is None or n < 1 or seed is None:
-            raise InputError("holdout mode requires n >= 1 and a seed")
-        value = float(holdout_error_rate(h.predict, dist, int(n), substream(seed, "holdout")))
-        stderr = float(np.sqrt(value * (1.0 - value) / n))
-        return RiskEstimate(value=value, stderr=stderr, method=f"holdout(n={n})")
-    raise CapabilityError(f"unknown true-risk mode {mode!r}")
+    n = _count("n", n, 1)
+    if seed is None:
+        raise InputError("holdout mode requires a seed")
+    value = float(holdout_error_rate(h.predict, dist, n, substream(seed, "holdout")))
+    stderr = float(np.sqrt(value * (1.0 - value) / n))
+    return RiskEstimate(value=value, stderr=stderr, method=f"holdout(n={n})")
 
 
 _HOLDOUT_BLOCK = 100_000  # rows per draw: bounds the rows x hypotheses predictions held at once

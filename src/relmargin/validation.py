@@ -6,16 +6,16 @@ exceeds its bound (the uniform event a uniform-convergence guarantee
 protects against).  It judges the families whose ``bounds.FAMILIES``
 record has an array formula, and estimates each complexity input once,
 from its own substreams; families that share an input share its value.
+The members' true risks are computed once, for the whole pool.
 Each trial then draws from its own substream into one row of an int32
 (trials x pool) matrix of margin counts k, the number of its m points with
-margin below rho.  A uniform-pool campaign derives the keys of all its
-trial substreams in one ``substreams`` key pass and draws its trials in
-blocks of max(1, 2**13 // m): one ``sample_many`` call per block, whose
-labels come from the streams' raw words, and margin-count products over
-chunks of max(1, 2**11 // m) whole trials, with every trial's numbers
-taken from its own stream in the same order as a lone draw would take
-them.  A trained campaign draws trial by trial.  Only these draws
-(blocks, or trials) run on threads.
+margin below rho.  A campaign derives the keys of all its trial substreams
+in one ``substreams`` key pass and draws its trials in blocks of
+max(1, 2**13 // m): one ``sample_many`` call per block, whose labels come
+from the streams' raw words, and margin-count products over chunks of
+max(1, 2**11 // m) whole trials, with every trial's numbers taken from its
+own stream in the same order as a lone draw would take them.  Only these
+draws (the blocks) run on threads.
 
 A family's bound depends on a trial only through its term k/m, and its
 array formula is elementwise, so each family is one ``family_bound_values``
@@ -37,17 +37,16 @@ from scipy.stats import beta as beta_dist
 
 from . import __version__ as _pkg_version
 from .bounds import FAMILIES, BoundParams, check_cov_alpha2, check_peeling_m, cov_fat_dimension
-from .errors import InputError, _choice, _count, _dataclass_keys, _mapping, _number, _options
+from .errors import InputError, _choice, _count, _dataclass_keys, _mapping, _number
 from .estimates import ComplexityEstimate
 from .fatdim import FatDimParams
-from .hypotheses import LinearHypothesis, margins, truncate
+from .hypotheses import LinearHypothesis, truncate
 from .lossmatrix import LossMatrix, outputs_matrix, transform_matrix
 from .covers import DEFAULT_EXACT_CAP, covering_number_linf
 from .rademacher import DEFAULT_N_SIGMA, peeling_complexity
 from .reportio import Table
 from .rng import child_seed, substream, substreams
 from .samples import DISTRIBUTIONS, LabeledSample, analytic_risk, make_distribution
-from .training import METHODS
 from .transforms import holdout_error_rate, step
 
 __all__ = ["ExperimentConfig", "ValidityReport", "validate_bounds", "exact_binomial_ci"]
@@ -61,9 +60,9 @@ _COMPLEXITY_DEFAULTS = {
     "cover_mode": "exact",
 }
 _COMPLEXITY_LEAST = {"cover_draws": 1, "peel_draws": 2, "n_sigma": 1, "exact_cap": 1}
-# holdout size of each campaign mode when risk.n is not given
-_RISK_N = {"uniform-pool": 10**6, "trained": 10**5}
-# points per block of uniform-pool trials: a block holds max(1, _BLOCK_ROWS // m) trials
+# holdout size when risk.n is not given
+_RISK_N = 10**6
+# points per block of trials: a block holds max(1, _BLOCK_ROWS // m) trials
 _BLOCK_ROWS = 2**13
 # points per margin-count product: it covers max(1, _COUNT_POINTS // m) whole
 # trials; one trial is always one product, since splitting a 5000-point
@@ -88,8 +87,6 @@ class ExperimentConfig:
     families: tuple
     trials: int
     seed: int
-    mode: str = "uniform-pool"
-    trainer: dict | None = None
     complexity: dict = field(default_factory=dict)
     risk: dict = field(default_factory=dict)
 
@@ -130,23 +127,17 @@ class ExperimentConfig:
             check_peeling_m("params.m", self.params.m)
         put("trials", _count("trials", self.trials, 1))
         put("seed", _count("seed", self.seed, 0))
-        _choice("mode", self.mode, ("uniform-pool", "trained"))
-        if (self.trainer is None) == (self.mode == "trained"):
-            raise InputError(f"a trainer section goes with mode 'trained' and only there; mode is {self.mode!r}")
-        if self.trainer is not None:
-            trainer = _mapping("trainer", self.trainer)
-            method = trainer.pop("method", "hinge-subgradient-linear")
-            _choice("trainer.method", method, tuple(METHODS))
-            # each trial trains with its own seed, so a campaign takes none
-            put("trainer", {"method": method, **_options("trainer", METHODS[method], trainer, ("sample", "seed"))})
         complexity = {**_COMPLEXITY_DEFAULTS, **_mapping("complexity", self.complexity, _COMPLEXITY_DEFAULTS)}
         for key, least in _COMPLEXITY_LEAST.items():
             complexity[key] = _count(f"complexity.{key}", complexity[key], least)
         _choice("complexity.cover_mode", complexity["cover_mode"], ("exact", "greedy"))
         put("complexity", complexity)
-        risk = {"mode": "analytic", "n": _RISK_N[self.mode], **_mapping("risk", self.risk, ("mode", "n"))}
+        given = _mapping("risk", self.risk, ("mode", "n"))
+        risk = {"mode": "analytic", "n": _RISK_N, **given}
         _choice("risk.mode", risk["mode"], ("analytic", "holdout"))
         risk["n"] = _count("risk.n", risk["n"], 1)
+        if risk["mode"] == "analytic" and "n" in given:
+            raise InputError("risk.n is the holdout size, and risk.mode 'analytic' draws no holdout; use 'holdout'")
         if risk["mode"] == "analytic" and not self.distribution.analytic_risk_available:
             raise InputError(
                 f"risk.mode 'analytic' needs a closed-form risk, and {self.distribution.kind} has none; use 'holdout'"
@@ -191,15 +182,6 @@ def _build_pool(cfg: ExperimentConfig, dist):
     ws = rng.standard_normal((cfg.pool["size"], dist.dim))
     ws /= np.maximum(np.linalg.norm(ws, axis=1, keepdims=True), 1e-12)
     return [LinearHypothesis(w) for w in ws]
-
-
-def _true_risks(cfg, dist, hypotheses, predict, *stream) -> np.ndarray:
-    """True zero-one risks of ``hypotheses``: the closed form, or a holdout of
-    ``risk.n`` points drawn from ``substream(cfg.seed, *stream)`` and scored
-    with ``predict`` (one column per hypothesis)."""
-    if cfg.risk["mode"] == "analytic":
-        return np.array([analytic_risk(h, dist) for h in hypotheses])
-    return holdout_error_rate(predict, dist, cfg.risk["n"], substream(cfg.seed, *stream))
 
 
 def _estimate_log_cover(cfg, dist, pool) -> ComplexityEstimate:
@@ -293,33 +275,22 @@ def validate_bounds(cfg: ExperimentConfig, threads: int = 1) -> ValidityReport:
     inputs = dict.fromkeys(FAMILIES[fam].complexity for fam in cfg.families)
     estimates = {name: _ESTIMATORS[name](cfg, dist, pool) for name in inputs}
 
-    if cfg.mode == "uniform-pool":
-        w_stack = np.stack([h.w for h in pool], axis=0)
-        risks = _true_risks(cfg, dist, pool, lambda x: x @ w_stack.T, "risk")[None, :]
-        counts = np.empty((cfg.trials, len(pool)), dtype=np.int32)
-        block = max(1, _BLOCK_ROWS // p.m)
-        jobs = range(0, cfg.trials, block)
-        streams = substreams(cfg.seed, "trial", indices=range(cfg.trials))
-
-        def draw(lo: int) -> None:
-            hi = min(lo + block, cfg.trials)
-            x, y = dist.sample_many(p.m, streams[lo:hi])
-            counts[lo:hi] = _margin_counts(w_stack, x, y, p.rho)
-
+    w_stack = np.stack([h.w for h in pool], axis=0)
+    # the true zero-one risk of each member: the closed form, or a holdout
+    # of risk.n points scored by the whole pool at once
+    if cfg.risk["mode"] == "analytic":
+        risks = np.array([analytic_risk(h, dist) for h in pool])
     else:
-        options = dict(cfg.trainer)
-        fit = METHODS[options.pop("method")]
-        risks = np.empty((cfg.trials, 1))
-        counts = np.empty((cfg.trials, 1), dtype=np.int32)
+        risks = holdout_error_rate(lambda x: x @ w_stack.T, dist, cfg.risk["n"], substream(cfg.seed, "risk"))
+    counts = np.empty((cfg.trials, len(pool)), dtype=np.int32)
+    block = max(1, _BLOCK_ROWS // p.m)
+    jobs = range(0, cfg.trials, block)
+    streams = substreams(cfg.seed, "trial", indices=range(cfg.trials))
 
-        def draw(t: int) -> None:
-            x, y = dist.sample(p.m, substream(cfg.seed, "trial", t))
-            sample = LabeledSample(points=x, labels=y, seed=t, generator_id=dist.generator_id)
-            h = fit(sample, seed=child_seed(cfg.seed, "train", t), **options)
-            counts[t] = np.count_nonzero(margins(h, sample) < p.rho)
-            risks[t] = _true_risks(cfg, dist, [h], h.predict, "trial-risk", t)
-
-        jobs = range(cfg.trials)
+    def draw(lo: int) -> None:
+        hi = min(lo + block, cfg.trials)
+        x, y = dist.sample_many(p.m, streams[lo:hi])
+        counts[lo:hi] = _margin_counts(w_stack, x, y, p.rho)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=int(threads)) as pool_exec:
@@ -328,9 +299,8 @@ def validate_bounds(cfg: ExperimentConfig, threads: int = 1) -> ValidityReport:
         list(map(draw, jobs))
 
     trials = cfg.trials
-    risks = np.broadcast_to(risks, counts.shape)
     emp_grid = np.arange(p.m + 1) / p.m
-    chunk = max(1, _JUDGE_PAIRS // counts.shape[1])
+    chunk = max(1, _JUDGE_PAIRS // len(pool))
     trial = np.arange(trials)
     member = np.empty(trials, dtype=np.intp)
     # the report's columns, family after family
@@ -338,16 +308,15 @@ def validate_bounds(cfg: ExperimentConfig, threads: int = 1) -> ValidityReport:
     emps, values, bnds, rsks = (np.empty(size) for _ in range(4))
     violated = np.empty(size, dtype=int)
     families_out = {}
-    event = "uniform-over-pool" if cfg.mode == "uniform-pool" else "trained-single-hypothesis"
     for f, fam in enumerate(cfg.families):
         complexity = estimates[FAMILIES[fam].complexity]
         table = family_bound_values(fam, emp_grid, complexity.value, p)
         for lo in range(0, trials, chunk):
             # each trial reports its member with the first largest gap
-            member[lo : lo + chunk] = (risks[lo : lo + chunk] - table[counts[lo : lo + chunk]]).argmax(axis=1)
+            member[lo : lo + chunk] = (risks - table[counts[lo : lo + chunk]]).argmax(axis=1)
         k = counts[trial, member]
         at = slice(f * trials, (f + 1) * trials)
-        emps[at], values[at], bnds[at], rsks[at] = emp_grid[k], complexity.value, table[k], risks[trial, member]
+        emps[at], values[at], bnds[at], rsks[at] = emp_grid[k], complexity.value, table[k], risks[member]
         gaps = rsks[at] - bnds[at]
         violated[at] = gaps > 0
         violations = int(np.count_nonzero(violated[at]))
@@ -357,7 +326,7 @@ def validate_bounds(cfg: ExperimentConfig, threads: int = 1) -> ValidityReport:
             "violation_rate": violations / trials,
             "ci95": list(exact_binomial_ci(violations, trials)),
             "worst_violation_margin": float(gaps.max()),
-            "event": event,
+            "event": "uniform-over-pool",
             "complexity": complexity.to_json(),
         }
     environment = {

@@ -202,9 +202,7 @@ def per_trial_campaign(cfg):
 
     from relmargin import validation
     from relmargin.bounds import FAMILIES
-    from relmargin.rng import child_seed, substream
-    from relmargin.samples import LabeledSample
-    from relmargin.training import train
+    from relmargin.rng import substream
     from relmargin.transforms import holdout_error_rate
 
     dist = cfg.distribution
@@ -221,31 +219,16 @@ def per_trial_campaign(cfg):
             out[fam] = (bool(np.any(gaps > 0)), float(gaps.max()), float(emp[j]), float(bounds[j]), float(risks[j]))
         return out
 
-    results = []
-    if cfg.mode == "uniform-pool":
-        w_stack = np.stack([h.w for h in pool], axis=0)
-        if cfg.risk.get("mode", "analytic") == "analytic":
-            risks = np.array([dist.analytic_risk(h) for h in pool])
-        else:
-            n = int(cfg.risk.get("n", 10**6))
-            risks = holdout_error_rate(lambda x: x @ w_stack.T, dist, n, substream(cfg.seed, "risk"))
-        for t in range(cfg.trials):
-            x, y = dist.sample(p.m, substream(cfg.seed, "trial", t))
-            results.append(judge((y[:, None] * (x @ w_stack.T) < p.rho).mean(axis=0), risks))
+    w_stack = np.stack([h.w for h in pool], axis=0)
+    if cfg.risk.get("mode", "analytic") == "analytic":
+        risks = np.array([dist.analytic_risk(h) for h in pool])
     else:
-        trainer = dict(cfg.trainer)
-        method = trainer.pop("method", "hinge-subgradient-linear")
-        for t in range(cfg.trials):
-            x, y = dist.sample(p.m, substream(cfg.seed, "trial", t))
-            sample = LabeledSample(points=x, labels=y, seed=t, generator_id=dist.generator_id)
-            h = train(method, sample, dict(trainer, seed=child_seed(cfg.seed, "train", t)))
-            emp = (y * h.predict(x) < p.rho).mean()
-            if cfg.risk.get("mode", "analytic") == "analytic":
-                risk = dist.analytic_risk(h)
-            else:
-                rng = substream(cfg.seed, "trial-risk", t)
-                risk = float(holdout_error_rate(h.predict, dist, int(cfg.risk.get("n", 10**5)), rng))
-            results.append(judge(np.array([emp]), np.array([risk])))
+        n = int(cfg.risk.get("n", 10**6))
+        risks = holdout_error_rate(lambda x: x @ w_stack.T, dist, n, substream(cfg.seed, "risk"))
+    results = []
+    for t in range(cfg.trials):
+        x, y = dist.sample(p.m, substream(cfg.seed, "trial", t))
+        results.append(judge((y[:, None] * (x @ w_stack.T) < p.rho).mean(axis=0), risks))
 
     families, rows = {}, []
     for fam in cfg.families:
@@ -257,7 +240,7 @@ def per_trial_campaign(cfg):
             "violation_rate": violations / cfg.trials,
             "ci95": [lo, hi],
             "worst_violation_margin": max(r[fam][1] for r in results),
-            "event": "uniform-over-pool" if cfg.mode == "uniform-pool" else "trained-single-hypothesis",
+            "event": "uniform-over-pool",
             "complexity": complexities[fam].to_json(),
         }
         for t, r in enumerate(results):

@@ -248,7 +248,8 @@ def test_train_without_steps_keeps_the_trainer_default(tmp_path, method):
     data_path, out_path = tmp_path / "sample.json", tmp_path / "train.json"
     data_path.write_text(json.dumps(s.to_json()))
     assert main(["train", "--method", method, "--data", str(data_path), "--seed", "0", "--out", str(out_path)]) == 0
-    # a campaign trains with the same call: the trainer's own default step count
+    # with no --steps flag the CLI passes no step count, so the hypothesis is
+    # the one ``train`` gives with the trainer's own default
     want = json.loads(canonical_json(train(method, s, {"seed": 0}).to_json()))
     assert json.loads(out_path.read_text())["hypothesis"] == want
 
@@ -367,16 +368,17 @@ def test_validate_rejects_thread_count_below_1(tmp_path, capsys, threads):
     assert "--threads must be at least 1" in capsys.readouterr().err
 
 
-_HINGE = 'trainer={"method": "hinge-subgradient-linear", "steps": 10}'
+_NO_HOLDOUT = "risk.n is the holdout size, and risk.mode 'analytic' draws no holdout"
 
 
 @pytest.mark.parametrize(
     "overrides,code,text",
     [
         (['distribution={"kind": "margin-separable-with-noise", "dim": 3}'], 2, "risk.mode 'analytic' needs"),
-        (["mode=trained", 'trainer={"method": "boost-stumps", "rounds": 2}'], 3, "linear hypotheses only"),
-        (["mode=trained", _HINGE, 'risk={"mode": "holdot"}'], 2, "risk.mode must be"),
-        (["mode=trained", 'trainer={"method": "svm"}'], 2, "trainer.method must be"),
+        # a campaign has one mode, the pool judged uniformly, and trains nothing
+        (["mode=trained"], 2, "unknown config keys ['mode']"),
+        (['risk={"mode": "holdot"}'], 2, "risk.mode must be"),
+        (['trainer={"method": "hinge-subgradient-linear"}'], 2, "unknown config keys ['trainer']"),
         (['risk={"mode": "holdout", "size": 10}'], 2, "unknown risk keys ['size']"),
         (["pool.shape=1"], 2, "unknown pool keys ['shape']"),
         (["params.gamma=1"], 2, "unknown params keys ['gamma']"),
@@ -394,11 +396,12 @@ _HINGE = 'trainer={"method": "hinge-subgradient-linear", "steps": 10}'
         (["distribution.sigma=NaN"], 2, "distribution.sigma must be finite, got nan"),
         (['distribution={"kind": "margin-separable-with-noise", "gap": 10.0}', 'risk={"mode": "holdout"}'],
          2, "distribution.gap = 10.0 lets the sampler accept at most 1.52e-23"),
-        (["mode=trained", _HINGE, "trainer.stpes=1"], 2, "unknown trainer keys ['stpes']"),
-        (["mode=trained", _HINGE, "trainer.seed=5"], 2, "unknown trainer keys ['seed']"),
-        (["mode=trained", _HINGE, "trainer.steps=2.5"], 2, "trainer.steps must be an integer >= 0, got 2.5"),
-        (["mode=trained", _HINGE, "trainer.steps=-3"], 2, "trainer.steps must be an integer >= 0, got -3"),
-        ([_HINGE], 2, "a trainer section goes with mode 'trained' and only there; mode is 'uniform-pool'"),
+        # a holdout size with analytic risks would be ignored
+        (["risk.n=7"], 2, _NO_HOLDOUT),
+        (['risk={"mode": "analytic", "n": 1000000}'], 2, _NO_HOLDOUT),
+        (['risk={"mode": "holdout", "n": 2.5}'], 2, "risk.n must be an integer >= 1, got 2.5"),
+        (['risk={"mode": "holdout", "n": 0}'], 2, "risk.n must be an integer >= 1, got 0"),
+        (['mode="uniform-pool"', 'trainer={"method": "tiny-mlp"}'], 2, "unknown config keys ['mode', 'trainer']"),
         (['families=["cov-alpha2", "rad"]', "params.m=2"], 2,
          "peeling families need params.m >= 3 so that log log m is defined"),
         # a bound family with no array formula, and a misspelled one

@@ -404,12 +404,17 @@ def test_validity_report_matches_its_schema(tmp_path):
     schema = json.loads((SCHEMA_DIR / "validity-report.v1.json").read_text())
     jsonschema.validate(data, schema)
     assert len(data["rows"]) == 4 * 30 and set(data["families"]) == {"cov-alpha", "cov-alpha2", "cov-fat", "rad"}
-    # the schema can fail: an environment field added or dropped, or a row
+    # the schema can fail: an environment field added or dropped, a family
+    # judged on another event than the uniform one over the pool, or a row
     # with a violation flag of 2
     environment = data["environment"]
     for changed in ({**environment, "backend": "numpy"}, {k: v for k, v in environment.items() if k != "seed"}):
         with pytest.raises(jsonschema.ValidationError):
             jsonschema.validate({**data, "environment": changed}, schema)
+    for event in ("trained-single-hypothesis", "", None):
+        families = {**data["families"], "rad": {**data["families"]["rad"], "event": event}}
+        with pytest.raises(jsonschema.ValidationError, match="uniform-over-pool"):
+            jsonschema.validate({**data, "families": families}, schema)
     data["rows"][0][6] = 2
     with pytest.raises(jsonschema.ValidationError):
         jsonschema.validate(data, schema)

@@ -105,6 +105,22 @@ def test_holdout_error_rate_pool_columns_match_single_hypotheses():
         assert true_risk(h, dist, mode="holdout", n=n, seed=5).value == rate
 
 
+def test_true_risk_rejects_a_bad_holdout_size_or_mode():
+    dist = TwoGaussianMixture(dim=2)
+    h = LinearHypothesis(np.array([1.0, 0.0]))
+    for n in (1.5, 0, -2, None, True, "10"):
+        with pytest.raises(InputError, match=f"n must be an integer >= 1, got {n!r}"):
+            true_risk(h, dist, mode="holdout", n=n, seed=0)
+    with pytest.raises(InputError, match="holdout mode requires a seed"):
+        true_risk(h, dist, mode="holdout", n=10)
+    # a bad argument is an input error (exit 2), not a capability one (exit 3)
+    for mode in ("holdot", "Analytic", None):
+        with pytest.raises(InputError, match=f"mode must be one of \\['analytic', 'holdout'\\], got {mode!r}"):
+            true_risk(h, dist, mode=mode, n=10, seed=0)
+    # an integral float size is the integer it names
+    assert true_risk(h, dist, mode="holdout", n=2000.0, seed=0) == true_risk(h, dist, mode="holdout", n=2000, seed=0)
+
+
 def test_analytic_mode_rejected_when_unavailable():
     dist = MarginSeparable(dim=2, gap=0.1)
     with pytest.raises(CapabilityError):

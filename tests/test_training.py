@@ -68,6 +68,8 @@ def test_train_dispatch_and_unknown_method():
         train("boost-stumps", s, {"steps": 5})
     with pytest.raises(InputError, match="trainer.steps must be an integer >= 0, got 2.5"):
         train("hinge-subgradient-linear", s, {"steps": 2.5})
+    with pytest.raises(InputError, match="trainer.steps must be an integer >= 0, got -3"):
+        train("hinge-subgradient-linear", s, {"steps": -3})
     with pytest.raises(InputError, match="trainer.lr must be finite, got nan"):
         train("tiny-mlp", s, {"lr": float("nan")})
     # the defaults are the trainer's own

@@ -18,7 +18,7 @@ from relmargin.validation import SUPPORTED_FAMILIES, family_bound_values
 from oracles import per_trial_campaign
 
 
-def _config(trials=40, families=("cov-alpha2",), m=60, pool=8, mode="uniform-pool", **kw):
+def _config(trials=40, families=("cov-alpha2",), m=60, pool=8, **kw):
     data = {
         "distribution": {"kind": "two-gaussian-mixture", "dim": 3, "separation": 1.0, "sigma": 1.0},
         "pool": {"kind": "linear", "size": pool},
@@ -26,7 +26,6 @@ def _config(trials=40, families=("cov-alpha2",), m=60, pool=8, mode="uniform-poo
         "families": list(families),
         "trials": trials,
         "seed": 99,
-        "mode": mode,
         "complexity": {"cover_draws": 8, "peel_draws": 8, "n_sigma": 128},
     }
     data.update(kw)
@@ -125,19 +124,6 @@ def test_campaign_environment_does_not_leak_thread_count():
     assert "threads" not in report.environment
 
 
-def test_trained_mode_single_hypothesis_event():
-    cfg = _config(
-        trials=5,
-        families=("cov-alpha2",),
-        mode="trained",
-        trainer={"method": "hinge-subgradient-linear", "steps": 200},
-    )
-    report = validate_bounds(cfg)
-    rec = report.families["cov-alpha2"]
-    assert rec["event"] == "trained-single-hypothesis"
-    assert rec["violations"] == 0
-
-
 def test_holdout_risk_mode():
     cfg = _config(trials=4, risk={"mode": "holdout", "n": 20000})
     report = validate_bounds(cfg)
@@ -177,34 +163,37 @@ def test_shared_cover_estimate_runs_once_and_keeps_bytes(monkeypatch):
     assert set(both["environment"]) == {"seed", "package_version", "delta"}
 
 
+_HOLDOUT = {"mode": "holdout", "n": 5000}
+
+
 @pytest.mark.parametrize("alpha", [2.0, 1.5])
 @pytest.mark.parametrize(
-    "mode,extra",
+    "extra",
     [
-        ("uniform-pool", {}),
-        ("trained", {"trainer": {"method": "hinge-subgradient-linear", "steps": 100}}),
-        ("trained", {"trainer": {"method": "hinge-subgradient-linear", "steps": 100},
-                     "risk": {"mode": "holdout", "n": 5000}}),
+        {},
+        # holdout risks, on the mixture and on data with no closed-form risk
+        {"risk": _HOLDOUT},
+        {"risk": _HOLDOUT, "distribution": {"kind": "margin-separable-with-noise", "dim": 3}},
         # blocks of 40, 40 and 20 trials, and blocks of one
-        ("uniform-pool", {"trials": 100, "m": 200}),
-        ("uniform-pool", {"trials": 6, "m": 5000}),
+        {"trials": 100, "m": 200},
+        {"trials": 6, "m": 5000},
     ],
+    ids=[f"uniform-pool-extra{i}" for i in range(5)],
 )
-def test_campaign_judge_matches_per_trial_oracle(monkeypatch, mode, extra, alpha):
+def test_campaign_judge_matches_per_trial_oracle(monkeypatch, extra, alpha):
     # m = 3000 puts most bounds below 1 at both alphas
     families = ("cov-alpha", "cov-alpha2", "rad") if alpha == 2.0 else ("cov-alpha", "rad")
     extra = dict(extra)
     m = extra.pop("m", 3000)
     cfg = _config(
-        trials=extra.pop("trials", 24 if mode == "uniform-pool" else 8),
+        trials=extra.pop("trials", 24),
         families=families,
         m=m,
-        mode=mode,
         params={"m": m, "delta": 0.05, "alpha": alpha, "rho": 0.2},
         complexity={"cover_draws": 2, "peel_draws": 2, "n_sigma": 64},
         **extra,
     )
-    width = cfg.pool["size"] if mode == "uniform-pool" else 1
+    width = cfg.pool["size"]
     # the default judge chunks, and chunks of 7 trials and of about half the
     # trials, which split every shape here unevenly
     judge_pairs = (validation._JUDGE_PAIRS, 7 * width, (cfg.trials // 2 + 1) * width)
