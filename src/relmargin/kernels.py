@@ -1,10 +1,9 @@
 """Hot numeric kernels, vectorized in numpy.
 
 The inner loops that dominate runtime (exhaustive sign-vector enumeration,
-Monte-Carlo sign correlations, pairwise column distances, projected
-subgradient descent) live here, one numpy implementation each.  Matrix
-products run on whatever BLAS numpy was built with, in the calling
-process's BLAS threads.
+Monte-Carlo sign correlations, pairwise column distances) live here, one
+numpy implementation each.  Matrix products run on whatever BLAS numpy was
+built with, in the calling process's BLAS threads.
 
 Covers need only which columns lie within eps of each other, never the
 distances: ``linf_within`` decides that sup-distance relation by pruning
@@ -24,7 +23,6 @@ __all__ = [
     "pairwise_linf",
     "linf_within",
     "pairwise_l2n",
-    "ramp_descent",
 ]
 
 
@@ -120,44 +118,3 @@ def pairwise_l2n(values) -> np.ndarray:
     for j in range(p):
         out[j] = np.sqrt(np.mean((values - values[:, [j]]) ** 2, axis=0))
     return out
-
-
-def _ramp_objective(signed_x, w, rho, lam):
-    margins = signed_x @ w
-    r = float(np.clip(1.0 - margins / rho, 0.0, 1.0).mean())
-    return r + (lam / rho) * np.sqrt(r)
-
-
-def ramp_descent(signed_x, w0, rho, lam, steps):
-    """Projected subgradient descent on the ramp-loss + scaled-sqrt objective.
-
-    ``signed_x`` holds rows ``y_i * x_i``.  Steps follow the fixed 1/sqrt(t)
-    schedule; the iterate is projected onto the unit ball after every step;
-    the best-so-far point is returned with its objective.
-    """
-    signed_x = np.ascontiguousarray(signed_x, dtype=np.float64)
-    rho, lam = float(rho), float(lam)
-    m = signed_x.shape[0]
-    w = np.array(w0, dtype=np.float64)
-    nrm = np.sqrt(w @ w)
-    if nrm > 1.0:
-        w /= nrm
-    best_w = w.copy()
-    best_obj = _ramp_objective(signed_x, w, rho, lam)
-    for t in range(1, int(steps) + 1):
-        margins = signed_x @ w
-        ramp = np.clip(1.0 - margins / rho, 0.0, 1.0)
-        r = float(ramp.mean())
-        active = (margins > 0.0) & (margins < rho)
-        grad = -signed_x[active].sum(axis=0) / (m * rho)
-        if r > 0.0:
-            grad = grad * (1.0 + lam / (rho * 2.0 * np.sqrt(r)))
-        w = w - (1.0 / np.sqrt(t)) * grad
-        nrm = np.sqrt(w @ w)
-        if nrm > 1.0:
-            w /= nrm
-        obj = _ramp_objective(signed_x, w, rho, lam)
-        if obj < best_obj:
-            best_obj = obj
-            best_w = w.copy()
-    return best_w, float(best_obj)

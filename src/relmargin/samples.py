@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import norm
 
-from .errors import CapabilityError, InputError, _choice, _count, _fields_from_json, _fields_json, _floats, _mapping, _options
+from .errors import CapabilityError, DataError, InputError, _choice, _count, _fields_from_json, _fields_json, _floats, _mapping, _options
 from .hypotheses import LinearHypothesis
 from .rng import coin_signs, substream
 
@@ -42,6 +42,9 @@ class LabeledSample:
             raise InputError("a sample needs at least one point")
         if not np.all(np.isin(labs, (-1.0, 1.0))):
             raise InputError("labels must be -1 or +1")
+        finite = np.isfinite(pts)
+        if not finite.all():
+            raise DataError(f"points must be finite, got the entry {float(pts[~finite][0])}")
         pts.flags.writeable = False
         labs.flags.writeable = False
         object.__setattr__(self, "points", pts)

@@ -2,14 +2,16 @@
 
 All trainers are deterministic given (sample, config, seed), take explicit
 step counts (non-convergence is not an error), and return hypotheses whose
-class constraints hold by construction.
+class constraints hold by construction.  The hinge and bound-min trainers
+descend through one projected-subgradient loop, ``_descend``.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from . import kernels
 from .errors import InputError, _options
 from .hypotheses import DecisionStump, EnsembleHypothesis, FFNNHypothesis, LinearHypothesis
 from .rng import substream
@@ -30,6 +32,30 @@ def _signed_points(sample: LabeledSample) -> np.ndarray:
     return sample.labels[:, None] * sample.points
 
 
+def _project(w: np.ndarray) -> np.ndarray:
+    """``w`` scaled onto the unit ball when it lies outside it."""
+    nrm = np.linalg.norm(w)
+    return w / nrm if nrm > 1.0 else w
+
+
+def _descend(signed: np.ndarray, w: np.ndarray, steps: int, step0: float, objective):
+    """Projected subgradient descent over ||w|| <= 1, from ``w``.
+
+    ``objective(signed @ w)`` returns the (value, subgradient) of iterate w,
+    so each step makes one product with ``signed``.  Step t moves against
+    the subgradient by step0/sqrt(t) and projects onto the unit ball.
+    Returns the first iterate of least value, and that value.
+    """
+    value, grad = objective(signed @ w)
+    best_w, best_value = w, value
+    for t in range(1, int(steps) + 1):
+        w = _project(w - (step0 / np.sqrt(t)) * grad)
+        value, grad = objective(signed @ w)
+        if value < best_value:
+            best_w, best_value = w, value
+    return best_w, float(best_value)
+
+
 def train_hinge_linear(
     sample: LabeledSample, steps: int = 2000, seed: int = 0, step0: float = 1.0
 ) -> LinearHypothesis:
@@ -39,21 +65,11 @@ def train_hinge_linear(
     rng = substream(seed, "hinge-init")
     w = rng.standard_normal(n)
     w /= max(np.linalg.norm(w), 1e-12)
-    best_w = w.copy()
-    best_err = float(np.mean(signed @ w <= 0.0))
-    for t in range(1, int(steps) + 1):
-        margins = signed @ w
-        active = margins < 1.0
-        grad = -signed[active].sum(axis=0) / m
-        w = w - (step0 / np.sqrt(t)) * grad
-        nrm = np.linalg.norm(w)
-        if nrm > 1.0:
-            w = w / nrm
-        err = float(np.mean(signed @ w <= 0.0))
-        if err < best_err:
-            best_err = err
-            best_w = w.copy()
-    return LinearHypothesis(best_w)
+
+    def objective(margins):
+        return float(np.mean(margins <= 0.0)), -signed[margins < 1.0].sum(axis=0) / m
+
+    return LinearHypothesis(_descend(signed, w, steps, step0, objective)[0])
 
 
 def _best_stump(points: np.ndarray, labels: np.ndarray, weights: np.ndarray):
@@ -121,6 +137,8 @@ def train_tiny_mlp(
     Forward pass matches FFNNHypothesis: inputs are bias-augmented at every
     layer and the activation is applied at every layer including the last.
     """
+    if width < 1:
+        raise InputError(f"width must be an integer >= 1, got {width!r}")
     x, y = sample.points, sample.labels
     m, n = x.shape
     rng = substream(seed, "mlp-init")
@@ -145,9 +163,16 @@ def train_tiny_mlp(
     return FFNNHypothesis((w1, w2), activation="tanh", row_cap=100.0)
 
 
+def _ramp(margins: np.ndarray, rho: float, lam: float):
+    """The ramp margin loss r = mean clip(1 - u/rho, 0, 1) of margins u, and
+    the objective r + (lam/rho) sqrt(r)."""
+    r = float(np.clip(1.0 - margins / rho, 0.0, 1.0).mean())
+    return r, r + (lam / rho) * np.sqrt(r)
+
+
 def ramp_objective(sample: LabeledSample, w, rho: float, lam: float) -> float:
     """Ramp margin loss plus the lambda/rho-scaled square root of itself."""
-    return float(kernels._ramp_objective(_signed_points(sample), w, rho, lam))
+    return float(_ramp(_signed_points(sample) @ w, rho, lam)[1])
 
 
 def train_bound_min(
@@ -163,40 +188,51 @@ def train_bound_min(
 
     For each grid rho, projected subgradient descent runs from ``restarts``
     initializations (the first is a hinge-trained warm start, the rest are
-    random unit vectors) with the fixed
+    random unit vectors), each projected onto the unit ball, with the fixed
     1/sqrt(t) step schedule.  Returns the best (hypothesis, rho) pair and a
     record of initial/final objectives per restart.
     """
     grid = [float(r) for r in rho_grid]
     if not grid:
-        raise InputError("rho grid must be nonempty")
-    if not (lam >= 0):
-        raise InputError("lambda must be nonnegative")
+        raise InputError("rho_grid must be nonempty")
+    for rho in grid:
+        if not (math.isfinite(rho) and rho > 0):
+            raise InputError(f"rho_grid entries must be finite and > 0, got {rho!r}")
+    if not (math.isfinite(lam) and lam >= 0):
+        raise InputError(f"lam must be finite and >= 0, got {lam!r}")
     if restarts < 1:
         raise InputError("need at least one restart")
     signed = _signed_points(sample)
-    n = signed.shape[1]
+    m, n = signed.shape
     warm = train_hinge_linear(sample, steps=min(steps, 800), seed=seed).w
     best = None
     record = []
     for ri, rho in enumerate(grid):
+
+        def objective(margins):
+            r, value = _ramp(margins, rho, lam)
+            grad = -signed[(margins > 0.0) & (margins < rho)].sum(axis=0) / (m * rho)
+            if r > 0.0:
+                grad = grad * (1.0 + lam / (rho * 2.0 * np.sqrt(r)))
+            return value, grad
+
         for s in range(int(restarts)):
             if s == 0:
-                w0 = warm.copy()
+                w0 = warm
             else:
                 rng = substream(seed, "restart", ri, s)
                 w0 = rng.standard_normal(n)
                 w0 /= max(np.linalg.norm(w0), 1e-12)
             init_obj = ramp_objective(sample, w0, rho, lam)
-            w_best, obj_best = kernels.ramp_descent(signed, w0, rho, lam, steps)
+            w_best, obj_best = _descend(signed, _project(w0), steps, 1.0, objective)
             record.append(
                 {"rho": rho, "restart": s, "initial_objective": init_obj, "objective": obj_best}
             )
             if best is None or obj_best < best[0]:
                 best = (obj_best, w_best, rho)
-    objective, w, rho = best
+    value, w, rho = best
     info = {
-        "objective": objective,
+        "objective": value,
         "rho": rho,
         "restarts": record,
         "norm": float(np.linalg.norm(w)),

@@ -570,3 +570,110 @@ def report_to_json_oracle(obj) -> dict:
         data["params"] = {k: v if k in reads else None for k, v in data["params"].items()}
         return {"schema": "relmargin/bound-report/v1", **data}
     raise ValueError(f"no oracle for {type(obj).__name__}")
+
+
+# ---------------------------------------------------------------------------
+# the linear trainers as first written: the hinge trainer and the bound-min
+# trainer each ran its own projected-subgradient loop, scoring every iterate
+# with a second product; ``relmargin.training`` now runs one loop for both,
+# and these copies hold it to the same floats.
+
+
+def hinge_linear_oracle(sample, steps: int = 2000, seed: int = 0, step0: float = 1.0):
+    """``train_hinge_linear`` as first written."""
+    import numpy as np
+
+    from relmargin import LinearHypothesis
+    from relmargin.rng import substream
+
+    signed = sample.labels[:, None] * sample.points
+    m, n = signed.shape
+    rng = substream(seed, "hinge-init")
+    w = rng.standard_normal(n)
+    w /= max(np.linalg.norm(w), 1e-12)
+    best_w = w.copy()
+    best_err = float(np.mean(signed @ w <= 0.0))
+    for t in range(1, int(steps) + 1):
+        margins = signed @ w
+        active = margins < 1.0
+        grad = -signed[active].sum(axis=0) / m
+        w = w - (step0 / np.sqrt(t)) * grad
+        nrm = np.linalg.norm(w)
+        if nrm > 1.0:
+            w = w / nrm
+        err = float(np.mean(signed @ w <= 0.0))
+        if err < best_err:
+            best_err = err
+            best_w = w.copy()
+    return LinearHypothesis(best_w)
+
+
+def _ramp_objective_oracle(signed_x, w, rho, lam):
+    import numpy as np
+
+    margins = signed_x @ w
+    r = float(np.clip(1.0 - margins / rho, 0.0, 1.0).mean())
+    return r + (lam / rho) * np.sqrt(r)
+
+
+def ramp_descent_oracle(signed_x, w0, rho, lam, steps):
+    """``kernels.ramp_descent`` as first written: projected subgradient
+    descent on the ramp-loss + scaled-sqrt objective from w0 projected onto
+    the unit ball; returns the best-so-far point and its objective."""
+    import numpy as np
+
+    signed_x = np.ascontiguousarray(signed_x, dtype=np.float64)
+    rho, lam = float(rho), float(lam)
+    m = signed_x.shape[0]
+    w = np.array(w0, dtype=np.float64)
+    nrm = np.sqrt(w @ w)
+    if nrm > 1.0:
+        w /= nrm
+    best_w = w.copy()
+    best_obj = _ramp_objective_oracle(signed_x, w, rho, lam)
+    for t in range(1, int(steps) + 1):
+        margins = signed_x @ w
+        ramp = np.clip(1.0 - margins / rho, 0.0, 1.0)
+        r = float(ramp.mean())
+        active = (margins > 0.0) & (margins < rho)
+        grad = -signed_x[active].sum(axis=0) / (m * rho)
+        if r > 0.0:
+            grad = grad * (1.0 + lam / (rho * 2.0 * np.sqrt(r)))
+        w = w - (1.0 / np.sqrt(t)) * grad
+        nrm = np.sqrt(w @ w)
+        if nrm > 1.0:
+            w /= nrm
+        obj = _ramp_objective_oracle(signed_x, w, rho, lam)
+        if obj < best_obj:
+            best_obj = obj
+            best_w = w.copy()
+    return best_w, float(best_obj)
+
+
+def bound_min_oracle(sample, lam, rho_grid, restarts: int = 4, seed: int = 0, steps: int = 1500):
+    """``train_bound_min`` as first written, on the two loops above."""
+    import numpy as np
+
+    from relmargin import LinearHypothesis
+    from relmargin.rng import substream
+
+    signed = sample.labels[:, None] * sample.points
+    n = signed.shape[1]
+    warm = hinge_linear_oracle(sample, steps=min(steps, 800), seed=seed).w
+    best = None
+    record = []
+    for ri, rho in enumerate(float(r) for r in rho_grid):
+        for s in range(int(restarts)):
+            if s == 0:
+                w0 = warm.copy()
+            else:
+                rng = substream(seed, "restart", ri, s)
+                w0 = rng.standard_normal(n)
+                w0 /= max(np.linalg.norm(w0), 1e-12)
+            init_obj = float(_ramp_objective_oracle(signed, w0, rho, lam))
+            w_best, obj_best = ramp_descent_oracle(signed, w0, rho, lam, steps)
+            record.append({"rho": rho, "restart": s, "initial_objective": init_obj, "objective": obj_best})
+            if best is None or obj_best < best[0]:
+                best = (obj_best, w_best, rho)
+    objective, w, rho = best
+    return LinearHypothesis(w), rho, {"objective": objective, "rho": rho, "restarts": record, "norm": float(np.linalg.norm(w))}

@@ -236,6 +236,23 @@ def test_train_bound_min_cli(tmp_path):
     assert rep["hypothesis"]["kind"] == "linear"
 
 
+@pytest.mark.parametrize(
+    "argv,text",
+    [
+        (["--method", "bound-min", "--rho-grid", "0,0.1"], "rho_grid entries must be finite and > 0, got 0.0"),
+        (["--method", "bound-min", "--rho-grid", "-1"], "rho_grid entries must be finite and > 0, got -1.0"),
+        (["--method", "tiny-mlp", "--width", "0"], "width must be an integer >= 1, got 0"),
+    ],
+)
+def test_train_rejects_a_bad_option_value(tmp_path, capsys, argv, text):
+    s = generate(MarginSeparable(dim=2, gap=0.3, noise_rate=0.0), 40, seed=4)
+    data_path = tmp_path / "sample.json"
+    data_path.write_text(json.dumps(s.to_json()))
+    assert main(["train", "--data", str(data_path), "--seed", "1", "--steps", "5", *argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and text in err
+
+
 @pytest.mark.parametrize("method", ["hinge-subgradient-linear", "tiny-mlp"])
 def test_train_without_steps_keeps_the_trainer_default(tmp_path, method):
     from relmargin import LabeledSample
@@ -314,6 +331,11 @@ _SAMPLE = {"points": [[0.5, 1.0], [-0.5, 0.2], [1.5, -1.0]], "labels": [1, -1, 1
          "loss matrix CSV entries must be numbers"),
         (["complexity", "--op", "cover-linf", "--eps", "0.1"], "index,c0,c1\n0,0.5\n1,0.2,0.3\n",
          "loss matrix CSV rows must be a rectangular array of numbers"),
+        # Python's json writes and reads NaN and Infinity
+        (["train", "--method", "boost-stumps", "--seed", "1"],
+         dict(_SAMPLE, points=[[0.5, 1.0], [-0.5, math.nan], [1.5, -1.0]]), "points must be finite, got the entry nan"),
+        (["train", "--method", "hinge-subgradient-linear", "--seed", "1"],
+         dict(_SAMPLE, points=[[0.5, 1.0], [-0.5, 0.2], [math.inf, -1.0]]), "points must be finite, got the entry inf"),
     ],
 )
 def test_malformed_input_file_exits_2_naming_the_key(tmp_path, capsys, argv, data, text):

@@ -5,6 +5,7 @@ import pytest
 
 from relmargin import (
     CapabilityError,
+    DataError,
     InputError,
     LabeledSample,
     LinearHypothesis,
@@ -22,6 +23,9 @@ def test_sample_validation():
         LabeledSample(points=np.zeros((2, 2)), labels=np.array([1.0, 0.5]))
     with pytest.raises(InputError):
         LabeledSample(points=np.zeros((2, 2)), labels=np.array([1.0]))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(DataError, match=f"points must be finite, got the entry {bad}"):
+            LabeledSample(points=np.array([[0.5, 1.0], [bad, 0.2]]), labels=np.array([1.0, -1.0]))
 
 
 def test_generate_is_deterministic():

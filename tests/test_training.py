@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
+from oracles import bound_min_oracle, hinge_linear_oracle
 from relmargin import (
     InputError,
     LabeledSample,
+    LinearHypothesis,
     MarginSeparable,
+    TwoGaussianMixture,
     empirical_risk,
     generate,
     margins,
@@ -14,6 +17,7 @@ from relmargin import (
     train_hinge_linear,
     train_tiny_mlp,
 )
+from relmargin.rng import substream
 from relmargin.training import ramp_objective
 
 
@@ -72,6 +76,8 @@ def test_train_dispatch_and_unknown_method():
         train("hinge-subgradient-linear", s, {"steps": -3})
     with pytest.raises(InputError, match="trainer.lr must be finite, got nan"):
         train("tiny-mlp", s, {"lr": float("nan")})
+    with pytest.raises(InputError, match="width must be an integer >= 1, got 0"):
+        train("tiny-mlp", s, {"width": 0})
     # the defaults are the trainer's own
     assert train("boost-stumps", s).to_json() == train_boost_stumps(s, rounds=10).to_json()
 
@@ -124,3 +130,49 @@ def test_bound_min_input_validation():
         train_bound_min(s, lam=-1.0, rho_grid=[0.1], restarts=2, seed=0)
     with pytest.raises(InputError):
         train_bound_min(s, lam=0.1, rho_grid=[0.1], restarts=0, seed=0)
+    for grid in ([0.0, 0.1], [0.1, -1.0], [np.nan], [np.inf]):
+        with pytest.raises(InputError, match="rho_grid entries must be finite and > 0"):
+            train_bound_min(s, lam=0.1, rho_grid=grid, restarts=1, seed=0, steps=5)
+    for lam in (np.inf, np.nan):
+        with pytest.raises(InputError, match="lam must be finite and >= 0"):
+            train_bound_min(s, lam=lam, rho_grid=[0.1], restarts=1, seed=0, steps=5)
+
+
+def _same_bound_min(s, **kwargs):
+    h, rho, info = train_bound_min(s, **kwargs)
+    want_h, want_rho, want_info = bound_min_oracle(s, **kwargs)
+    assert h.w.tobytes() == want_h.w.tobytes()
+    assert (rho, info) == (want_rho, want_info)
+    assert type(info["objective"]) is float
+    return h, info
+
+
+@pytest.mark.parametrize("dim", [1, 3, 4])
+@pytest.mark.parametrize("m", [1, 2, 57, 200])
+def test_linear_trainers_match_the_loops_first_written(m, dim):
+    s = generate(TwoGaussianMixture(dim=dim, separation=0.5), m, seed=10 * m + dim)
+    for steps in (0, 1, 300):
+        h = train_hinge_linear(s, steps=steps, seed=dim)
+        assert h.w.tobytes() == hinge_linear_oracle(s, steps=steps, seed=dim).w.tobytes()
+        for lam in (0.0, 0.3):
+            _same_bound_min(s, lam=lam, rho_grid=[0.1, 0.3], restarts=2, seed=dim, steps=steps)
+
+
+def test_linear_trainers_keep_the_start_when_no_step_improves_on_it():
+    # every point lies at margin 0.5 from the hinge start: the start has no
+    # 0-1 error and, at rho = 0.1, a zero objective, which no later iterate
+    # beats, though the hinge steps move w
+    seed, dim = 2, 3
+    start = substream(seed, "hinge-init").standard_normal(dim)
+    start /= np.linalg.norm(start)
+    rng = np.random.default_rng(0)
+    across = rng.standard_normal((40, dim))
+    across -= np.outer(across @ start, start)
+    y = np.where(np.arange(40) % 2 == 0, 1.0, -1.0)
+    s = LabeledSample(points=y[:, None] * (0.5 * start + 0.1 * across), labels=y)
+    h = train_hinge_linear(s, steps=50, seed=seed)
+    assert h.w.tobytes() == hinge_linear_oracle(s, steps=50, seed=seed).w.tobytes()
+    assert h.w.tobytes() == LinearHypothesis(start).w.tobytes()
+    h, info = _same_bound_min(s, lam=0.3, rho_grid=[0.1, 0.3], restarts=2, seed=seed, steps=50)
+    assert info["objective"] == 0.0 and info["rho"] == 0.1
+    assert h.w.tobytes() == LinearHypothesis(start).w.tobytes()
