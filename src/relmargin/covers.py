@@ -8,6 +8,13 @@ is <= eps (ties included).  Two metrics are supported: the sup distance
 columns lie within eps of each other (``kernels.linf_within`` for the sup
 distance), never the distances themselves.
 
+Equal columns cover each other, so the search runs on one column per
+distinct column (``lossmatrix.distinct_index``), in their lexicographic
+order.  When every column is distinct, as on a continuous pool, the
+relation is built on the matrix itself and permuted into that order, so
+no copy of the matrix is made; otherwise the distinct columns are copied
+once and the relation is built on them.
+
 The exact solver is a branch-and-bound set-cover search seeded with the
 greedy solution; it is capped at ``exact_cap`` pool columns (default 25)
 and rejects larger instances with a CapabilityError.  A column within eps
@@ -23,7 +30,7 @@ import numpy as np
 from . import kernels
 from .errors import CapabilityError, InputError, _count
 from .estimates import ComplexityEstimate
-from .lossmatrix import LossMatrix, distinct_columns
+from .lossmatrix import LossMatrix, distinct_index
 
 __all__ = ["covering_number_linf", "covering_number_l2", "covering_number"]
 
@@ -136,9 +143,14 @@ def covering_number(
             f"exact cover search is capped at {exact_cap} pool columns (got {p})"
         )
     # identical columns cover each other at distance zero; deduplicating
-    # changes neither the exact nor the greedy value
-    within = _within(distinct_columns(matrix.values).T, eps, metric)
-    q = within.shape[0]
+    # changes neither the exact nor the greedy value.  The relation is read
+    # in the columns' lexicographic order, which fixes greedy's tie-breaks.
+    index = distinct_index(matrix.values)
+    q = len(index)
+    if q == p:  # no copy: the relation on the pool, permuted into that order
+        within = _within(matrix.values, eps, metric)[np.ix_(index, index)]
+    else:
+        within = _within(matrix.values[:, index], eps, metric)
     return ComplexityEstimate(
         value=float(_cover_size(within, mode == "exact")),
         method="exact-enumeration" if mode == "exact" else "greedy-upper",

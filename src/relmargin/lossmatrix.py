@@ -25,13 +25,16 @@ __all__ = [
     "shell_index",
     "count_dichotomies",
     "distinct_columns",
+    "distinct_index",
     "transform_matrix",
     "outputs_matrix",
 ]
 
 RANGE_TAGS = ("binary", "unit-interval", "real")
-# entries that ``distinct_columns`` keys, or compares, at a time
+# entries that ``distinct_index`` keys, or compares, at a time
 _KEY_BLOCK = 1 << 16
+# rows whose keys order the columns before any tie is keyed in full
+_PREFIX_ROWS = 16
 
 
 @dataclass(frozen=True)
@@ -133,15 +136,15 @@ def count_dichotomies(matrix: LossMatrix) -> int:
     """Number of distinct column vectors of a binary matrix."""
     if matrix.range_tag != "binary":
         raise InputError("dichotomy counting requires a binary matrix")
-    return len(distinct_columns(matrix.values))
+    return len(distinct_index(matrix.values))
 
 
-def _column_keys(vals: np.ndarray) -> np.ndarray:
-    """One row per column of ``vals``: each entry's order-preserving unsigned
-    key, in big-endian bytes.  The keys are made in place in the one
-    transposed copy, a block at a time."""
-    # ``+ 0.0`` folds -0.0 into 0.0, which compares equal to it
-    keys = np.add(vals.T, 0.0, order="C").view(np.uint64)
+def _column_keys(columns: np.ndarray) -> np.ndarray:
+    """``columns``, a fresh C-ordered array holding one column per row, made
+    in place, a block at a time, into each entry's order-preserving unsigned
+    key, in big-endian bytes."""
+    columns += 0.0  # folds -0.0 into 0.0, which compares equal to it
+    keys = columns.view(np.uint64)
     flat = keys.reshape(-1)
     for start in range(0, flat.size, _KEY_BLOCK):
         block = flat[start : start + _KEY_BLOCK]
@@ -152,29 +155,57 @@ def _column_keys(vals: np.ndarray) -> np.ndarray:
     return keys
 
 
-def distinct_columns(values) -> np.ndarray:
-    """The distinct columns of a finite 2-d array, one per row, in
-    lexicographic order (the rows of ``np.unique(values.T, axis=0)``).
-
-    Comparing the key bytes of two columns compares them entry by entry, so
-    sorting the key rows as opaque byte strings puts equal columns next to
-    each other.  Beside ``values``, one more copy of the array is live at
-    once: the keys, and then the distinct columns.
-    """
-    vals = np.asarray(values, dtype=np.float64)
-    if vals.shape[0] == 0:  # all empty columns are one column
-        return np.zeros((min(vals.shape[1], 1), 0))
-    keys = _column_keys(vals)
+def _byte_order(keys: np.ndarray) -> np.ndarray:
+    """The stable order of the key rows as opaque byte strings."""
     # numpy orders unstructured void items by their bytes, first byte first
-    order = np.argsort(keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).reshape(-1), kind="stable")
-    # a sorted column is kept when it differs from the one before it; the
-    # neighbours are compared a block of rows at a time
-    keep = np.ones(len(order), dtype=bool)
+    return np.argsort(keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).reshape(-1), kind="stable")
+
+
+def _run_starts(keys: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """Per position of ``order``: whether its key row differs from the one
+    before it.  The neighbours are compared a block of rows at a time."""
+    starts = np.ones(len(order), dtype=bool)
     step = max(1, _KEY_BLOCK // keys.shape[1])
     for start in range(0, len(order) - 1, step):
         rows = keys[order[start : start + step + 1]]
-        keep[start + 1 : start + len(rows)] = (rows[1:] != rows[:-1]).any(axis=1)
-    del keys
-    out = vals.T[order[keep]]
+        starts[start + 1 : start + len(rows)] = (rows[1:] != rows[:-1]).any(axis=1)
+    return starts
+
+
+def distinct_index(values) -> np.ndarray:
+    """One column index per distinct column of a finite 2-d array (the
+    first of its equal columns), in the lexicographic order of the columns.
+
+    Comparing the key bytes of two columns compares them entry by entry.
+    The columns are sorted by the keys of their first _PREFIX_ROWS rows, and
+    only the runs that tie on that prefix are keyed in full and sorted again:
+    columns that differ in the prefix are already in place.  So the keys
+    held beside ``values`` are the prefix's and the tied columns' only.
+    """
+    vals = np.asarray(values, dtype=np.float64)
+    if vals.shape[0] == 0:  # all empty columns are one column
+        return np.arange(min(vals.shape[1], 1))
+    keys = _column_keys(np.array(vals[:_PREFIX_ROWS].T, order="C"))
+    order = _byte_order(keys)
+    new = _run_starts(keys, order)
+    if vals.shape[0] > _PREFIX_ROWS:
+        tied = ~new
+        tied[:-1] |= ~new[1:]
+        if tied.any():
+            cols = order[tied]
+            keys = _column_keys(vals.T[cols])
+            sub = _byte_order(keys)
+            order[tied] = cols[sub]
+            new[tied] = _run_starts(keys, sub)
+    return order[new]
+
+
+def distinct_columns(values) -> np.ndarray:
+    """The distinct columns of a finite 2-d array, one per row, in
+    lexicographic order (the rows of ``np.unique(values.T, axis=0)``):
+    ``values.T[distinct_index(values)] + 0.0``, made in the one copy it
+    returns."""
+    vals = np.asarray(values, dtype=np.float64)
+    out = vals.T[distinct_index(vals)]
     out += 0.0
     return out

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .errors import InputError, _options
+from .errors import InputError, _count, _options
 from .hypotheses import DecisionStump, EnsembleHypothesis, FFNNHypothesis, LinearHypothesis
 from .rng import substream
 from .samples import LabeledSample
@@ -30,6 +30,11 @@ __all__ = [
 
 def _signed_points(sample: LabeledSample) -> np.ndarray:
     return sample.labels[:, None] * sample.points
+
+
+def _positive(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0):
+        raise InputError(f"{name} must be finite and > 0, got {value!r}")
 
 
 def _project(w: np.ndarray) -> np.ndarray:
@@ -60,6 +65,7 @@ def train_hinge_linear(
     sample: LabeledSample, steps: int = 2000, seed: int = 0, step0: float = 1.0
 ) -> LinearHypothesis:
     """Projected subgradient descent on the mean hinge loss, ||w|| <= 1."""
+    _positive("step0", step0)
     signed = _signed_points(sample)
     m, n = signed.shape
     rng = substream(seed, "hinge-init")
@@ -102,14 +108,13 @@ def _best_stump(points: np.ndarray, labels: np.ndarray, weights: np.ndarray):
 def train_boost_stumps(sample: LabeledSample, rounds: int = 10, seed: int = 0) -> EnsembleHypothesis:
     """AdaBoost over decision stumps; the returned ensemble's weights are the
     round coefficients renormalized to sum to one."""
-    if rounds < 1:
-        raise InputError("boosting needs at least one round")
+    rounds = _count("rounds", rounds, 1)
     x, y = sample.points, sample.labels
     m = sample.m
     weights = np.full(m, 1.0 / m)
     stumps = []
     alphas = []
-    for _ in range(int(rounds)):
+    for _ in range(rounds):
         stump, err = _best_stump(x, y, weights)
         err = min(max(err, 1e-12), 1.0 - 1e-12)
         if err >= 0.5:
@@ -137,8 +142,8 @@ def train_tiny_mlp(
     Forward pass matches FFNNHypothesis: inputs are bias-augmented at every
     layer and the activation is applied at every layer including the last.
     """
-    if width < 1:
-        raise InputError(f"width must be an integer >= 1, got {width!r}")
+    width = _count("width", width, 1)
+    _positive("lr", lr)
     x, y = sample.points, sample.labels
     m, n = x.shape
     rng = substream(seed, "mlp-init")
@@ -196,12 +201,10 @@ def train_bound_min(
     if not grid:
         raise InputError("rho_grid must be nonempty")
     for rho in grid:
-        if not (math.isfinite(rho) and rho > 0):
-            raise InputError(f"rho_grid entries must be finite and > 0, got {rho!r}")
+        _positive("rho_grid entries", rho)
     if not (math.isfinite(lam) and lam >= 0):
         raise InputError(f"lam must be finite and >= 0, got {lam!r}")
-    if restarts < 1:
-        raise InputError("need at least one restart")
+    restarts = _count("restarts", restarts, 1)
     signed = _signed_points(sample)
     m, n = signed.shape
     warm = train_hinge_linear(sample, steps=min(steps, 800), seed=seed).w
@@ -216,7 +219,7 @@ def train_bound_min(
                 grad = grad * (1.0 + lam / (rho * 2.0 * np.sqrt(r)))
             return value, grad
 
-        for s in range(int(restarts)):
+        for s in range(restarts):
             if s == 0:
                 w0 = warm
             else:

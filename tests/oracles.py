@@ -54,6 +54,28 @@ def greedy_cover_oracle(within) -> int:
     return count
 
 
+def dedup_first_cover_oracle(matrix, eps: float, metric: str = "linf", mode: str = "exact", exact_cap: int = 25):
+    """``covers.covering_number`` as first written: the distinct columns
+    are copied out first, one per row in lexicographic order (the rows of
+    ``np.unique(values.T + 0.0, axis=0)``, which the first
+    ``distinct_columns`` was held to), and the relation is built on them."""
+    import numpy as np
+
+    from relmargin import CapabilityError, ComplexityEstimate
+    from relmargin.covers import _cover_size, _within
+
+    p = matrix.pool_size
+    if mode == "exact" and p > exact_cap:
+        raise CapabilityError(f"exact cover search is capped at {exact_cap} pool columns (got {p})")
+    within = _within(np.unique(matrix.values.T + 0.0, axis=0).T, eps, metric)
+    q = within.shape[0]
+    return ComplexityEstimate(
+        value=float(_cover_size(within, mode == "exact")),
+        method="exact-enumeration" if mode == "exact" else "greedy-upper",
+        details={"metric": metric, "eps": float(eps), "pool": p, "distinct": q},
+    )
+
+
 def brute_peeling_value(matrices) -> float:
     """Peeling complexity for a fixed outer sample set, everything enumerated."""
     m = len(matrices[0])

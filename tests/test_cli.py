@@ -253,6 +253,22 @@ def test_train_rejects_a_bad_option_value(tmp_path, capsys, argv, text):
     assert out == "" and text in err
 
 
+@pytest.mark.parametrize(
+    "argv,text",
+    [
+        (["--method", "bound-min", "--rho-grid", "0.1", "--restarts", "0"], "restarts must be an integer >= 1, got 0"),
+        (["--method", "boost-stumps", "--rounds", "0"], "rounds must be an integer >= 1, got 0"),
+    ],
+)
+def test_train_names_a_restart_or_round_count_below_one(tmp_path, capsys, argv, text):
+    s = generate(MarginSeparable(dim=2, gap=0.3, noise_rate=0.0), 40, seed=4)
+    data_path = tmp_path / "sample.json"
+    data_path.write_text(json.dumps(s.to_json()))
+    assert main(["train", "--data", str(data_path), "--seed", "1", *argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and text in err
+
+
 @pytest.mark.parametrize("method", ["hinge-subgradient-linear", "tiny-mlp"])
 def test_train_without_steps_keeps_the_trainer_default(tmp_path, method):
     from relmargin import LabeledSample

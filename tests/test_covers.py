@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from oracles import brute_min_cover, greedy_cover_oracle, packing_lower_bound
+from oracles import brute_min_cover, dedup_first_cover_oracle, greedy_cover_oracle, packing_lower_bound
 from relmargin import CapabilityError, InputError, LossMatrix, covering_number_l2, covering_number_linf
 from relmargin.cli import main
 from relmargin.covers import _cover_size, _coverage_masks
@@ -220,3 +220,83 @@ def test_cover_with_lone_columns_is_the_minimum_and_the_whole_greedy():
         assert _cover_size(within, exact=False) == greedy_cover_oracle(within.tolist())
     # every column alone: the cover is the pool in both modes
     assert _cover_size(np.eye(50, dtype=bool), exact=True) == _cover_size(np.eye(50, dtype=bool), exact=False) == 50
+
+
+def _dedup_cases():
+    """Matrices whose distinct columns are told apart past the first 16 rows,
+    or not at all, and the smallest shapes."""
+    rng = np.random.default_rng(31)
+    # clipped outputs: 12 columns clip to rho on their first 24 rows, so
+    # they tie past the prefix; column 13 duplicates one of them
+    clipped = np.clip(rng.normal(scale=0.3, size=(40, 20)), -0.2, 0.2)
+    clipped[:24, :12] = 0.2
+    clipped[:, 13] = clipped[:, 3]
+    # pairs of columns that are duplicates, or equal on all but the last row
+    last_row = rng.integers(0, 5, size=(30, 18)) / 4.0
+    last_row[:, 1::2] = last_row[:, 0::2]
+    last_row[-1, 1::4] += 0.25
+    # columns 8-15 are columns 0-7 with every 0.0 and -0.0 swapped
+    signed = rng.choice([-0.25, -0.0, 0.0, 0.25], size=(20, 16))
+    signed[:, 8:] = signed[:, :8]
+    signed[:, 8:][signed[:, 8:] == 0.0] *= -1.0
+    # a grid where greedy is not optimal, after 20 rows all columns share
+    quarter = np.random.default_rng(2).integers(0, 5, size=(3, 20)) / 4.0
+    quarter[:, 5] = quarter[:, 17]
+    # its 17 distinct columns in reverse order, so none is copied: the
+    # relation is built on the matrix itself, then permuted
+    reversed_grid = np.unique(quarter.T, axis=0)[::-1].T
+    short = rng.integers(0, 3, size=(5, 12)) / 2.0
+    short[:, 7] = short[:, 2]
+    return {
+        "clipped-tied-past-prefix": clipped,
+        "equal-but-the-last-row": last_row,
+        "signed-zeros": signed,
+        "quarter-grid-past-a-shared-prefix": np.vstack([np.full((20, 20), 0.5), quarter]),
+        "distinct-quarter-grid-reversed": np.vstack([np.full((20, 17), 0.5), reversed_grid]),
+        "m-below-16": short,
+        "m-1": rng.choice([-0.0, 0.0, 0.5, 1.0], size=(1, 10)),
+        "p-1": rng.normal(size=(30, 1)),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_dedup_cases()))
+@pytest.mark.parametrize("mode", ["exact", "greedy"])
+@pytest.mark.parametrize("metric", ["linf", "l2"])
+def test_cover_is_the_dedup_first_cover_bit_for_bit(metric, mode, case):
+    values = _dedup_cases()[case]
+    mat = LossMatrix(values)
+    fn = covering_number_linf if metric == "linf" else covering_number_l2
+    for eps in (0.0, 0.1, 0.25, 0.5):
+        got = fn(mat, eps, mode=mode)
+        want = dedup_first_cover_oracle(mat, eps, metric, mode)
+        assert (got.value, got.method, got.details) == (want.value, want.method, want.details), eps
+        assert type(got.value) is float and got.details["pool"] == values.shape[1]
+
+
+def test_cover_keeps_greedy_tie_breaks_past_a_shared_prefix():
+    # the quarter grid of test_cli_cover_linf_values_unchanged, behind 20
+    # rows every column shares: its columns are ordered by full keys only.
+    # Its distinct columns in reverse order give greedy 7, not 9, unless
+    # the relation is read in lexicographic order.
+    cases = _dedup_cases()
+    for case in ("quarter-grid-past-a-shared-prefix", "distinct-quarter-grid-reversed"):
+        mat = LossMatrix(cases[case])
+        assert covering_number_linf(mat, 0.25).value == 7
+        assert covering_number_linf(mat, 0.25, mode="greedy").value == 9
+        assert covering_number_linf(mat, 0.25).details["distinct"] == 17
+
+
+def test_all_distinct_cover_allocates_less_than_one_matrix_copy():
+    import tracemalloc
+
+    values = np.clip(np.random.default_rng(6).normal(scale=0.3, size=(10000, 50)), -0.2, 0.2)
+    mat = LossMatrix(values)
+    tracemalloc.start()
+    try:
+        est = covering_number_linf(mat, 0.1, mode="greedy")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert est.details["distinct"] == est.details["pool"] == 50
+    assert est.value == dedup_first_cover_oracle(mat, 0.1, "linf", "greedy").value
+    assert peak < mat.values.nbytes

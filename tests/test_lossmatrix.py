@@ -16,7 +16,7 @@ from relmargin import (
     step,
     transform_matrix,
 )
-from relmargin.lossmatrix import distinct_columns, shell_index
+from relmargin.lossmatrix import distinct_columns, distinct_index, shell_index
 
 
 def test_range_tag_validation():
@@ -165,3 +165,35 @@ def test_csv_and_json_round_trip():
     back2 = LossMatrix.from_json(json.loads(json.dumps(mat.to_json())))
     assert np.array_equal(back2.values, vals)
     assert back2.range_tag == "unit-interval"
+
+
+def test_dedup_past_the_prefix_matches_np_unique():
+    # columns that share their first k >= 16 rows are told apart (or not)
+    # by later rows only; some share every row but the last, some all
+    rng = np.random.default_rng(17)
+    for trial in range(200):
+        m = int(rng.integers(1, 60))
+        p = int(rng.integers(1, 30))
+        values = rng.choice([-0.5, -0.0, 0.0, 0.5], size=(m, p)) if trial % 2 else rng.normal(size=(m, p))
+        shared = rng.integers(0, p, size=int(rng.integers(1, p + 1)))
+        k = int(rng.integers(min(16, m), m + 1))
+        values[:k, shared] = values[:k, shared[:1]]
+        if m > 1 and p > 2:
+            values[: m - 1, 1] = values[: m - 1, 2]
+        values[:, rng.integers(0, p, size=p // 4)] = values[:, rng.integers(0, p, size=p // 4)]
+        want = np.unique(values.T + 0.0, axis=0)
+        got = distinct_columns(values)
+        assert got.shape == want.shape and np.array_equal(got, want) and not np.signbit(got[got == 0]).any()
+        index = distinct_index(values)
+        assert np.array_equal(values.T[index] + 0.0, want)
+        # each index is the first column equal to its distinct column
+        first = [int(np.flatnonzero((values.T == values.T[j]).all(axis=1))[0]) for j in index]
+        assert index.tolist() == first
+
+
+def test_distinct_index_of_empty_and_single_shapes():
+    assert distinct_index(np.zeros((0, 4))).tolist() == [0]
+    assert distinct_index(np.zeros((0, 0))).tolist() == []
+    assert distinct_index(np.zeros((3, 0))).tolist() == []
+    assert distinct_index(np.array([[2.0, -0.0, 0.0, 2.0, -1.0]])).tolist() == [4, 1, 0]
+    assert distinct_index(np.arange(40.0)[:, None]).tolist() == [0]

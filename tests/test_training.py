@@ -176,3 +176,27 @@ def test_linear_trainers_keep_the_start_when_no_step_improves_on_it():
     h, info = _same_bound_min(s, lam=0.3, rho_grid=[0.1, 0.3], restarts=2, seed=seed, steps=50)
     assert info["objective"] == 0.0 and info["rho"] == 0.1
     assert h.w.tobytes() == LinearHypothesis(start).w.tobytes()
+
+
+def test_step_sizes_must_be_finite_and_positive():
+    # a negative lr climbs the loss, and step0 <= 0 never leaves the start
+    s = _separable(m=40, dim=2)
+    for value in (0.0, -0.5, np.nan, np.inf, -np.inf):
+        with pytest.raises(InputError, match=f"lr must be finite and > 0, got {value!r}"):
+            train_tiny_mlp(s, steps=5, lr=value)
+        with pytest.raises(InputError, match=f"step0 must be finite and > 0, got {value!r}"):
+            train_hinge_linear(s, steps=5, step0=value)
+    with pytest.raises(InputError, match="lr must be finite and > 0, got -0.5"):
+        train("tiny-mlp", s, {"steps": 5, "lr": -0.5})
+    with pytest.raises(InputError, match="step0 must be finite and > 0, got 0.0"):
+        train("hinge-subgradient-linear", s, {"steps": 5, "step0": 0.0})
+    assert train_tiny_mlp(s, steps=5, lr=1e-3).kind == "ffnn"
+
+
+def test_restarts_and_rounds_below_one_name_their_option():
+    s = _separable(m=40, dim=2)
+    for value in (0, -1):
+        with pytest.raises(InputError, match=f"restarts must be an integer >= 1, got {value}"):
+            train_bound_min(s, lam=0.1, rho_grid=[0.1], restarts=value, seed=0, steps=5)
+        with pytest.raises(InputError, match=f"rounds must be an integer >= 1, got {value}"):
+            train_boost_stumps(s, rounds=value)
