@@ -5,8 +5,8 @@ themselves, and a column is covered when its distance to a chosen center
 is <= eps (ties included).  Two metrics are supported: the sup distance
 ``max_i |a_i - b_i|`` and the normalized euclidean distance
 ``sqrt(mean_i (a_i - b_i)^2)``.  The search reads only which distinct
-columns lie within eps of each other (``kernels.linf_within`` for the sup
-distance), never the distances themselves.
+columns lie within eps of each other (``kernels.within``, one pruned loop
+for both metrics), never the distances themselves.
 
 Equal columns cover each other, so the search runs on one column per
 distinct column (``lossmatrix.distinct_index``), in their lexicographic
@@ -35,15 +35,6 @@ from .lossmatrix import LossMatrix, distinct_index
 __all__ = ["covering_number_linf", "covering_number_l2", "covering_number"]
 
 DEFAULT_EXACT_CAP = 25
-
-
-def _within(values: np.ndarray, eps: float, metric: str) -> np.ndarray:
-    """Which columns of ``values`` lie within eps of each other."""
-    if metric == "linf":
-        return kernels.linf_within(values, eps)
-    if metric == "l2":
-        return kernels.pairwise_l2n(values) <= eps
-    raise InputError(f"unknown metric {metric!r}")
 
 
 def _coverage_masks(within: np.ndarray) -> list[int]:
@@ -136,6 +127,8 @@ def covering_number(
         raise InputError("eps must be nonnegative")
     if mode not in ("exact", "greedy"):
         raise InputError(f"unknown cover mode {mode!r}")
+    if metric not in ("linf", "l2"):
+        raise InputError(f"unknown metric {metric!r}")
     _count("exact_cap", exact_cap, 1)
     p = matrix.pool_size
     if mode == "exact" and p > exact_cap:
@@ -148,9 +141,9 @@ def covering_number(
     index = distinct_index(matrix.values)
     q = len(index)
     if q == p:  # no copy: the relation on the pool, permuted into that order
-        within = _within(matrix.values, eps, metric)[np.ix_(index, index)]
+        within = kernels.within(matrix.values, eps, metric)[np.ix_(index, index)]
     else:
-        within = _within(matrix.values[:, index], eps, metric)
+        within = kernels.within(matrix.values[:, index], eps, metric)
     return ComplexityEstimate(
         value=float(_cover_size(within, mode == "exact")),
         method="exact-enumeration" if mode == "exact" else "greedy-upper",

@@ -99,8 +99,9 @@ def _finite(name: str, value) -> None:
 
 
 def _count(name: str, value, least: int) -> int:
-    """``value`` as an int >= ``least``; integral floats (JSON ``1e5``) pass."""
-    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    """``value`` as an int >= ``least``; integral floats (JSON ``1e5``) and
+    numpy integers pass."""
+    number = isinstance(value, (int, float, np.integer)) and not isinstance(value, bool)
     if not (number and float(value).is_integer() and value >= least):
         raise InputError(f"{name} must be an integer >= {least}, got {value!r}")
     return int(value)

@@ -6,8 +6,9 @@ numpy implementation each.  Matrix products run on whatever BLAS numpy was
 built with, in the calling process's BLAS threads.
 
 Covers need only which columns lie within eps of each other, never the
-distances: ``linf_within`` decides that sup-distance relation by pruning
-pairs, while ``pairwise_linf`` stays for callers that want the distances.
+distances: ``within`` decides that relation for both cover metrics by
+pruning pairs over blocks of rows, with no copy of the matrix, while
+``pairwise_linf`` stays for callers that want the sup distances.
 """
 
 from __future__ import annotations
@@ -21,8 +22,7 @@ __all__ = [
     "signed_sums",
     "sup_signed_sums",
     "pairwise_linf",
-    "linf_within",
-    "pairwise_l2n",
+    "within",
 ]
 
 
@@ -78,43 +78,51 @@ def pairwise_linf(values) -> np.ndarray:
     return np.maximum(out, out.T)
 
 
-# rows in the first block of ``linf_within``; each later block doubles, up
-# to the size that keeps (live pairs x rows) within _WITHIN_BLOCK_ITEMS
+# rows in the first block of ``within``; each later block doubles, up to
+# the size that keeps (live pairs x rows) within _WITHIN_BLOCK_ITEMS
 _WITHIN_FIRST_ROWS = 8
 _WITHIN_BLOCK_ITEMS = 1 << 16
 
 
-def linf_within(values, eps: float) -> np.ndarray:
-    """Boolean column-to-column relation ``max_i |a_i - b_i| <= eps``.
+def within(values, eps: float, metric: str = "linf") -> np.ndarray:
+    """Boolean column-to-column relation ``distance(a, b) <= eps``, for the
+    sup distance ``max_i |a_i - b_i|`` (``"linf"``) or the normalized
+    euclidean distance ``sqrt(mean_i (a_i - b_i)^2)`` (``"l2"``).
 
-    Equal to ``pairwise_linf(values) <= eps``.  Every upper-triangle pair
-    starts live; each block of rows drops the pairs it separates by more
-    than eps, so far-apart columns cost a few rows, not all of them.  The
-    blocks start small and grow geometrically.  ``max`` and ``abs`` do not
-    round, so the relation is exact.
+    Every upper-triangle pair starts live; each block of rows drops the
+    pairs it separates by more than eps, so far-apart columns cost a few
+    rows, not all of them.  The blocks start small and grow geometrically.
+
+    The relation is exact: equal to thresholding the full distance matrix.
+    ``max`` and ``abs`` do not round.  The l2 sums of squares are added in
+    row order, as ``np.mean`` sums the rows of a matrix of two or more
+    columns (``np.add.accumulate``: a reduce of one column would sum it
+    pairwise, to other bits); rounded partial sums of nonnegative terms
+    never decrease, and ``/ m`` and ``sqrt`` are monotone, so a pair
+    dropped early is farther than eps over all its rows too.
     """
+    if metric not in ("linf", "l2"):
+        raise InputError(f"unknown metric {metric!r}")
     values = _as_2d(values)
     m, p = values.shape
     a, b = np.triu_indices(p, 1)
+    sums = np.zeros(a.size) if metric == "l2" else None
     start, rows = 0, _WITHIN_FIRST_ROWS
     while start < m and a.size:
         rows = max(1, min(rows, _WITHIN_BLOCK_ITEMS // a.size))
         block = values[start : start + rows]
         diff = np.subtract(block[:, a], block[:, b])
-        keep = (np.abs(diff, out=diff) <= eps).all(axis=0)
+        if sums is None:
+            keep = (np.abs(diff, out=diff) <= eps).all(axis=0)
+        else:
+            np.square(diff, out=diff)
+            diff[0] += sums
+            sums = np.add.accumulate(diff, axis=0, out=diff)[-1]
+            keep = np.sqrt(sums / m) <= eps
+            sums = sums[keep]
         a, b = a[keep], b[keep]
         start, rows = start + rows, 2 * rows
     out = np.eye(p, dtype=bool)
     out[a, b] = True
     out[b, a] = True
-    return out
-
-
-def pairwise_l2n(values) -> np.ndarray:
-    """Column-to-column normalized distances ``sqrt(mean_i (a_i - b_i)^2)``."""
-    values = _as_matrix(values)
-    p = values.shape[1]
-    out = np.zeros((p, p))
-    for j in range(p):
-        out[j] = np.sqrt(np.mean((values - values[:, [j]]) ** 2, axis=0))
     return out

@@ -109,15 +109,14 @@ def rademacher_exact(matrix: LossMatrix) -> ComplexityEstimate:
 
 def rademacher_mc(matrix: LossMatrix, n_sigma: int, seed: int) -> ComplexityEstimate:
     """Monte-Carlo estimate with standard error over n_sigma sign draws."""
-    if n_sigma < 2:
-        raise InputError("rademacher_mc needs n_sigma >= 2")
+    n_sigma = _count("n_sigma", n_sigma, 2)
     sups = _drawn_sums(matrix, n_sigma, substream(seed, "sigma")).max(axis=1) / matrix.m
     value = float(sups.mean())
     stderr = float(sups.std(ddof=1) / math.sqrt(n_sigma))
     return ComplexityEstimate(
         value=value,
         method="monte-carlo",
-        trials=(int(n_sigma),),
+        trials=(n_sigma,),
         seed=int(seed),
         stderr=stderr,
         details={"m": matrix.m},
@@ -164,7 +163,7 @@ def peeling_complexity_for_matrices(
 
     ``matrices`` may be any iterable; each matrix is used as it arrives and
     then dropped, so a generator keeps one sample matrix alive at a time."""
-    _count("n_sigma", n_sigma, 1)
+    n_sigma = _count("n_sigma", n_sigma, 1)
     rows = []
     m = None
     for t, mat in enumerate(matrices):
@@ -190,7 +189,7 @@ def peeling_complexity_for_matrices(
     return ComplexityEstimate(
         value=value,
         method="monte-carlo",
-        trials=(n, int(n_sigma)) if inner == "mc" else (n,),
+        trials=(n, n_sigma) if inner == "mc" else (n,),
         seed=int(seed),
         stderr=stderr,
         details={
@@ -215,18 +214,16 @@ def peeling_complexity(
     estimate uses them.  The result is a plug-in estimate and is always
     flagged monte-carlo, never certified.
     """
-    if outer_trials < 2:
-        raise InputError("peeling_complexity needs outer_trials >= 2")
-    samples = (class_sampler(child_seed(seed, "outer", t)) for t in range(int(outer_trials)))
+    outer_trials = _count("outer_trials", outer_trials, 2)
+    samples = (class_sampler(child_seed(seed, "outer", t)) for t in range(outer_trials))
     return peeling_complexity_for_matrices(samples, n_sigma=n_sigma, seed=seed)
 
 
 def rm_upper_dichotomy(class_sampler, trials: int, seed: int = 0) -> ComplexityEstimate:
     """(1/8) log of the Monte-Carlo mean dichotomy count of a binary class."""
-    if trials < 1:
-        raise InputError("rm_upper_dichotomy needs trials >= 1")
+    trials = _count("trials", trials, 1)
     counts = []
-    for t in range(int(trials)):
+    for t in range(trials):
         mat = class_sampler(child_seed(seed, "outer", t))
         if mat.range_tag != "binary":
             raise InputError("dichotomy bound requires binary-valued classes")
@@ -238,7 +235,7 @@ def rm_upper_dichotomy(class_sampler, trials: int, seed: int = 0) -> ComplexityE
     return ComplexityEstimate(
         value=value,
         method="monte-carlo",
-        trials=(int(trials),),
+        trials=(trials,),
         seed=int(seed),
         stderr=stderr,
         details={"mean_dichotomies": mean},

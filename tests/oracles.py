@@ -54,20 +54,37 @@ def greedy_cover_oracle(within) -> int:
     return count
 
 
+def pairwise_l2n(values):
+    """Column-to-column normalized distances ``sqrt(mean_i (a_i - b_i)^2)``,
+    the full matrix built one column at a time."""
+    import numpy as np
+
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    p = values.shape[1]
+    out = np.zeros((p, p))
+    for j in range(p):
+        out[j] = np.sqrt(np.mean((values - values[:, [j]]) ** 2, axis=0))
+    return out
+
+
 def dedup_first_cover_oracle(matrix, eps: float, metric: str = "linf", mode: str = "exact", exact_cap: int = 25):
     """``covers.covering_number`` as first written: the distinct columns
     are copied out first, one per row in lexicographic order (the rows of
     ``np.unique(values.T + 0.0, axis=0)``, which the first
-    ``distinct_columns`` was held to), and the relation is built on them."""
+    ``distinct_columns`` was held to), and the relation is the full
+    distance matrix (``pairwise_linf`` or ``pairwise_l2n``) thresholded
+    at eps."""
     import numpy as np
 
     from relmargin import CapabilityError, ComplexityEstimate
-    from relmargin.covers import _cover_size, _within
+    from relmargin.covers import _cover_size
+    from relmargin.kernels import pairwise_linf
 
     p = matrix.pool_size
     if mode == "exact" and p > exact_cap:
         raise CapabilityError(f"exact cover search is capped at {exact_cap} pool columns (got {p})")
-    within = _within(np.unique(matrix.values.T + 0.0, axis=0).T, eps, metric)
+    distance = {"linf": pairwise_linf, "l2": pairwise_l2n}[metric]
+    within = distance(np.unique(matrix.values.T + 0.0, axis=0).T) <= eps
     q = within.shape[0]
     return ComplexityEstimate(
         value=float(_cover_size(within, mode == "exact")),

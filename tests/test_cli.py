@@ -891,7 +891,8 @@ def test_verify_binomial_rejects_an_m_max_with_no_points_or_past_the_cap(capsys,
      ("rm-peeling", ["--seed", "3", "--n-sigma", "0"], "n_sigma must be an integer >= 1, got 0"),
      ("rm-dudley", ["--k", "-1", "--eps-grid", "0.5,0.75,1.0"], "k must be an integer >= 0, got -1"),
      ("cover-linf", ["--eps", "0.5", "--exact-cap", "-3"], "exact_cap must be an integer >= 1, got -3"),
-     ("rm-dudley", ["--k", "1", "--eps-grid", "0.5,nan"], "eps_grid must hold finite numbers, got [0.5, nan]")],
+     ("rm-dudley", ["--k", "1", "--eps-grid", "0.5,nan"], "eps_grid must hold finite numbers, got [0.5, nan]"),
+     ("rademacher-mc", ["--seed", "3", "--n-sigma", "1"], "n_sigma must be an integer >= 2, got 1")],
 )
 def test_complexity_options_outside_their_domain_exit_2(tmp_path, capsys, op, argv, text):
     # 24 rows: above the exact-enumeration cap, so rm-peeling draws signs

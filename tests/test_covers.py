@@ -3,11 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from oracles import brute_min_cover, dedup_first_cover_oracle, greedy_cover_oracle, packing_lower_bound
+from oracles import brute_min_cover, dedup_first_cover_oracle, greedy_cover_oracle, packing_lower_bound, pairwise_l2n
 from relmargin import CapabilityError, InputError, LossMatrix, covering_number_l2, covering_number_linf
 from relmargin.cli import main
-from relmargin.covers import _cover_size, _coverage_masks
-from relmargin.kernels import linf_within, pairwise_l2n, pairwise_linf
+from relmargin.covers import _cover_size, _coverage_masks, covering_number
+from relmargin.kernels import pairwise_linf, within
 from relmargin.lossmatrix import distinct_columns
 
 
@@ -127,17 +127,64 @@ def _quarter_grid(rng, m, p):
     return values
 
 
-def test_linf_within_matches_pairwise_linf_on_quarter_grids():
+_DISTANCES = {"linf": pairwise_linf, "l2": pairwise_l2n}
+
+
+@pytest.mark.parametrize("metric", ["linf", "l2"])
+def test_within_matches_the_distance_matrix_on_quarter_grids(metric):
     rng = np.random.default_rng(8)
     shapes = [(1, 1), (1, 7), (9, 1), (2, 2), (5, 6), (40, 12), (300, 9), (3000, 5)]
     for m, p in shapes:
         values = _quarter_grid(rng, m, p)
         for view in (values, np.ascontiguousarray(values.T).T):
-            dist = pairwise_linf(view)
+            dist = _DISTANCES[metric](view)
             for eps in (0.0, 0.25, 0.5, 0.75, 1.0, 2.0):
-                got = linf_within(view, eps)
+                got = within(view, eps, metric)
                 assert got.dtype == bool and got.shape == (p, p)
                 assert np.array_equal(got, dist <= eps), (m, p, eps)
+
+
+@pytest.mark.parametrize("metric", ["linf", "l2"])
+def test_within_matches_the_distance_matrix_at_each_exact_distance(metric):
+    # non-dyadic entries, so the l2 sums round; eps at each distance the
+    # oracle computes, and one float below it, decides the relation by the
+    # last bit of that distance
+    rng = np.random.default_rng(11)
+    for m, p in [(1, 3), (7, 4), (9, 2), (33, 3), (200, 5), (700, 4)]:
+        values = np.round(rng.normal(scale=0.3, size=(m, p)), 3)
+        values[:, -1] = values[:, 0] + 0.1 * (rng.random(m) < 0.5)
+        for view in (values, np.ascontiguousarray(values.T).T):
+            dist = _DISTANCES[metric](view)
+            for d in np.unique(dist):
+                for eps in (d, np.nextafter(d, 0.0)):
+                    assert np.array_equal(within(view, eps, metric), dist <= eps), (m, p, d)
+
+
+def test_l2_within_sums_one_live_pair_in_row_order():
+    # two columns: one live pair, whose later blocks hold 16, 32, ... rows.
+    # numpy sums a lone column pairwise, to other bits than the row-order
+    # sums of the oracle, which at eps equal to the distance, or one float
+    # below it, flips the relation of some of these matrices
+    rng = np.random.default_rng(13)
+    for trial in range(60):
+        m = int(rng.integers(9, 400))
+        values = rng.random((m, 2)) * np.array([1.0, 1.0 + 1e-3])
+        d = pairwise_l2n(values)[0, 1]
+        for eps in (d, np.nextafter(d, 0.0)):
+            assert np.array_equal(within(values, eps, "l2"), pairwise_l2n(values) <= eps), (trial, m)
+
+
+def test_within_on_one_row_and_one_column_and_an_unknown_metric(monkeypatch):
+    for metric in ("linf", "l2"):
+        assert within(np.array([[0.3]]), 0.0, metric).tolist() == [[True]]
+        assert within(np.array([[0.0, -0.0, 0.5]]), 0.0, metric).tolist() == [
+            [True, True, False], [True, True, False], [False, False, True]]
+    with pytest.raises(InputError, match="unknown metric 'l1'"):
+        within(np.zeros((2, 2)), 0.1, "l1")
+    # the cover rejects the metric before it deduplicates the pool
+    monkeypatch.setattr("relmargin.covers.distinct_index", None)
+    with pytest.raises(InputError, match="unknown metric 'l1'"):
+        covering_number(_mat([[0.0, 1.0]]), 0.1, "l1")
 
 
 def test_linf_within_prunes_near_columns_over_growing_blocks():
@@ -148,7 +195,7 @@ def test_linf_within_prunes_near_columns_over_growing_blocks():
     near = 0.5 + rng.integers(-2, 3, size=(5000, 6)) / 64.0
     near[4321, 5] = 0.75  # separated by one late row only
     for values, eps in ((near, 1.0 / 16.0), (near, 3.0 / 64.0), (_quarter_grid(rng, 6, 400), 0.5)):
-        assert np.array_equal(linf_within(values, eps), pairwise_linf(values) <= eps)
+        assert np.array_equal(within(values, eps), pairwise_linf(values) <= eps)
 
 
 def test_coverage_masks_match_bit_by_bit_loop():
@@ -181,12 +228,12 @@ def test_wide_pool_with_few_distinct_columns_builds_the_relation_on_those_only(m
     values = np.random.default_rng(12).integers(0, 2, size=(10, 20000)).astype(float)
     calls = []
 
-    def spy(values, eps):
+    def spy(values, eps, metric):
         calls.append(values.shape)
         assert values.shape[1] <= 1024, "relation built on the whole pool"
-        return linf_within(values, eps)
+        return within(values, eps, metric)
 
-    monkeypatch.setattr("relmargin.kernels.linf_within", spy)
+    monkeypatch.setattr("relmargin.kernels.within", spy)
     est = covering_number_linf(LossMatrix(values, "binary"), 0.0, mode="greedy")
     q = len(distinct_columns(values))
     assert q <= 1024 and calls == [(10, q)]
@@ -286,17 +333,18 @@ def test_cover_keeps_greedy_tie_breaks_past_a_shared_prefix():
         assert covering_number_linf(mat, 0.25).details["distinct"] == 17
 
 
-def test_all_distinct_cover_allocates_less_than_one_matrix_copy():
+@pytest.mark.parametrize("metric", ["linf", "l2"])
+def test_all_distinct_cover_allocates_less_than_one_matrix_copy(metric):
     import tracemalloc
 
     values = np.clip(np.random.default_rng(6).normal(scale=0.3, size=(10000, 50)), -0.2, 0.2)
     mat = LossMatrix(values)
     tracemalloc.start()
     try:
-        est = covering_number_linf(mat, 0.1, mode="greedy")
+        est = covering_number(mat, 0.1, metric, mode="greedy")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert est.details["distinct"] == est.details["pool"] == 50
-    assert est.value == dedup_first_cover_oracle(mat, 0.1, "linf", "greedy").value
+    assert est.value == dedup_first_cover_oracle(mat, 0.1, metric, "greedy").value
     assert peak < mat.values.nbytes

@@ -91,6 +91,33 @@ def test_mc_zero_matrix_and_precondition():
         rademacher_mc(LossMatrix(np.zeros((4, 3)), "binary"), 1, seed=0)
 
 
+@pytest.mark.parametrize("n_sigma", [2.5, float("inf"), float("nan"), True, "64"])
+def test_mc_sign_draw_count_is_an_integer_of_at_least_two(n_sigma):
+    # 2.5 would draw 2 sign rows but divide the stderr by sqrt(2.5); inf
+    # would escape as an OverflowError
+    binary = LossMatrix((np.arange(150).reshape(30, 5) % 3 == 0).astype(float), "binary")
+    with pytest.raises(InputError, match=r"n_sigma must be an integer >= 2"):
+        rademacher_mc(binary, n_sigma, seed=1)
+    two = rademacher_mc(binary, 2, seed=1)
+    assert rademacher_mc(binary, 2.0, seed=1) == rademacher_mc(binary, np.int64(2), seed=1) == two
+    assert two.trials == (2,)
+
+
+def test_outer_and_dichotomy_trial_counts_are_integers():
+    # 2.5 outer draws would run 2, and 1.5 dichotomy trials 1, unreported
+    def sampler(seed):
+        return LossMatrix((np.random.default_rng(seed).random((6, 3)) < 0.5).astype(float), "binary")
+
+    for outer in (1, 2.5, float("inf")):
+        with pytest.raises(InputError, match=r"outer_trials must be an integer >= 2"):
+            peeling_complexity(sampler, outer_trials=outer, n_sigma=8, seed=5)
+    for trials in (0, 1.5, float("nan")):
+        with pytest.raises(InputError, match=r"trials must be an integer >= 1"):
+            rm_upper_dichotomy(sampler, trials=trials, seed=5)
+    assert peeling_complexity(sampler, outer_trials=2.0, seed=5) == peeling_complexity(sampler, outer_trials=2, seed=5)
+    assert rm_upper_dichotomy(sampler, trials=3.0, seed=5) == rm_upper_dichotomy(sampler, trials=3, seed=5)
+
+
 def test_mc_is_reproducible_per_seed():
     mat = LossMatrix((np.random.default_rng(5).random((10, 4)) < 0.4).astype(float), "binary")
     a = rademacher_mc(mat, 500, seed=9)
