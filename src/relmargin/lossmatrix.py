@@ -24,7 +24,6 @@ __all__ = [
     "peel",
     "shell_index",
     "count_dichotomies",
-    "distinct_columns",
     "distinct_index",
     "transform_matrix",
     "outputs_matrix",
@@ -198,14 +197,3 @@ def distinct_index(values) -> np.ndarray:
             order[tied] = cols[sub]
             new[tied] = _run_starts(keys, sub)
     return order[new]
-
-
-def distinct_columns(values) -> np.ndarray:
-    """The distinct columns of a finite 2-d array, one per row, in
-    lexicographic order (the rows of ``np.unique(values.T, axis=0)``):
-    ``values.T[distinct_index(values)] + 0.0``, made in the one copy it
-    returns."""
-    vals = np.asarray(values, dtype=np.float64)
-    out = vals.T[distinct_index(vals)]
-    out += 0.0
-    return out

@@ -1,18 +1,19 @@
 """Byte-stable report serialization.
 
-A JSON report is ``json.dumps`` of its ``canonical`` form: sorted keys,
-floats rounded to 12 significant digits and each ``Table`` of rows written
-column by column, so identical inputs serialize to identical bytes
-regardless of thread count or platform.  A CSV report is the columns its
-schema declares in ``_CSV_COLUMNS`` (else one key,value row per leaf) of
-the same canonical form, each cell written by one rule.
+A JSON report is ``json.dumps`` of its ``canonical`` form: sorted keys and
+floats rounded to 12 significant digits, so identical inputs serialize to
+identical bytes regardless of thread count or platform.  A CSV report is
+the columns its schema declares in ``_CSV_COLUMNS`` (else one key,value row
+per leaf) of the same canonical form, each cell written by one rule.  Both
+formats write a ``Table`` of rows column by column, one chunk of
+``_TABLE_ROWS`` rows at a time: each column's distinct values are found and
+written once, and a chunk's cells are gathered from those texts.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import itertools
 import json
 import math
 import re
@@ -32,10 +33,11 @@ __all__ = [
 
 class Table:
     """Report rows held as columns: equal-length 1-D numpy arrays of floats,
-    integers or strings, one per cell of a row.  It iterates, compares and
-    takes ``len`` as the tuple of its row tuples, whose cells are Python
-    scalars; ``canonical_json`` writes it column by column, and its JSON is
-    the list of its rows as lists."""
+    integers or strings (``str``, or ASCII bytes, which read as ``str``),
+    one per cell of a row.  It iterates, compares and takes ``len`` as the
+    tuple of its row tuples, whose cells are Python scalars; the report
+    writers write it column by column, and its JSON is the list of its rows
+    as lists."""
 
     def __init__(self, *columns):
         self.columns = tuple(np.asarray(c) for c in columns)
@@ -44,7 +46,7 @@ class Table:
         return len(self.columns[0]) if self.columns else 0
 
     def __iter__(self):
-        return zip(*(c.tolist() for c in self.columns))
+        return zip(*map(_items, self.columns))
 
     def __eq__(self, other):
         if isinstance(other, Table):
@@ -53,6 +55,11 @@ class Table:
 
     def to_json(self) -> list:
         return [list(row) for row in self]
+
+
+def _items(c: np.ndarray) -> list:
+    """The entries of a column as Python scalars, bytes read as ASCII ``str``."""
+    return (c.astype(str) if c.dtype.kind == "S" else c).tolist()
 
 
 def format_float(x: float) -> str:
@@ -117,7 +124,7 @@ def canonical_json(obj) -> str:
     return "".join(pieces)
 
 
-# rows of a table joined to one piece of ``canonical_json``'s text
+# rows of a table that the writers format, and join, at a time
 _TABLE_ROWS = 4096
 
 
@@ -129,25 +136,34 @@ def _table_json(t: Table, indent: str):
         return
     row, cell = "\n" + indent + "  ", "\n" + indent + "    "
     between = row + "]," + row + "[" + cell
-    rows = map(("," + cell).join, zip(*map(_column_json, t.columns)))
     yield "[" + row + "[" + cell
-    for n in range(0, len(t), _TABLE_ROWS):
+    for n, cells in enumerate(_table_chunks(t, _json_texts)):
         if n:
             yield between
-        yield between.join(itertools.islice(rows, _TABLE_ROWS))
+        yield between.join(map(("," + cell).join, zip(*cells)))
     yield row + "]\n" + indent + "]"
 
 
-def _column_json(c: np.ndarray) -> list:
-    """The JSON texts of a table column, each distinct value written once;
-    floats are told apart by their bits, so -0.0 keeps its sign."""
-    floats = c.dtype.kind == "f"
-    keys, inverse = np.unique(c.astype(np.float64).view(np.uint64) if floats else c, return_inverse=True)
+def _table_chunks(t: Table, texts):
+    """Per chunk of ``_TABLE_ROWS`` rows, one list of cell texts per column.
+    ``texts`` maps a list of distinct canonical values to their texts; a
+    column's distinct values are found, and written, once for the table.
+    Floats are told apart by their bits, so -0.0 keeps its sign."""
+    columns = []
+    for c in t.columns:
+        floats = c.dtype.kind == "f"
+        keys, inverse = np.unique(np.asarray(c, np.float64).view(np.uint64) if floats else c, return_inverse=True)
+        values = canonical(keys.view(np.float64).tolist()) if floats else _items(keys)
+        # each row's index into the texts, at the least width that holds it
+        columns.append((np.array(texts(values), dtype=object), inverse.astype(np.min_scalar_type(len(keys)))))
+    for lo in range(0, len(t), _TABLE_ROWS):
+        yield [cells[at[lo : lo + _TABLE_ROWS]].tolist() for cells, at in columns]
+
+
+def _json_texts(values: list) -> list:
+    # newline-separated: the JSON text of a scalar never holds a raw newline;
     # integers and strings are canonical once they are Python scalars
-    values = canonical(keys.view(np.float64).tolist()) if floats else keys.tolist()
-    # newline-separated: the JSON text of a scalar never holds a raw newline
-    texts = json.dumps(values, separators=("\n", ":"))[1:-1].split("\n")
-    return np.array(texts, dtype=object)[inverse].tolist()
+    return json.dumps(values, separators=("\n", ":"))[1:-1].split("\n")
 
 
 # schema -> the keys of its CSV columns, one row per report, or per entry of
@@ -171,7 +187,8 @@ _CSV_COLUMNS = {
     "relmargin/complexity-estimate/v1": ("value", "method", "trials", "seed", "stderr"),
     "relmargin/tightness-report/v1": ("m", "rho", "emp", "beta", "beta_prime", "new_bound", "old_bound", "new_smaller"),
 }
-# validity rows are lists, with these columns
+# validity rows are lists or a ``Table``, with these columns
+_VALIDITY_SCHEMA = "relmargin/validity-report/v1"
 _VALIDITY_HEADER = ("family", "trial", "emp", "complexity", "bound", "true_risk", "violated")
 
 
@@ -206,9 +223,19 @@ def _write_rows(header, rows) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow([_csv_cell(v) for v in row])
-    return buf.getvalue()
+    if not isinstance(rows, Table):
+        for row in rows:
+            writer.writerow([_csv_cell(v) for v in row])
+        return buf.getvalue()
+    # one piece of text per chunk of rows, so that no buffer holds, or copies, the whole text
+    pieces = []
+    for cells in _table_chunks(rows, lambda values: list(map(_csv_cell, values))):
+        writer.writerows(zip(*cells))
+        pieces.append(buf.getvalue())
+        buf.seek(0)
+        buf.truncate()
+    pieces.append(buf.getvalue())
+    return "".join(pieces)
 
 
 def _leaves(value, prefix: str = ""):
@@ -223,14 +250,15 @@ def _leaves(value, prefix: str = ""):
 def report_csv(report) -> str:
     """CSV rendering of a report's ``canonical`` form, keyed by its schema
     tag: the declared columns of its schema, the validity rows, or else one
-    key,value row per leaf."""
-    data = canonical(report)
+    key,value row per leaf.  Validity rows given as a ``Table`` are written
+    as one, column by column."""
+    data = canonical(report, isinstance(report, dict) and report.get("schema") == _VALIDITY_SCHEMA)
     schema = data.get("schema")
     if schema in _CSV_COLUMNS:
         keys = _CSV_COLUMNS[schema]
         rows = ([dict(_leaves(r)).get(k) for k in keys] for r in data.get("rows", [data]))
         return _write_rows([k.split(".")[-1] for k in keys], rows)
-    if schema == "relmargin/validity-report/v1":
+    if schema == _VALIDITY_SCHEMA:
         return _write_rows(_VALIDITY_HEADER, data["rows"])
     return _write_rows(["key", "value"], _leaves(data))
 

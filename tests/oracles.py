@@ -67,6 +67,21 @@ def pairwise_l2n(values):
     return out
 
 
+def distinct_columns(values):
+    """The distinct columns of a finite 2-d array, one per row, in
+    lexicographic order (the rows of ``np.unique(values.T, axis=0)``):
+    ``values.T[distinct_index(values)] + 0.0``, made in the one copy it
+    returns."""
+    import numpy as np
+
+    from relmargin.lossmatrix import distinct_index
+
+    vals = np.asarray(values, dtype=np.float64)
+    out = vals.T[distinct_index(vals)]
+    out += 0.0
+    return out
+
+
 def dedup_first_cover_oracle(matrix, eps: float, metric: str = "linf", mode: str = "exact", exact_cap: int = 25):
     """``covers.covering_number`` as first written: the distinct columns
     are copied out first, one per row in lexicographic order (the rows of

@@ -3,12 +3,18 @@ import json
 import numpy as np
 import pytest
 
-from oracles import brute_min_cover, dedup_first_cover_oracle, greedy_cover_oracle, packing_lower_bound, pairwise_l2n
+from oracles import (
+    brute_min_cover,
+    dedup_first_cover_oracle,
+    distinct_columns,
+    greedy_cover_oracle,
+    packing_lower_bound,
+    pairwise_l2n,
+)
 from relmargin import CapabilityError, InputError, LossMatrix, covering_number_l2, covering_number_linf
 from relmargin.cli import main
 from relmargin.covers import _cover_size, _coverage_masks, covering_number
 from relmargin.kernels import pairwise_linf, within
-from relmargin.lossmatrix import distinct_columns
 
 
 def _mat(cols):

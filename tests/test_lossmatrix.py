@@ -16,7 +16,8 @@ from relmargin import (
     step,
     transform_matrix,
 )
-from relmargin.lossmatrix import distinct_columns, distinct_index, shell_index
+from oracles import distinct_columns
+from relmargin.lossmatrix import distinct_index, shell_index
 
 
 def test_range_tag_validation():

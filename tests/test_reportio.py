@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -347,7 +348,7 @@ def test_writer_is_the_oracle_on_campaign_reports(shape):
     tabled = report.to_json(table=True)
     assert tabled["rows"] is report.rows and len(tabled["rows"]) == len(listed["rows"])
     assert canonical_json(tabled) == canonical_json(listed) == canonical_json_oracle(listed)
-    assert report_csv(canonical(tabled)) == report_csv(canonical(listed))
+    assert report_csv(tabled) == report_csv(listed) == report_csv_oracle(canonical(listed))
 
 
 _TABLES = {
@@ -365,7 +366,18 @@ _TABLES = {
         np.tile(np.float32([0.1, 2.5]), 10),
     ),
     "zero trials": (np.array([], dtype=str), np.array([], dtype=int), np.array([])),
+    # the strings "Infinity" and "-Infinity" beside the floats that write
+    # them in both formats, cells that CSV quotes, and an ASCII-bytes column
+    "infinity and quoting": (
+        np.array(["Infinity", "-Infinity", "a,b", 'say "x"', "line\nbreak", ""]),
+        np.array([math.inf, -math.inf, math.inf, 1.0, -0.0, math.inf]),
+        np.array([b"cov-alpha", b"rad", b"rad", b"", b"cov-alpha2", b"rad"]),
+        np.array([0, 1, 0, 1, 1, 0], dtype=np.uint8),
+    ),
+    # one-cell rows, whose empty cell CSV quotes
+    "one empty column": (np.array(["", "x", "", ""]),),
 }
+_VALIDITY = "relmargin/validity-report/v1"
 
 
 @pytest.mark.parametrize("name", sorted(_TABLES))
@@ -376,6 +388,8 @@ def test_table_writer_is_the_oracle_on_its_rows(monkeypatch, name):
     assert table == tuple(map(tuple, rows)) and table == Table(*_TABLES[name])
     assert all(type(v) in (str, int, float) for row in rows for v in row)
     cases = ((table, rows), ({"rows": table, "n": 2.5}, {"rows": rows, "n": 2.5}), ([table, [table]], [rows, [rows]]))
+    validity = {"schema": _VALIDITY, "rows": rows}
+    csv_text = report_csv_oracle(canonical(validity))
     # rows per piece of the text: the default, one, and a divisor and a
     # non-divisor of the 20 repeated-float rows
     for piece_rows in (reportio._TABLE_ROWS, 1, 3, 4):
@@ -383,14 +397,62 @@ def test_table_writer_is_the_oracle_on_its_rows(monkeypatch, name):
         for obj, listed in cases:
             assert canonical_json(obj) == canonical_json_oracle(listed)
             assert canonical(obj) == canonical(listed)
+        assert report_csv({**validity, "rows": table}) == report_csv(validity) == csv_text
 
 
 def test_table_writer_rejects_nan_as_the_oracle_does():
     table = Table(np.array(["a", "b"]), np.array([0.5, np.nan]))
+    listed = [list(r) for r in table]
     with pytest.raises(InputError, match="reports must not contain NaN"):
-        canonical_json_oracle([list(r) for r in table])
+        canonical_json_oracle(listed)
     with pytest.raises(InputError, match="reports must not contain NaN"):
         canonical_json({"rows": table})
+    # the CSV oracle is given a canonical report, and canonical rejects NaN
+    with pytest.raises(InputError, match="reports must not contain NaN"):
+        report_csv_oracle(canonical({"schema": _VALIDITY, "rows": listed}))
+    with pytest.raises(InputError, match="reports must not contain NaN"):
+        report_csv({"schema": _VALIDITY, "rows": table})
+
+
+@pytest.fixture(scope="module")
+def trial_heavy_report():
+    """A campaign report of 3 x 10^4 rows (10^4 trials, three families), and
+    the bytes still traced once ``validate_bounds`` has returned it."""
+    data = json.loads(REFERENCE_CAMPAIGN.read_text())
+    data.update(families=["cov-alpha", "cov-alpha2", "rad"], trials=10_000)
+    data["complexity"] = {**data["complexity"], "cover_draws": 2, "peel_draws": 2}
+    # a first, small campaign pays for lazy imports and caches
+    validate_bounds(ExperimentConfig.from_json({**data, "trials": 2}))
+    cfg = ExperimentConfig.from_json(data)
+    tracemalloc.start()
+    try:
+        report = validate_bounds(cfg)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(report.rows) == 30_000
+    return report, held
+
+
+def test_campaign_report_holds_at_most_48_bytes_a_row(trial_heavy_report):
+    report, held = trial_heavy_report
+    # float emp, complexity, bound and risk, and the family, trial and
+    # violated columns at their least widths
+    assert sum(c.nbytes for c in report.rows.columns) <= 45 * len(report.rows)
+    assert held <= 48 * len(report.rows)
+
+
+def test_csv_of_a_campaign_report_peaks_at_most_3_5_times_its_text(trial_heavy_report):
+    report = trial_heavy_report[0].to_json(table=True)
+    tracemalloc.start()
+    try:
+        text = report_csv(report)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the chunks' pieces and their join, and one chunk's cells
+    assert text.isascii() and text.count("\n") == 1 + 30_000
+    assert peak <= 3.5 * len(text)
 
 
 def test_validity_report_matches_its_schema(tmp_path):
