@@ -268,7 +268,7 @@ def _cmd_validate(args) -> int:
         data["seed"] = args.seed
     cfg = ExperimentConfig.from_json(data)
     report = validate_bounds(cfg, threads=args.threads)
-    _emit(report.to_json(table=True), args.format, args.out)
+    _emit(report, args.format, args.out)
     return EXIT_OK
 
 

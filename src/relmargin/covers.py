@@ -10,10 +10,14 @@ for both metrics), never the distances themselves.
 
 Equal columns cover each other, so the search runs on one column per
 distinct column (``lossmatrix.distinct_index``), in their lexicographic
-order.  When every column is distinct, as on a continuous pool, the
-relation is built on the matrix itself and permuted into that order, so
-no copy of the matrix is made; otherwise the distinct columns are copied
-once and the relation is built on them.
+order.  The matrix is read through a ``kernels.Rows`` reader, a
+``LossMatrix``'s values in place or rows computed on demand, and both
+dedup and the relation (built on the distinct columns of the reader's
+rows, block by block, with no copy of the matrix) stop at the first rows
+that settle them: later rows can only tell columns apart, never join
+them.  On the reference pool at m = 5000 (seed 888, 8 draws), dedup
+reads 16-32 of a draw's 10^4 rows and the relation 24-120.  The set-cover
+search itself reads no rows.
 
 The exact solver is a branch-and-bound set-cover search seeded with the
 greedy solution; it is capped at ``exact_cap`` pool columns (default 25)
@@ -115,14 +119,15 @@ def _cover_size(within: np.ndarray, exact: bool) -> int:
 
 
 def covering_number(
-    matrix: LossMatrix,
+    matrix: LossMatrix | kernels.Rows,
     eps: float,
     metric: str = "linf",
     mode: str = "exact",
     exact_cap: int = DEFAULT_EXACT_CAP,
 ) -> ComplexityEstimate:
     """Minimum (exact) or greedily found (greedy) number of pool columns
-    covering every column within eps."""
+    covering every column within eps, of a ``LossMatrix`` or of the columns
+    of a ``kernels.Rows`` reader."""
     if not (eps >= 0):
         raise InputError("eps must be nonnegative")
     if mode not in ("exact", "greedy"):
@@ -130,7 +135,8 @@ def covering_number(
     if metric not in ("linf", "l2"):
         raise InputError(f"unknown metric {metric!r}")
     _count("exact_cap", exact_cap, 1)
-    p = matrix.pool_size
+    rows = matrix if isinstance(matrix, kernels.Rows) else kernels.Rows.of(matrix.values)
+    p = rows.shape[1]
     if mode == "exact" and p > exact_cap:
         raise CapabilityError(
             f"exact cover search is capped at {exact_cap} pool columns (got {p})"
@@ -138,16 +144,12 @@ def covering_number(
     # identical columns cover each other at distance zero; deduplicating
     # changes neither the exact nor the greedy value.  The relation is read
     # in the columns' lexicographic order, which fixes greedy's tie-breaks.
-    index = distinct_index(matrix.values)
-    q = len(index)
-    if q == p:  # no copy: the relation on the pool, permuted into that order
-        within = kernels.within(matrix.values, eps, metric)[np.ix_(index, index)]
-    else:
-        within = kernels.within(matrix.values[:, index], eps, metric)
+    index = distinct_index(rows)
+    within = kernels.within(rows.take(index), eps, metric)
     return ComplexityEstimate(
         value=float(_cover_size(within, mode == "exact")),
         method="exact-enumeration" if mode == "exact" else "greedy-upper",
-        details={"metric": metric, "eps": float(eps), "pool": p, "distinct": q},
+        details={"metric": metric, "eps": float(eps), "pool": p, "distinct": len(index)},
     )
 
 

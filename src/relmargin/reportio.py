@@ -79,7 +79,8 @@ def _scalar(x) -> float | str:
 
 def canonical(obj, _tables: bool = False):
     """Recursively normalize a report object for byte-stable serialization;
-    with ``_tables``, as ``canonical_json`` calls it, a ``Table`` stays as is."""
+    with ``_tables``, as the writers call it, a ``Table`` stays as is, and
+    a report whose ``rows`` are one hands it over (``to_json(table=True)``)."""
     if obj is None or isinstance(obj, (bool, str)):
         return obj
     if isinstance(obj, (int, np.integer)):
@@ -95,7 +96,8 @@ def canonical(obj, _tables: bool = False):
     if _tables and isinstance(obj, Table):
         return obj
     if hasattr(obj, "to_json"):
-        return canonical(obj.to_json(), _tables)
+        table = _tables and isinstance(getattr(obj, "rows", None), Table)
+        return canonical(obj.to_json(table=True) if table else obj.to_json(), _tables)
     raise InputError(f"cannot serialize object of type {type(obj)!r}")
 
 
@@ -250,9 +252,12 @@ def _leaves(value, prefix: str = ""):
 def report_csv(report) -> str:
     """CSV rendering of a report's ``canonical`` form, keyed by its schema
     tag: the declared columns of its schema, the validity rows, or else one
-    key,value row per leaf.  Validity rows given as a ``Table`` are written
-    as one, column by column."""
-    data = canonical(report, isinstance(report, dict) and report.get("schema") == _VALIDITY_SCHEMA)
+    key,value row per leaf.  Validity rows given as a ``Table``, or held as
+    one by the report object, are written as one, column by column."""
+    validity = isinstance(getattr(report, "rows", None), Table) or (
+        isinstance(report, dict) and report.get("schema") == _VALIDITY_SCHEMA
+    )
+    data = canonical(report, validity)
     schema = data.get("schema")
     if schema in _CSV_COLUMNS:
         keys = _CSV_COLUMNS[schema]

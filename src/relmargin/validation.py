@@ -41,6 +41,7 @@ from .errors import InputError, _choice, _count, _dataclass_keys, _mapping, _num
 from .estimates import ComplexityEstimate
 from .fatdim import FatDimParams
 from .hypotheses import LinearHypothesis, truncate
+from .kernels import Rows
 from .lossmatrix import LossMatrix, outputs_matrix, transform_matrix
 from .covers import DEFAULT_EXACT_CAP, covering_number_linf
 from .rademacher import DEFAULT_N_SIGMA, peeling_complexity
@@ -157,8 +158,8 @@ class ValidityReport:
 
     def to_json(self, table: bool = False) -> dict:
         # not ``_fields_json``, which would copy the rows cell by cell.  The
-        # rows are lists, or with ``table`` the ``Table`` itself, which
-        # ``canonical_json`` writes column by column: what the CLI writes
+        # rows are lists, or with ``table`` the ``Table`` itself, which the
+        # report writers ask for and write column by column
         return {
             "schema": "relmargin/validity-report/v1",
             "families": dict(self.families),
@@ -186,7 +187,12 @@ def _build_pool(cfg: ExperimentConfig, dist):
 
 def _estimate_log_cover(cfg, dist, pool) -> ComplexityEstimate:
     """log of the Monte-Carlo mean sup-distance cover of the truncated pool
-    at radius rho/2 over fresh double samples."""
+    at radius rho/2 over fresh double samples.
+
+    Each draw's pool outputs are read as ``kernels.Rows`` computed on
+    demand, by ``outputs_matrix`` on blocks of the draw's points, so a cover
+    computes only the blocks that settle its dedup and relation: on the
+    reference pool at m = 5000, 64 or 128 of the 10^4 rows a draw."""
     p = cfg.params
     draws = cfg.complexity["cover_draws"]
     cap = cfg.complexity["exact_cap"]
@@ -196,8 +202,8 @@ def _estimate_log_cover(cfg, dist, pool) -> ComplexityEstimate:
     for t in range(draws):
         rng = substream(cfg.seed, "cover", t)
         x, _ = dist.sample(2 * p.m, rng)
-        # no draw's matrix outlives its cover, so one is held at a time
-        counts[t] = covering_number_linf(outputs_matrix(truncated, x), p.rho / 2.0, mode=mode, exact_cap=cap).value
+        rows = Rows.computed(2 * p.m, len(truncated), lambda lo, hi: outputs_matrix(truncated, x[lo:hi]).values)
+        counts[t] = covering_number_linf(rows, p.rho / 2.0, mode=mode, exact_cap=cap).value
     mean = float(counts.mean())
     stderr = float(counts.std(ddof=1) / (mean * math.sqrt(draws))) if draws > 1 else 0.0
     return ComplexityEstimate(

@@ -11,10 +11,13 @@ from oracles import (
     packing_lower_bound,
     pairwise_l2n,
 )
-from relmargin import CapabilityError, InputError, LossMatrix, covering_number_l2, covering_number_linf
+from relmargin import CapabilityError, InputError, LinearHypothesis, LossMatrix, covering_number_l2, covering_number_linf
 from relmargin.cli import main
 from relmargin.covers import _cover_size, _coverage_masks, covering_number
-from relmargin.kernels import pairwise_linf, within
+from relmargin.hypotheses import truncate
+from relmargin import kernels
+from relmargin.kernels import Rows, pairwise_linf, within
+from relmargin.lossmatrix import outputs_matrix
 
 
 def _mat(cols):
@@ -354,3 +357,104 @@ def test_all_distinct_cover_allocates_less_than_one_matrix_copy(metric):
     assert est.details["distinct"] == est.details["pool"] == 50
     assert est.value == dedup_first_cover_oracle(mat, 0.1, metric, "greedy").value
     assert peak < mat.values.nbytes
+
+
+def _truncated_pool(rng, dim, size, rho=0.2):
+    return [truncate(LinearHypothesis(w), rho) for w in rng.normal(size=(size, dim))]
+
+
+def _computed(pool, x, blocks, memo=None):
+    """A reader of the pool's outputs on x, computed on demand; ``blocks``
+    collects the (lo, hi) of each computed block, and ``memo``, when given,
+    keeps each block's outputs for later readers."""
+
+    def compute(lo, hi):
+        blocks.append((lo, hi))
+        if memo is None:
+            return outputs_matrix(pool, x[lo:hi]).values
+        if (lo, hi) not in memo:
+            memo[lo, hi] = outputs_matrix(pool, x[lo:hi]).values
+        return memo[lo, hi]
+
+    return Rows.computed(len(x), len(pool), compute)
+
+
+@pytest.mark.parametrize("dim", [4, 8])
+def test_computed_rows_are_the_whole_product_bit_for_bit(dim):
+    # every first read and every second read after it, over odd row counts
+    # whose last block granule holds one or three rows.  From dim 8 on, a
+    # BLAS product of rows that start off a multiple of four rounds
+    # otherwise, and so does a lone row at any dim: no block may be either
+    rng = np.random.default_rng(dim)
+    pool = _truncated_pool(rng, dim, 7, rho=1.5)
+    granule = kernels._ROW_GRANULE
+    for n in (1, 3, granule + 1, 2 * granule + 1, 3 * granule + 3):
+        x = rng.normal(size=(n, dim))
+        want = outputs_matrix(pool, x).values
+        memo = {}
+        for first in range(1, n + 1):
+            for second in range(first, n + 2):
+                blocks = []
+                rows = _computed(pool, x, blocks, memo)
+                assert rows.shape == (n, 7) and rows.columns.tolist() == list(range(7))
+                assert np.array_equal(rows.read(first), want[:first])
+                assert np.array_equal(rows.read(second), want[:second]), (n, first, second)
+                assert all(hi - lo >= 2 or n == 1 for lo, hi in blocks), blocks
+                assert all(lo % granule == 0 for lo, hi in blocks), blocks
+                assert [lo for lo, hi in blocks[1:]] == [hi for lo, hi in blocks[:-1]]
+        # a view of some columns reads the same rows
+        view = _computed(pool, x, []).take(np.array([5, 1, 1]))
+        assert view.shape == (n, 3) and view.columns.tolist() == [5, 1, 1]
+        assert np.array_equal(view.read(n)[:, view.columns], want[:, [5, 1, 1]])
+
+
+def _reader_cover_cases():
+    """(matrix, a function making a fresh reader of it that computes its
+    rows on demand) pairs: clipped pools whose members all tie on their
+    first 20 rows, with exact duplicate columns and columns told apart by
+    the last row only, over an odd number of rows; and the dedup cases."""
+    rng = np.random.default_rng(41)
+    cases = []
+    for n in (21, 41, 201):
+        ws = rng.normal(size=(12, 4))
+        ws[:, 0] = rng.uniform(0.2, 1.0, size=12)
+        ws[:, 3] = 0.0
+        ws[7] = ws[2]  # an exact duplicate
+        ws[9] = ws[4] + np.array([0.0, 0.0, 0.0, 0.5])  # differs in the last coordinate only
+        x = rng.normal(size=(n, 4))
+        x[:20] = [50.0, 0.0, 0.0, 0.0]  # every member clips to rho on these
+        x[:, 3] = 0.0
+        x[-1] = [0.0, 0.0, 0.0, 0.1]
+        pool = [truncate(LinearHypothesis(w), 0.2) for w in ws]
+        cases.append((outputs_matrix(pool, x), lambda pool=pool, x=x: _computed(pool, x, [])))
+    for values in _dedup_cases().values():
+        cases.append((LossMatrix(values), lambda v=values: Rows.computed(*v.shape, lambda lo, hi: v[lo:hi])))
+    return cases
+
+
+@pytest.mark.parametrize("mode", ["exact", "greedy"])
+@pytest.mark.parametrize("metric", ["linf", "l2"])
+def test_cover_of_computed_rows_is_the_cover_of_the_matrix(metric, mode):
+    fn = covering_number_linf if metric == "linf" else covering_number_l2
+    for matrix, reader in _reader_cover_cases():
+        for eps in (0.0, 0.01, 0.1, 0.25):
+            got, want = fn(reader(), eps, mode=mode), fn(matrix, eps, mode=mode)
+            oracle = dedup_first_cover_oracle(matrix, eps, metric, mode)
+            assert (got.value, got.method, got.details) == (want.value, want.method, want.details), eps
+            assert (want.value, want.method, want.details) == (oracle.value, oracle.method, oracle.details)
+
+
+def test_cover_computes_only_the_rows_that_settle_it():
+    # 50 members over 10^4 + 1 points, no two within eps: dedup and the
+    # relation settle within the first few blocks, and the cover is the one
+    # of the whole matrix, the pool
+    rng = np.random.default_rng(7)
+    pool = _truncated_pool(rng, 4, 50)
+    x = rng.normal(size=(10_001, 4))
+    matrix = outputs_matrix(pool, x)
+    for metric, eps in (("linf", 0.1), ("l2", 0.001)):
+        blocks = []
+        got = covering_number(_computed(pool, x, blocks), eps, metric, mode="greedy")
+        want = covering_number(matrix, eps, metric, mode="greedy")
+        assert (got.value, got.details) == (want.value, want.details) and got.value == 50
+        assert blocks[-1][1] <= 512, blocks

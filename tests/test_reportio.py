@@ -334,6 +334,20 @@ _CAMPAIGN_SHAPES = {
 }
 
 
+def _assert_same_text(got: str, want: str) -> None:
+    """``got == want``, asserted in full; a failure names the lengths and the
+    first differing offset and line, not pytest's diff of two long texts."""
+    if got == want:
+        return
+    at = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), min(len(got), len(want)))
+    line = got.count("\n", 0, at)
+    pytest.fail(
+        f"texts of {len(got)} and {len(want)} characters differ first at offset {at}, line {line + 1}: "
+        f"{got.splitlines()[line:line + 1]!r} != {want.splitlines()[line:line + 1]!r}",
+        pytrace=False,
+    )
+
+
 @pytest.mark.parametrize("shape", sorted(_CAMPAIGN_SHAPES))
 def test_writer_is_the_oracle_on_campaign_reports(shape):
     data = json.loads(REFERENCE_CAMPAIGN.read_text())
@@ -347,8 +361,12 @@ def test_writer_is_the_oracle_on_campaign_reports(shape):
     assert listed["rows"] == [list(r) for r in report.rows] and json.loads(json.dumps(listed)) == listed
     tabled = report.to_json(table=True)
     assert tabled["rows"] is report.rows and len(tabled["rows"]) == len(listed["rows"])
-    assert canonical_json(tabled) == canonical_json(listed) == canonical_json_oracle(listed)
-    assert report_csv(tabled) == report_csv(listed) == report_csv_oracle(canonical(listed))
+    json_text = canonical_json(tabled)
+    _assert_same_text(json_text, canonical_json(listed))
+    _assert_same_text(json_text, canonical_json_oracle(listed))
+    csv_text = report_csv(tabled)
+    _assert_same_text(csv_text, report_csv(listed))
+    _assert_same_text(csv_text, report_csv_oracle(canonical(listed)))
 
 
 _TABLES = {
@@ -452,6 +470,19 @@ def test_csv_of_a_campaign_report_peaks_at_most_3_5_times_its_text(trial_heavy_r
         tracemalloc.stop()
     # the chunks' pieces and their join, and one chunk's cells
     assert text.isascii() and text.count("\n") == 1 + 30_000
+    assert peak <= 3.5 * len(text)
+
+
+def test_csv_of_a_campaign_report_object_is_written_from_its_table(trial_heavy_report):
+    # the report object, as the CLI passes it: its table, not its listed rows
+    report = trial_heavy_report[0]
+    tracemalloc.start()
+    try:
+        text = report_csv(report)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    _assert_same_text(text, report_csv(report.to_json(table=True)))
     assert peak <= 3.5 * len(text)
 
 
