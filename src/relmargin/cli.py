@@ -93,6 +93,14 @@ def _require(args, flags, what: str) -> None:
         raise InputError(f"{names} required for {what}")
 
 
+def _reject_unread(args, unread, message: str) -> None:
+    """An InputError, ``message`` and the flags, when any flag named in
+    ``unread`` was given; a flag with a default cannot be told apart from it."""
+    given = ["--" + f.replace("_", "-") for f, value in vars(args).items() if f in unread and value is not None]
+    if given:
+        raise InputError(f"{message} {', '.join(given)}")
+
+
 # ---------------------------------------------------------------------------
 # bound
 #
@@ -116,9 +124,7 @@ def _cmd_bound(args) -> int:
     params = BoundParams(m=args.m, delta=args.delta, **fields)
     needed, reads = _bound_flags(args.family)
     others = set().union(*(_bound_flags(f)[1] for f in FAMILIES)) - reads
-    unread = ["--" + f.replace("_", "-") for f, value in vars(args).items() if f in others and value is not None]
-    if unread:
-        raise InputError(f"family {args.family} does not read {', '.join(unread)}")
+    _reject_unread(args, others, f"family {args.family} does not read")
     _require(args, needed, f"family {args.family}")
     if "emp_loss" in needed and args.emp is not None:
         raise InputError(f"--emp does not apply to family {args.family}; give --emp-loss")
@@ -145,6 +151,7 @@ def _cmd_bound(args) -> int:
 # the FatDimParams fields other than kind, one flag each (--class-kind is the
 # kind); an omitted flag keeps the field's default
 _CLASS_FIELDS = [f for f in dataclasses.fields(FatDimParams) if f.name != "kind"]
+_CLASS_FLAGS = tuple(f.name for f in _CLASS_FIELDS)
 
 
 def _class_params(args) -> FatDimParams:
@@ -157,31 +164,31 @@ def _peel_report(op: str, matrix) -> dict:
     return {"schema": "relmargin/value/v1", "op": op, "m": matrix.m, "buckets": buckets}
 
 
-# op -> (needs --matrix, other flags it needs, call(args, matrices)); the
-# calls look the library up when they run.
+# op -> (the flags it needs, the other flags without a default it reads,
+# call(args, matrices)); the calls look the library up when they run.
 _COMPLEXITY_OPS = {
     "cover-linf": (
-        True,
-        ("eps",),
+        ("matrix", "eps"),
+        (),
         lambda a, ms: covering_number_linf(ms[0], a.eps, mode=a.mode, exact_cap=a.exact_cap),
     ),
     "cover-l2": (
-        True,
-        ("eps",),
+        ("matrix", "eps"),
+        (),
         lambda a, ms: covering_number_l2(ms[0], a.eps, mode=a.mode, exact_cap=a.exact_cap),
     ),
-    "dichotomies": (True, (), lambda a, ms: _value_report(a.op, count_dichotomies(ms[0]))),
-    "rademacher-exact": (True, (), lambda a, ms: rademacher_exact(ms[0])),
-    "rademacher-mc": (True, ("seed",), lambda a, ms: rademacher_mc(ms[0], a.n_sigma, a.seed)),
-    "peel": (True, (), lambda a, ms: _peel_report(a.op, ms[0])),
+    "dichotomies": (("matrix",), (), lambda a, ms: _value_report(a.op, count_dichotomies(ms[0]))),
+    "rademacher-exact": (("matrix",), (), lambda a, ms: rademacher_exact(ms[0])),
+    "rademacher-mc": (("matrix", "seed"), (), lambda a, ms: rademacher_mc(ms[0], a.n_sigma, a.seed)),
+    "peel": (("matrix",), (), lambda a, ms: _peel_report(a.op, ms[0])),
     "rm-peeling": (
-        True,
-        ("seed",),
+        ("matrix", "seed"),
+        (),
         lambda a, ms: peeling_complexity_for_matrices(ms, n_sigma=a.n_sigma, seed=a.seed),
     ),
     "rm-dudley": (
-        True,
-        ("k", "eps_grid"),
+        ("matrix", "k", "eps_grid"),
+        (),
         lambda a, ms: _value_report(
             a.op,
             rm_upper_dudley(ms[0], a.k, _float_list(a.eps_grid), exact_cap=a.exact_cap),
@@ -189,28 +196,28 @@ _COMPLEXITY_OPS = {
         ),
     ),
     "rm-smooth": (
-        False,
         ("rho", "m", "rmax"),
+        (),
         lambda a, ms: _value_report(a.op, rm_upper_smooth(a.rho, a.m, a.rmax)),
     ),
     "worst-case": (
-        False,
         ("class_kind", "m"),
+        _CLASS_FLAGS,
         lambda a, ms: _value_report(a.op, worst_case_rademacher(_class_params(a), a.m)),
     ),
     "fat-formula": (
-        False,
         ("class_kind",),
+        _CLASS_FLAGS,
         lambda a, ms: _value_report(a.op, fat_dim_formula(_class_params(a))),
     ),
     "cover-log-fat": (
-        False,
         ("fat_d", "m"),
+        (),
         lambda a, ms: _value_report(a.op, cover_log_bound_from_fat(a.fat_d, a.m)),
     ),
     "fat-exact": (
-        True,
-        ("gamma",),
+        ("matrix", "gamma"),
+        ("witness_grid",),
         lambda a, ms: _value_report(
             a.op,
             fat_shattering_exact(
@@ -219,12 +226,15 @@ _COMPLEXITY_OPS = {
         ),
     ),
 }
+# every complexity flag without a default that some op reads
+_COMPLEXITY_FLAGS = {flag for needs, reads, _ in _COMPLEXITY_OPS.values() for flag in needs + reads}
 
 
 def _cmd_complexity(args) -> int:
-    needs_matrix, flags, call = _COMPLEXITY_OPS[args.op]
-    _require(args, (("matrix",) if needs_matrix else ()) + flags, f"op {args.op}")
-    matrices = [_load_matrix(p, args.range_tag) for p in args.matrix] if needs_matrix else []
+    needs, reads, call = _COMPLEXITY_OPS[args.op]
+    _reject_unread(args, _COMPLEXITY_FLAGS - set(needs + reads), f"op {args.op} does not read")
+    _require(args, needs, f"op {args.op}")
+    matrices = [_load_matrix(p, args.range_tag) for p in args.matrix] if "matrix" in needs else []
     report = call(args, matrices)
     _emit(report, args.format, args.out)
     return EXIT_OK
@@ -274,11 +284,14 @@ def _cmd_validate(args) -> int:
 
 def _cmd_compare(args) -> int:
     if args.direct:
+        _reject_unread(args, {"m_grid", "rho_grid", "class_kind", *_CLASS_FLAGS}, "direct mode does not read")
         _require(args, ("emp_grid", "beta_grid"), "direct mode")
         report = compare_tightness_direct(
             _float_list(args.emp_grid), _float_list(args.beta_grid), c_prime=args.c_prime
         )
     else:
+        # each --rho-grid entry replaces the class's --rho
+        _reject_unread(args, {"beta_grid", "rho"}, "class mode does not read")
         _require(args, ("m_grid", "rho_grid", "emp_grid", "class_kind"), "compare")
         report = compare_tightness(
             _class_params(args),
@@ -288,7 +301,6 @@ def _cmd_compare(args) -> int:
             delta=args.delta,
             c_prime=args.c_prime,
         )
-    report["schema"] = "relmargin/tightness-report/v1"
     _emit(report, args.format, args.out)
     return EXIT_OK
 
@@ -308,10 +320,8 @@ def _cmd_train(args) -> int:
     sample = LabeledSample.from_json(json.loads(path.read_text()))
     trainer = train_bound_min if args.method == "bound-min" else METHODS[args.method]
     takes = inspect.signature(trainer).parameters
+    _reject_unread(args, set(_TRAIN_FLAGS) - set(takes), f"--method {args.method} does not take")
     given = {flag: getattr(args, flag) for flag in _TRAIN_FLAGS if getattr(args, flag) is not None}
-    wrong = ["--" + flag.replace("_", "-") for flag in given if flag not in takes]
-    if wrong:
-        raise InputError(f"--method {args.method} does not take {', '.join(wrong)}")
     if args.method == "bound-min":
         _require(args, ("rho_grid",), "bound-min training")
         given["rho_grid"] = _float_list(args.rho_grid)
@@ -331,6 +341,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_verify(args) -> int:
     if args.target == "binomial":
+        _reject_unread(args, {"seed"}, "verify binomial does not read")
         report = verify_binomial_lemma(args.m_max, grid_size=args.grid_size)
     else:
         _require(args, ("seed",), "verify monotone")

@@ -21,7 +21,9 @@ from .bounds import _empirical_input, cov_fat_class_value, loss_factored_value
 from .errors import InputError, _count
 from .fatdim import FatDimParams
 
-__all__ = ["tightness_row", "compare_tightness_direct", "compare_tightness", "crossover_check"]
+__all__ = ["tightness_row", "compare_tightness_direct", "compare_tightness"]
+
+_SCHEMA = "relmargin/tightness-report/v1"
 
 
 def _check(emps, betas, c_prime) -> None:
@@ -62,6 +64,7 @@ def compare_tightness_direct(emp_grid, beta_grid, c_prime: float = 1.0) -> dict:
     _check(emps, betas, c_prime)
     rows = [tightness_row(e, b, c_prime=c_prime) for e in emps for b in betas]
     return {
+        "schema": _SCHEMA,
         "mode": "direct",
         "c_prime": c_prime,
         "rows": rows,
@@ -95,6 +98,7 @@ def compare_tightness(
                 row.update({"m": m, "rho": float(rho), "fat_dimension": d})
                 rows.append(row)
     return {
+        "schema": _SCHEMA,
         "mode": "class",
         "class_kind": class_params.kind,
         "delta": delta,
@@ -103,16 +107,3 @@ def compare_tightness(
         "new_wins": int(sum(r["new_smaller"] for r in rows)),
         "total": len(rows),
     }
-
-
-def crossover_check(rows) -> bool:
-    """Re-derive every row's winner from the closed forms; True when the
-    table is exactly reproducible."""
-    for r in rows:
-        new = r["emp"] + 2.0 * math.sqrt(r["emp"] * r["beta"]) + r["beta"]
-        old = r["old_bound"]
-        if not np.isclose(new, r["new_bound"], rtol=0, atol=0):
-            return False
-        if r["new_smaller"] != (new < old):
-            return False
-    return True

@@ -7,8 +7,9 @@ built with, in the calling process's BLAS threads.
 
 Covers need only which columns lie within eps of each other, never the
 distances: ``within`` decides that relation for both cover metrics by
-pruning pairs over blocks of rows, with no copy of the matrix, while
-``pairwise_linf`` stays for callers that want the sup distances.  Covers
+pruning pairs over blocks of rows, with no copy of the matrix.  Nothing in
+the package calls ``pairwise_linf``; it stays only because the benchmark's
+tracer (``relbench/tracer.py``) and the test oracles name it.  Covers
 read their matrix through ``Rows``, whose rows may be computed on demand,
 so a relation settled by its first rows never computes the others.
 """

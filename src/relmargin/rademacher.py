@@ -12,9 +12,8 @@ log-mean-exp, and an inner Rademacher value per shell (exact enumeration
 when m <= 20, Monte Carlo otherwise).  Empty shells contribute zero.
 
 Monte-Carlo sign vectors are the numbers ``rng.integers(0, 2, size=(n, m))
-* 2 - 1`` would draw, taken straight from the raw Philox words
-(``sign_rows``), and a binary matrix multiplies them in float32 row blocks,
-where its sums are exact.
+* 2 - 1`` would draw, as ``rng.sign_rows`` decodes them, and a binary
+matrix multiplies them in float32 row blocks, where its sums are exact.
 """
 
 from __future__ import annotations
@@ -29,10 +28,9 @@ from .errors import CapabilityError, DomainError, InputError, _count
 from .estimates import ComplexityEstimate
 from .lossmatrix import LossMatrix, count_dichotomies, peel, shell_index
 from .covers import DEFAULT_EXACT_CAP, covering_number_l2
-from .rng import _coin_words, _word_signs, child_seed, substream
+from .rng import child_seed, sign_rows, substream
 
 __all__ = [
-    "sign_rows",
     "rademacher_exact",
     "rademacher_mc",
     "peeling_complexity",
@@ -56,23 +54,6 @@ SIGN_BLOCK_ROWS = 64
 _SIGN_BLOCK_SIGNS = 2**16
 # float32 holds every integer up to 2^24 exactly
 _FLOAT32_EXACT_M = 1 << 24
-
-
-def sign_rows(rng, n: int, m: int) -> np.ndarray:
-    """The (n, m) float32 matrix of the numbers ``rng.integers(0, 2,
-    size=(n, m)) * 2 - 1``, drawing the same words and leaving ``rng`` in
-    the same state.
-
-    A Philox holding no buffered half gives the signs from its raw words,
-    two a word (see ``rng``).  Another bit generator, or a Philox already
-    holding a buffered half, takes the ``integers`` call itself.
-    """
-    n, m = int(n), int(m)
-    bits = rng.bit_generator
-    if not isinstance(bits, np.random.Philox) or bits.state["has_uint32"]:
-        return (rng.integers(0, 2, size=(n, m)) * 2 - 1).astype(np.float32)
-    k = n * m
-    return _word_signs(_coin_words(bits, k), k).reshape(n, m)
 
 
 def _drawn_sums(matrix: LossMatrix, n_sigma: int, rng) -> np.ndarray:

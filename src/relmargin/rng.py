@@ -14,8 +14,10 @@ exactly as ``substream(seed, "trial", t)`` would create it.
 
 ``integers(0, 2)`` keeps the top bit of a 32-bit draw, and Philox serves
 each 64-bit word as two of them, low half first, so coin flips can be
-read straight from raw words (``coin_signs``); this module is the one
-place that decodes them.
+read straight from raw words.  This module decodes every ±1 draw: a
+Monte-Carlo sign matrix (``sign_rows``) and the labels of a block of
+samples (``coin_signs``).  It alone tells whether a generator's raw words
+can be decoded, and calls ``integers`` when they cannot.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import numpy as np
 
 from .errors import InputError
 
-__all__ = ["substream", "substreams", "coin_signs", "child_seed"]
+__all__ = ["substream", "substreams", "sign_rows", "coin_signs", "child_seed"]
 
 # numpy's SeedSequence hash on uint32 words: its pool size and constants
 _POOL = 4
@@ -164,19 +166,10 @@ class _Substreams:
     def __iter__(self):
         bitgen = np.random.Philox(key=0)
         gen = np.random.Generator(bitgen)
-        zeros = np.zeros(4, dtype=np.uint64)
-        # the state of a fresh Philox: counter 0, an empty buffer, no half word
-        fresh = {"counter": zeros, "key": None}
-        state = {
-            "bit_generator": "Philox",
-            "state": fresh,
-            "buffer": zeros,
-            "buffer_pos": 4,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
+        # a fresh Philox's state: counter 0, an empty buffer, no half word
+        state = bitgen.state
         for key in self._keys:
-            fresh["key"] = key
+            state["state"]["key"] = key
             bitgen.state = state
             yield gen
 
@@ -188,14 +181,16 @@ def substreams(seed: int, *prefix, indices) -> _Substreams:
     return _Substreams(_philox_keys(seed, prefix, indices))
 
 
-def _coin_words(bits: np.random.Philox, k: int) -> np.ndarray:
+def _coin_words(bits: np.random.Philox, k: int, spent: bool) -> np.ndarray:
     """The raw words that serve the next k ``integers(0, 2)`` draws of a
     Philox holding no buffered half, two draws a word.  An odd k leaves the
-    unused high half of the last word buffered, as ``integers`` does."""
+    unused high half of the last word buffered, as ``integers`` does; with
+    ``spent``, an even k leaves the spent high half in the state, as
+    ``integers`` does too, though no draw reads it."""
     words = bits.random_raw((k + 1) // 2)
-    if k % 2:
+    if words.size and (k % 2 or spent):
         state = bits.state
-        state.update(has_uint32=1, uinteger=int(words[-1] >> np.uint64(32)))
+        state.update(has_uint32=k % 2, uinteger=int(words[-1] >> np.uint64(32)))
         bits.state = state
     return words
 
@@ -212,21 +207,39 @@ def _word_signs(words: np.ndarray, k: int) -> np.ndarray:
     return words.astype("<u8", copy=False).view("<f4")[..., :k]
 
 
+def sign_rows(rng, n: int, m: int) -> np.ndarray:
+    """The (n, m) float32 matrix of the numbers ``rng.integers(0, 2,
+    size=(n, m)) * 2 - 1``, drawing the same words and leaving ``rng`` in
+    the same state.
+
+    A Philox holding no buffered half gives the signs from its raw words,
+    two a word, as a view of them.  Another bit generator, or a Philox
+    already holding a buffered half, takes the ``integers`` call itself.
+    """
+    n, m = int(n), int(m)
+    bits = rng.bit_generator
+    if not isinstance(bits, np.random.Philox) or bits.state["has_uint32"]:
+        return (rng.integers(0, 2, size=(n, m)) * 2 - 1).astype(np.float32)
+    k = n * m
+    return _word_signs(_coin_words(bits, k, spent=True), k).reshape(n, m)
+
+
 def coin_signs(rngs, m: int, then) -> np.ndarray:
     """The (n, m) float64 matrix whose row b is ``gen.integers(0, 2,
     size=m) * 2 - 1`` for the b-th generator ``gen`` of the sized iterable
     ``rngs``, each draw followed by ``then(b, gen)``.  The streams of a
     ``substreams`` block start with no buffered half, so their signs come
-    from their raw words, decoded once for the block; other generators call
-    ``integers``."""
+    from their raw words, decoded once for the block; any other generator
+    takes its row from ``sign_rows``."""
     if not isinstance(rngs, _Substreams):
-        flips = np.empty((len(rngs), m), dtype=np.int64)
+        signs = np.empty((len(rngs), m))
         for b, gen in enumerate(rngs):
-            flips[b] = gen.integers(0, 2, size=m)
+            signs[b] = sign_rows(gen, 1, m)[0]
             then(b, gen)
-        return flips * 2.0 - 1.0
+        return signs
     words = np.empty((len(rngs), (m + 1) // 2), dtype=np.uint64)
     for b, gen in enumerate(rngs):
-        words[b] = _coin_words(gen.bit_generator, m)
+        # each stream is reset before the next, so a spent half is never seen
+        words[b] = _coin_words(gen.bit_generator, m, spent=False)
         then(b, gen)
     return _word_signs(words, m).astype(np.float64)

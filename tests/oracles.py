@@ -564,6 +564,16 @@ def compare_tightness_row_oracle(class_params, m: int, rho: float, emp: float, d
     }
 
 
+def crossover_check(rows) -> bool:
+    """Re-derive every tightness row's winner from the closed forms; True
+    when the table is exactly reproducible."""
+    for r in rows:
+        new = r["emp"] + 2.0 * math.sqrt(r["emp"] * r["beta"]) + r["beta"]
+        if new != r["new_bound"] or r["new_smaller"] != (new < r["old_bound"]):
+            return False
+    return True
+
+
 def hypothesis_to_json_oracle(h) -> dict:
     """A hypothesis's JSON written key by key, one body per kind."""
     if h.kind == "linear":

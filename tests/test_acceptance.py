@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from oracles import brute_min_cover, brute_peeling_value
+from oracles import brute_min_cover, brute_peeling_value, crossover_check
 from relmargin import (
     ExperimentConfig,
     LossMatrix,
@@ -38,7 +38,6 @@ from relmargin import (
     verify_monotone_ratio,
 )
 from relmargin.bounds import BoundParams, bound_cov_alpha2
-from relmargin.comparison import crossover_check
 from relmargin.kernels import pairwise_linf
 
 

@@ -639,7 +639,6 @@ def test_csv_emit_matches_json_round_trip(capsys):
         "complexity": {"cover_draws": 3, "peel_draws": 3, "n_sigma": 64},
     })
     tightness = compare_tightness_direct([0.0, 0.1], [0.01, 0.2])
-    tightness["schema"] = "relmargin/tightness-report/v1"
     reports = [
         bound_rad(0.1, 0.7, BoundParams(m=1000, delta=0.05)),
         validate_bounds(cfg),
@@ -811,9 +810,9 @@ def test_complexity_op_required_flags(tmp_path, capsys, op):
     full = ["complexity", "--op", op, *extra]
     assert main(full) == 0
     capsys.readouterr()
-    needs_matrix, flags, _ = _COMPLEXITY_OPS[op]
-    assert needs_matrix == ("--matrix" in full)
-    for attr in (("matrix",) if needs_matrix else ()) + flags:
+    needs, _, _ = _COMPLEXITY_OPS[op]
+    assert ("matrix" in needs) == ("--matrix" in full)
+    for attr in needs:
         flag = "--" + attr.replace("_", "-")
         assert main(_drop_flag(full, flag)) == 2
         assert f"{flag} required for op {op}" in capsys.readouterr().err
@@ -900,3 +899,50 @@ def test_complexity_options_outside_their_domain_exit_2(tmp_path, capsys, op, ar
     path.write_text(json.dumps({"values": (np.arange(48).reshape(24, 2) % 3 == 0).astype(float).tolist()}))
     assert main(["complexity", "--op", op, "--matrix", str(path), *argv]) == 2
     assert capsys.readouterr().err == f"input error: {text}\n"
+
+
+@pytest.mark.parametrize("op", sorted(_FULL_OP_ARGV))
+def test_complexity_op_rejects_every_flag_it_does_not_read(tmp_path, capsys, op):
+    from relmargin.cli import _COMPLEXITY_FLAGS, _COMPLEXITY_OPS
+
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"values": [[1.0, 0.0], [0.0, 1.0]]}))
+    full = ["complexity", "--op", op, *[str(path) if a == "MATRIX" else a for a in _FULL_OP_ARGV[op]]]
+    needs, reads, _ = _COMPLEXITY_OPS[op]
+    unread = sorted(_COMPLEXITY_FLAGS - set(needs + reads))
+    assert unread
+    for attr in unread:
+        flag = "--" + attr.replace("_", "-")
+        assert main([*full, flag, "linear" if attr == "class_kind" else "1"]) == 2
+        assert capsys.readouterr().err == f"input error: op {op} does not read {flag}\n"
+
+
+def test_unread_flags_exit_2_named_in_parser_order(tmp_path, capsys):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"values": [[0.0, 1.0], [0.5, 0.5]]}))
+    cover = ["complexity", "--op", "cover-linf", "--matrix", str(path), "--eps", "0.1"]
+    assert main([*cover, "--k", "3"]) == 2
+    assert capsys.readouterr().err == "input error: op cover-linf does not read --k\n"
+    assert main([*cover, "--radius", "1", "--k", "3", "--seed", "2"]) == 2
+    assert capsys.readouterr().err == "input error: op cover-linf does not read --seed, --k, --radius\n"
+    assert main(["verify", "binomial", "--m-max", "5", "--seed", "3"]) == 2
+    assert capsys.readouterr().err == "input error: verify binomial does not read --seed\n"
+    assert main(["verify", "binomial", "--m-max", "5"]) == 0
+    capsys.readouterr()
+
+
+def test_compare_rejects_the_flags_of_the_other_mode(capsys):
+    classed = ["compare", "--class-kind", "linear", "--radius", "1", "--m-grid", "100", "--rho-grid", "0.5",
+               "--emp-grid", "0,0.1"]
+    assert main(classed) == 0
+    capsys.readouterr()
+    # --rho-grid replaces --rho in every row
+    assert main([*classed, "--rho", "0.5"]) == 2
+    assert capsys.readouterr().err == "input error: class mode does not read --rho\n"
+    assert main([*classed, "--beta-grid", "0.1"]) == 2
+    assert capsys.readouterr().err == "input error: class mode does not read --beta-grid\n"
+    direct = ["compare", "--direct", "--emp-grid", "0,0.1", "--beta-grid", "0.01"]
+    assert main([*direct, "--m-grid", "100", "--class-kind", "linear"]) == 2
+    assert capsys.readouterr().err == "input error: direct mode does not read --m-grid, --class-kind\n"
+    assert main([*direct, "--radius", "1"]) == 2
+    assert capsys.readouterr().err == "input error: direct mode does not read --radius\n"

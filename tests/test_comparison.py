@@ -2,9 +2,9 @@ import math
 
 import pytest
 
+from oracles import crossover_check
 from relmargin import FatDimParams, InputError, compare_tightness, compare_tightness_direct, tightness_row
 from relmargin.cli import main
-from relmargin.comparison import crossover_check
 
 
 def test_tightness_examples():
@@ -87,3 +87,19 @@ def test_tightness_row_rejects_bad_inputs():
     for emp, beta, c_prime in ((1.5, 0.1, 1.0), (0.1, math.inf, 1.0), (0.1, 0.1, math.nan)):
         with pytest.raises(InputError):
             tightness_row(emp, beta, c_prime=c_prime)
+
+
+def test_library_reports_write_the_cli_csv(capsys):
+    # each report carries its own schema, so report_csv writes the tightness columns
+    from relmargin.reportio import report_csv
+
+    direct = compare_tightness_direct([0.0, 0.1], [0.01, 0.2])
+    assert main(["compare", "--direct", "--emp-grid", "0,0.1", "--beta-grid", "0.01,0.2", "--format", "csv"]) == 0
+    assert report_csv(direct) == capsys.readouterr().out
+    assert report_csv(direct).startswith("m,rho,emp,beta,beta_prime,new_bound,old_bound,new_smaller\n")
+    linear = FatDimParams(kind="linear", radius=1.0)
+    classed = compare_tightness(linear, [100, 1000], [0.5], [0.0, 0.1])
+    argv = ["compare", "--class-kind", "linear", "--radius", "1", "--m-grid", "100,1000", "--rho-grid", "0.5",
+            "--emp-grid", "0,0.1", "--format", "csv"]
+    assert main(argv) == 0
+    assert report_csv(classed) == capsys.readouterr().out

@@ -21,9 +21,9 @@ from relmargin import (
 from relmargin import kernels, rademacher
 from relmargin.fatdim import FatDimParams
 from relmargin.rademacher import (
-    EXACT_ENUMERATION_MAX_M, SIGN_BLOCK_ROWS, _drawn_sums, _shell_rademacher_values, _word_signs, sign_rows,
+    EXACT_ENUMERATION_MAX_M, SIGN_BLOCK_ROWS, _drawn_sums, _shell_rademacher_values,
 )
-from relmargin.rng import substream
+from relmargin.rng import sign_rows, substream
 
 
 def _mat(cols, tag="binary"):
@@ -137,50 +137,6 @@ def test_signed_sums_max_is_sup_signed_sums():
     assert sums.shape == (50, 7)
     assert sums[3, 5] == pytest.approx(float(signs[3] @ values[:, 5]), rel=1e-12)
     assert np.array_equal(sums.max(axis=1), kernels.sup_signed_sums(values, signs))
-
-
-@pytest.mark.parametrize(
-    "n,m",
-    # odd n*m, n not a multiple of the block, m = 1, and the n_sigma values
-    # campaigns and the CLI use
-    [(1024, 5000), (1024, 201), (1001, 3), (2, 7), (7, 999), (3, 1), (1, 3), (SIGN_BLOCK_ROWS + 1, 5)],
-)
-def test_sign_rows_are_the_integers_draw(n, m):
-    for seed in range(3):
-        fast, ref = substream(seed, "sigma"), substream(seed, "sigma")
-        got = sign_rows(fast, n, m)
-        want = ref.integers(0, 2, size=(n, m)) * 2.0 - 1.0
-        assert got.dtype == np.float32 and got.shape == (n, m)
-        assert np.array_equal(got, want)
-        # the generator is left where integers leaves it, buffered half included
-        assert fast.integers(0, 2, size=9).tolist() == ref.integers(0, 2, size=9).tolist()
-        assert fast.random() == ref.random()
-
-
-def test_sign_rows_in_blocks_continue_one_draw():
-    fast, ref = substream(4, "inner", 0), substream(4, "inner", 0)
-    blocks = [sign_rows(fast, rows, 201) for rows in (SIGN_BLOCK_ROWS, SIGN_BLOCK_ROWS, 7)]
-    want = ref.integers(0, 2, size=(2 * SIGN_BLOCK_ROWS + 7, 201)) * 2.0 - 1.0
-    assert np.array_equal(np.concatenate(blocks), want)
-
-
-def test_sign_rows_fall_back_to_integers():
-    # another bit generator, and a Philox holding a buffered 32-bit half
-    buffered, ref = substream(5, "sigma"), substream(5, "sigma")
-    buffered.integers(0, 2, size=3)
-    ref.integers(0, 2, size=3)
-    pairs = [(np.random.default_rng(5), np.random.default_rng(5)), (buffered, ref)]
-    for fast, slow in pairs:
-        assert np.array_equal(sign_rows(fast, 6, 11), slow.integers(0, 2, size=(6, 11)) * 2.0 - 1.0)
-        assert fast.random() == slow.random()
-
-
-def test_word_signs_do_not_depend_on_byte_order():
-    # the same values stored big-endian give the same signs
-    words = substream(6, "sigma").bit_generator.random_raw(501)
-    want = _word_signs(words.copy(), 1001)
-    assert np.array_equal(_word_signs(words.astype(">u8"), 1001), want)
-    assert np.array_equal(want, substream(6, "sigma").integers(0, 2, size=1001) * 2.0 - 1.0)
 
 
 def test_drawn_sums_equal_the_float64_product():

@@ -251,6 +251,10 @@ class _IntegersSpy:
     def __init__(self, gen):
         self.gen, self.calls = gen, 0
 
+    @property
+    def bit_generator(self):
+        return self.gen.bit_generator
+
     def integers(self, *args, **kwargs):
         self.calls += 1
         return self.gen.integers(*args, **kwargs)
@@ -259,25 +263,25 @@ class _IntegersSpy:
         return self.gen.standard_normal(*args, **kwargs)
 
 
-def test_sample_many_draws_labels_with_integers_outside_a_substreams_block():
+def test_sample_many_outside_a_substreams_block_calls_integers_only_for_a_buffered_half():
     from relmargin.rng import substream
 
     from oracles import two_gaussian_sample_oracle
 
     dist = TwoGaussianMixture(dim=3)
-    spies = [_IntegersSpy(substream(2, "trial", t)) for t in range(3)]
-    x, y = dist.sample_many(7, spies)
-    assert [spy.calls for spy in spies] == [1, 1, 1]
     # a generator holding a buffered half word serves it as its first label,
-    # which the raw words of a fresh stream would not give
+    # which its raw words would not give; the others decode their raw words
     gens, twins = [substream(2, "trial", t) for t in range(4)], [substream(2, "trial", t) for t in range(4)]
     for gen in (gens[1], twins[1], gens[3], twins[3]):
         gen.integers(0, 2, size=1)
     assert gens[1].bit_generator.state["has_uint32"] == 1
-    x, y = dist.sample_many(9, tuple(gens))
+    spies = [_IntegersSpy(gen) for gen in gens]
+    x, y = dist.sample_many(9, tuple(spies))
+    assert [spy.calls for spy in spies] == [0, 1, 0, 1]
     for b, twin in enumerate(twins):
         x0, y0 = two_gaussian_sample_oracle(dist, 9, twin)
         assert np.array_equal(y[b], y0) and np.array_equal(x[b], x0)
+        assert repr(gens[b].bit_generator.state) == repr(twin.bit_generator.state)
 
 
 def test_margin_separable_sample_many_stacks_its_samples():
