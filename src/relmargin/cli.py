@@ -429,8 +429,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         help="worker threads (default 1); they never change the report bytes. On a 2-core"
-        " machine two threads ran a campaign at m = 200 about as fast as one, and sped one up"
-        " at m = 10^5",
+        " machine two threads took campaigns at m = 200 (10^4 trials) and at m = 5000 (300"
+        " trials) from 0.48 to 0.36 s and from 0.41 to 0.31 s, and halved one at m = 10^5",
     )
     _add_common_output(v)
     v.set_defaults(func=_cmd_validate)

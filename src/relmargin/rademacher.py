@@ -26,7 +26,7 @@ from scipy.special import logsumexp
 from . import kernels
 from .errors import CapabilityError, DomainError, InputError, _count
 from .estimates import ComplexityEstimate
-from .lossmatrix import LossMatrix, count_dichotomies, peel, shell_index
+from .lossmatrix import LossMatrix, count_dichotomies, distinct_index, peel, shell_index
 from .covers import DEFAULT_EXACT_CAP, covering_number_l2
 from .rng import child_seed, sign_rows, substream
 
@@ -250,8 +250,11 @@ def rm_upper_dudley(
     cols = peel(matrix).get(int(k), ())
     if not cols:
         return 1.0 / 16.0
-    sub = LossMatrix(matrix.values[:, cols], "real")
-    mode = "exact" if sub.pool_size <= exact_cap else "greedy"
+    # the shell's size picks the mode; its distinct columns, in the
+    # lexicographic order every cover reads them in, give the same covers
+    shell = matrix.values[:, cols]
+    sub = LossMatrix(shell[:, distinct_index(shell)], "real")
+    mode = "exact" if len(cols) <= exact_cap else "greedy"
     scale = math.sqrt((2.0**k) / m)
     log_n = np.array(
         [

@@ -7,23 +7,20 @@ protects against).  It judges the families whose ``bounds.FAMILIES``
 record has an array formula, and estimates each complexity input once,
 from its own substreams; families that share an input share its value.
 The members' true risks are computed once, for the whole pool.
-Each trial then draws from its own substream into one row of an int32
-(trials x pool) matrix of margin counts k, the number of its m points with
-margin below rho.  A campaign derives the keys of all its trial substreams
-in one ``substreams`` key pass and draws its trials in blocks of
-max(1, 2**13 // m): one ``sample_many`` call per block, whose labels come
-from the streams' raw words, and margin-count products over chunks of
-max(1, 2**11 // m) whole trials, with every trial's numbers taken from its
-own stream in the same order as a lone draw would take them.  Only these
-draws (the blocks) run on threads.
 
-A family's bound depends on a trial only through its term k/m, and its
-array formula is elementwise, so each family is one ``family_bound_values``
-call on the m + 1 terms k/m: a table that the judge reads by count, in
-chunks of (trial, member) pairs.  So the report is reproducible bit-for-bit
-at any thread count.  The judge writes only the report's columns (each
-trial's worst member's emp, bound and risk, and whether the trial
-violated), allocated once for all families, each at its least width.
+A family's bound depends on a trial only through its margin count k, the
+number of its m points with margin below rho, and its array formula is
+elementwise, so each family is one ``family_bound_values`` call on the
+m + 1 terms k/m, made before any trial is drawn.  A campaign derives the
+keys of all its trial substreams in one ``substreams`` key pass and runs
+its trials in blocks of max(1, 2**15 // max(m, pool)), each drawn, counted
+and judged in one call: one ``sample_many`` call, whose labels come from
+the streams' raw words, margin-count products over chunks of
+max(1, 2**11 // m) whole trials, and for each family each trial's first
+worst member, read from the family's table by count and written to the
+block's rows of the report's columns.  Every trial takes its numbers from
+its own stream as a lone draw would, and blocks write disjoint rows, so
+the blocks run on threads and the report is the same at any thread count.
 """
 
 from __future__ import annotations
@@ -63,16 +60,15 @@ _COMPLEXITY_DEFAULTS = {
 _COMPLEXITY_LEAST = {"cover_draws": 1, "peel_draws": 2, "n_sigma": 1, "exact_cap": 1}
 # holdout size when risk.n is not given
 _RISK_N = 10**6
-# points per block of trials: a block holds max(1, _BLOCK_ROWS // m) trials
-_BLOCK_ROWS = 2**13
+# points per block of trials: a block holds max(1, _BLOCK_ROWS // max(m, pool))
+# trials, so neither its points nor its (trial, member) pairs pass it.  In 8
+# alternating relbench rounds, 2**15 took campaign-large-m's median op from
+# 0.465 s at 2**13 to 0.443 s; campaign-trial-heavy's stayed within noise
+_BLOCK_ROWS = 2**15
 # points per margin-count product: it covers max(1, _COUNT_POINTS // m) whole
 # trials; one trial is always one product, since splitting a 5000-point
 # trial measured 5-15 % slower
 _COUNT_POINTS = 2**11
-# (trial, member) pairs per judge chunk: a chunk holds max(1, _JUDGE_PAIRS // pool)
-# trials, whatever the draw blocks were (at m = 5000 a block is one trial,
-# and judging block by block measured 6 % slower there)
-_JUDGE_PAIRS = 2**16
 
 
 @dataclass(frozen=True)
@@ -288,41 +284,40 @@ def validate_bounds(cfg: ExperimentConfig, threads: int = 1) -> ValidityReport:
         risks = np.array([analytic_risk(h, dist) for h in pool])
     else:
         risks = holdout_error_rate(lambda x: x @ w_stack.T, dist, cfg.risk["n"], substream(cfg.seed, "risk"))
-    counts = np.empty((cfg.trials, len(pool)), dtype=np.int32)
-    block = max(1, _BLOCK_ROWS // p.m)
-    jobs = range(0, cfg.trials, block)
-    streams = substreams(cfg.seed, "trial", indices=range(cfg.trials))
+    trials = cfg.trials
+    emp_grid = np.arange(p.m + 1) / p.m
+    complexities = [estimates[FAMILIES[fam].complexity] for fam in cfg.families]
+    # each family's bound at each count k, read by count in every block
+    tables = [family_bound_values(fam, emp_grid, c.value, p) for fam, c in zip(cfg.families, complexities)]
+    streams = substreams(cfg.seed, "trial", indices=range(trials))
+    # the report's columns, family after family
+    size = len(cfg.families) * trials
+    emps, values, bnds, rsks = (np.empty(size) for _ in range(4))
+    violated = np.empty(size, dtype=np.uint8)
+    block = max(1, _BLOCK_ROWS // max(p.m, len(pool)))
 
     def draw(lo: int) -> None:
-        hi = min(lo + block, cfg.trials)
+        hi = min(lo + block, trials)
         x, y = dist.sample_many(p.m, streams[lo:hi])
-        counts[lo:hi] = _margin_counts(w_stack, x, y, p.rho)
+        counts = _margin_counts(w_stack, x, y, p.rho)
+        for f, table in enumerate(tables):
+            # each trial reports its member with the first largest gap
+            member = (risks - table[counts]).argmax(axis=1)
+            k = counts[np.arange(hi - lo), member]
+            at = slice(f * trials + lo, f * trials + hi)
+            emps[at], bnds[at], rsks[at] = emp_grid[k], table[k], risks[member]
 
+    jobs = range(0, trials, block)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=int(threads)) as pool_exec:
             list(pool_exec.map(draw, jobs))
     else:
         list(map(draw, jobs))
 
-    trials = cfg.trials
-    emp_grid = np.arange(p.m + 1) / p.m
-    chunk = max(1, _JUDGE_PAIRS // len(pool))
-    trial = np.arange(trials)
-    member = np.empty(trials, dtype=np.intp)
-    # the report's columns, family after family
-    size = len(cfg.families) * trials
-    emps, values, bnds, rsks = (np.empty(size) for _ in range(4))
-    violated = np.empty(size, dtype=np.uint8)
     families_out = {}
-    for f, fam in enumerate(cfg.families):
-        complexity = estimates[FAMILIES[fam].complexity]
-        table = family_bound_values(fam, emp_grid, complexity.value, p)
-        for lo in range(0, trials, chunk):
-            # each trial reports its member with the first largest gap
-            member[lo : lo + chunk] = (risks - table[counts[lo : lo + chunk]]).argmax(axis=1)
-        k = counts[trial, member]
+    for f, (fam, complexity) in enumerate(zip(cfg.families, complexities)):
         at = slice(f * trials, (f + 1) * trials)
-        emps[at], values[at], bnds[at], rsks[at] = emp_grid[k], complexity.value, table[k], risks[member]
+        values[at] = complexity.value
         gaps = rsks[at] - bnds[at]
         violated[at] = gaps > 0
         violations = int(np.count_nonzero(violated[at]))
@@ -342,6 +337,6 @@ def validate_bounds(cfg: ExperimentConfig, threads: int = 1) -> ValidityReport:
     }
     # each column at its least width: family names are ASCII
     family = np.repeat(np.array(cfg.families, dtype=np.bytes_), trials)
-    trial_column = np.tile(trial.astype(np.min_scalar_type(trials - 1)), len(cfg.families))
+    trial_column = np.tile(np.arange(trials, dtype=np.min_scalar_type(trials - 1)), len(cfg.families))
     rows = Table(family, trial_column, emps, values, bnds, rsks, violated)
     return ValidityReport(families=families_out, rows=rows, environment=environment)

@@ -19,7 +19,9 @@ from relmargin import (
     worst_case_rademacher,
 )
 from relmargin import kernels, rademacher
+from relmargin.covers import covering_number_l2
 from relmargin.fatdim import FatDimParams
+from relmargin.lossmatrix import peel
 from relmargin.rademacher import (
     EXACT_ENUMERATION_MAX_M, SIGN_BLOCK_ROWS, _drawn_sums, _shell_rademacher_values,
 )
@@ -346,6 +348,31 @@ def test_dudley_grid_validation():
         rm_upper_dudley(mat, 0, [0.9, 0.5])
     with pytest.raises(InputError):
         rm_upper_dudley(mat, 0, [0.1, 0.5])  # below 1/sqrt(m)
+
+
+def _duplicate_heavy(rng, m, n, patterns):
+    """A binary m x n matrix whose columns repeat ``patterns`` random
+    columns, of densities spread so that they fall in several shells."""
+    density = rng.uniform(0.01, 0.6, size=patterns)
+    base = (rng.random((m, patterns)) < density).astype(float)
+    return LossMatrix(base[:, rng.integers(patterns, size=n)], "binary")
+
+
+@pytest.mark.parametrize("m, n, patterns", [(60, 24, 6), (400, 300, 40), (1000, 200, 12)])
+@pytest.mark.parametrize("exact_cap", [25, 5])
+def test_dudley_covers_the_distinct_columns_as_the_raw_shell(m, n, patterns, exact_cap):
+    # every grid eps covered on the raw shell, the mode picked by its size
+    mat = _duplicate_heavy(np.random.default_rng(m + n), m, n, patterns)
+    grid = np.linspace(1.0 / math.sqrt(m), 1.0, 6)
+    shells = peel(mat)
+    assert max(len(cols) for cols in shells.values()) > 2 * exact_cap or m == 60
+    for k, cols in shells.items():
+        shell = LossMatrix(mat.values[:, cols], "real")
+        mode = "exact" if len(cols) <= exact_cap else "greedy"
+        scale = math.sqrt(2.0**k / m)
+        log_n = [math.log(covering_number_l2(shell, scale * e, mode, exact_cap).value) for e in grid]
+        want = (1.0 + float(np.trapezoid(log_n, grid))) / 16.0
+        assert rm_upper_dudley(mat, k, grid, exact_cap=exact_cap) == want, (k, mode)
 
 
 def test_dudley_refinement_approaches_step_integral():

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -5,17 +7,22 @@ from relmargin import (
     BoundParams,
     ExperimentConfig,
     InputError,
+    TwoGaussianMixture,
     bound_cov_alpha2,
     bound_rad,
     exact_binomial_ci,
     validate_bounds,
 )
 from relmargin import validation
+from relmargin.cli import main
+from relmargin.rng import _Substreams
 from relmargin.reportio import canonical_json
 from relmargin.bounds import FAMILIES
 from relmargin.validation import SUPPORTED_FAMILIES, family_bound_values
 
 from oracles import per_trial_campaign
+
+REFERENCE_CAMPAIGN = Path(__file__).parent.parent / "configs/reference-campaign.json"
 
 
 def _config(trials=40, families=("cov-alpha2",), m=60, pool=8, **kw):
@@ -174,9 +181,10 @@ _HOLDOUT = {"mode": "holdout", "n": 5000}
         # holdout risks, on the mixture and on data with no closed-form risk
         {"risk": _HOLDOUT},
         {"risk": _HOLDOUT, "distribution": {"kind": "margin-separable-with-noise", "dim": 3}},
-        # blocks of 40, 40 and 20 trials, and blocks of one
-        {"trials": 100, "m": 200},
-        {"trials": 6, "m": 5000},
+        # at the default block size, blocks of 163 trials and 37, and of 6
+        # trials and one
+        {"trials": 200, "m": 200},
+        {"trials": 7, "m": 5000},
     ],
     ids=[f"uniform-pool-extra{i}" for i in range(5)],
 )
@@ -193,18 +201,20 @@ def test_campaign_judge_matches_per_trial_oracle(monkeypatch, extra, alpha):
         complexity={"cover_draws": 2, "peel_draws": 2, "n_sigma": 64},
         **extra,
     )
-    width = cfg.pool["size"]
-    # the default judge chunks, and chunks of 7 trials and of about half the
-    # trials, which split every shape here unevenly
-    judge_pairs = (validation._JUDGE_PAIRS, 7 * width, (cfg.trials // 2 + 1) * width)
+    # a block of trials holds _BLOCK_ROWS // width of them
+    width = max(m, cfg.pool["size"])
+    # the default blocks, and blocks of one trial, of 7 trials and of about
+    # half the trials, which split every shape here unevenly
+    block_rows = (validation._BLOCK_ROWS, width, 7 * width, (cfg.trials // 2 + 1) * width)
 
     def judged_as_the_oracle():
         families_out, rows = per_trial_campaign(cfg)
-        for pairs in judge_pairs:
-            monkeypatch.setattr(validation, "_JUDGE_PAIRS", pairs)
-            report = validate_bounds(cfg)
-            assert report.families == families_out
-            assert report.rows == tuple(rows)
+        for points in block_rows:
+            monkeypatch.setattr(validation, "_BLOCK_ROWS", points)
+            for threads in (1, 2):
+                report = validate_bounds(cfg, threads=threads)
+                assert report.families == families_out
+                assert report.rows == tuple(rows)
         return report, rows
 
     report, rows = judged_as_the_oracle()
@@ -247,26 +257,64 @@ def test_count_table_is_the_formula_on_the_count_matrix(family, m, alpha):
         assert np.array_equal(table[counts].view(np.uint64), direct.view(np.uint64)), value
 
 
-def test_judge_memory_grows_with_a_chunk_not_with_trials_times_pool():
+def test_campaign_memory_grows_with_the_report_not_with_trials_times_pool():
     import tracemalloc
 
-    trials, pool = 20_000, 50
-    cfg = _config(
-        trials=trials,
-        pool=pool,
-        m=200,
-        params={"m": 200, "delta": 0.05, "alpha": 2.0, "rho": 0.2},
-        complexity={"cover_draws": 2, "peel_draws": 2, "n_sigma": 64, "exact_cap": pool},
-    )
-    tracemalloc.start()
-    try:
-        report = validate_bounds(cfg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert len(report.rows) == trials
-    # one trials x pool float64 matrix is 8 MB; the int32 counts are half of it
-    assert peak < 1.5 * trials * pool * 8, peak
+    def peak(trials):
+        cfg = _config(
+            trials=trials,
+            pool=50,
+            m=200,
+            params={"m": 200, "delta": 0.05, "alpha": 2.0, "rho": 0.2},
+            complexity={"cover_draws": 2, "peel_draws": 2, "n_sigma": 64, "exact_cap": 50},
+        )
+        tracemalloc.start()
+        try:
+            report = validate_bounds(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(report.rows) == trials
+        return peak
+
+    # a report row of one family is 45 bytes; one trials x pool int32 count
+    # matrix alone would add 200 bytes a trial
+    grown = (peak(40_000) - peak(10_000)) / 30_000
+    assert grown < 60, grown
+
+
+def _count_trial_draws(monkeypatch, cls):
+    """A list that gets one entry per ``sample_many`` call of ``cls`` on a
+    block of trial substreams: the number of trials drawn."""
+    calls = []
+    real = cls.sample_many
+
+    def counted(self, m, rngs):
+        if isinstance(rngs, _Substreams):
+            calls.append(len(rngs))
+        return real(self, m, rngs)
+
+    monkeypatch.setattr(cls, "sample_many", counted)
+    return calls
+
+
+def test_a_failing_family_table_draws_no_trial(monkeypatch, capsys):
+    calls = _count_trial_draws(monkeypatch, TwoGaussianMixture)
+    argv = ["validate", "--config", str(REFERENCE_CAMPAIGN), "--set", "params.delta=1000000"]
+    assert main([*argv, "--set", "complexity.cover_draws=2", "--set", "complexity.peel_draws=2"]) == 2
+    assert capsys.readouterr().err == "input error: complexity + confidence numerator is negative\n"
+    assert calls == []
+
+
+def test_a_block_holds_at_most_block_rows_points_and_pairs(monkeypatch):
+    # at m = 3 with 40 members, the pool sets the block: 10 trials of 400
+    calls = _count_trial_draws(monkeypatch, TwoGaussianMixture)
+    monkeypatch.setattr(validation, "_BLOCK_ROWS", 400)
+    validate_bounds(_config(trials=35, m=3, pool=40, complexity={"cover_draws": 1, "cover_mode": "greedy"}))
+    assert calls == [10, 10, 10, 5]
+    calls.clear()
+    validate_bounds(_config(trials=35, m=60, pool=40, complexity={"cover_draws": 1, "cover_mode": "greedy"}))
+    assert calls == [6] * 5 + [5]
 
 
 def test_margin_counts_match_the_m_by_pool_count():
