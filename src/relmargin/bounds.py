@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ApplicabilityError, DataError, DomainError, InputError, _fields_json
+from .errors import ApplicabilityError, DataError, DomainError, InputError, _count, _fields_json, _real
 from .estimates import ComplexityEstimate
 from .fatdim import FatDimParams, cover_log_bound_from_fat, fat_dim_formula
 from .rademacher import rm_upper_smooth
@@ -53,7 +53,8 @@ class BoundParams:
 
     delta in (0, 1) is the guarantee regime; larger finite values are
     accepted and evaluated literally (no guarantee), since
-    degenerate-confidence cases are useful for bookkeeping checks.
+    degenerate-confidence cases are useful for bookkeeping checks.  The
+    messages name the fields as a campaign config does, ``params.m``.
     """
 
     m: int
@@ -63,16 +64,12 @@ class BoundParams:
     r: float | None = None
 
     def __post_init__(self):
-        if self.m < 1:
-            raise InputError("m must be at least 1")
-        if not (0 < self.delta < math.inf):
-            raise InputError(f"delta must be finite and positive, got {self.delta!r}")
-        if not (1.0 < self.alpha <= 2.0):
-            raise InputError("alpha must lie in (1, 2]")
-        if not (0 < self.rho < math.inf):
-            raise InputError(f"rho must be finite and positive, got {self.rho!r}")
-        if self.r is not None and not (0 < self.r < math.inf):
-            raise InputError(f"r must be finite and positive when provided, got {self.r!r}")
+        object.__setattr__(self, "m", _count("params.m", self.m, 1))
+        _real("params.delta", self.delta, "(0, inf)")
+        _real("params.alpha", self.alpha, "(1, 2]")
+        _real("params.rho", self.rho, "(0, inf)")
+        if self.r is not None:
+            _real("params.r", self.r, "(0, inf)")
 
 
 @dataclass(frozen=True)
@@ -103,23 +100,15 @@ class BoundReport:
 
 
 def _empirical_input(emp, name: str = "emp", zero_one: bool = True) -> float:
-    """The empirical term as a float; rejects NaN, infinite and negative
-    values, and values above 1 for zero-one families."""
-    value = float(emp)
-    if not (math.isfinite(value) and 0.0 <= value <= (1.0 if zero_one else math.inf)):
-        expected = "a finite number in [0, 1]" if zero_one else "finite and nonnegative"
-        raise DataError(f"{name} must be {expected}, got {emp!r}")
-    return value
+    """The empirical term as a float in [0, 1] for zero-one families, else
+    finite and nonnegative."""
+    return _real(name, emp, "[0, 1]" if zero_one else "[0, inf)", DataError)
 
 
 def _complexity_input(x, name: str) -> tuple[float, str]:
-    """The complexity term as a float with its method; rejects NaN, infinite
-    and negative values."""
+    """The complexity term as a finite, nonnegative float with its method."""
     value, method = (x.value, x.method) if isinstance(x, ComplexityEstimate) else (x, "given")
-    value = float(value)
-    if not (math.isfinite(value) and value >= 0.0):
-        raise DataError(f"{name} must be finite and nonnegative, got {value!r}")
-    return value, method
+    return _real(name, value, "[0, inf)", DataError), method
 
 
 def _finalize_zero_one(family, params, emp, complexity, raw, solver, method, breakdown):
@@ -141,11 +130,12 @@ def solve_relative(b, c: float, alpha: float):
     shape gives an array of that shape; fixed points above 1e300 are inf.
     """
     scalar = np.ndim(b) == 0
-    x = np.array(b, dtype=np.float64, ndmin=1).ravel()
-    if not (np.all(x >= 0) and c >= 0):
-        raise InputError("b and c must be nonnegative (NaN is rejected)")
-    if not (1.0 < alpha <= 2.0):
-        raise InputError("alpha must lie in (1, 2]")
+    x = np.array(_real("b", b, "[0, inf)") if scalar else b, dtype=np.float64, ndmin=1).ravel()
+    bad = x[~(np.isfinite(x) & (x >= 0))]
+    if bad.size:
+        raise InputError(f"b must be finite and >= 0, got {float(bad[0])!r}")
+    c = _real("c", c, "[0, inf)")
+    alpha = _real("alpha", alpha, "(1, 2]")
     if c == 0.0:
         return float(b) if scalar else x.reshape(np.shape(b))
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
@@ -194,10 +184,8 @@ def explicit_lemma_d1(z: float, y: float, alpha: float) -> float:
     """Explicit majorant of the implicit inequality x - y x^{1/alpha} <= z:
     z + 2 y z^{1/alpha} + (2 y)^{alpha/(alpha-1)}.
     """
-    if z < 0 or y < 0:
-        raise InputError("z and y must be nonnegative")
-    if not (1.0 < alpha <= 2.0):
-        raise InputError("alpha must lie in (1, 2]")
+    z, y = _real("z", z, "[0, inf)"), _real("y", y, "[0, inf)")
+    alpha = _real("alpha", alpha, "(1, 2]")
     try:
         return z + 2.0 * y * z ** (1.0 / alpha) + (2.0 * y) ** (alpha / (alpha - 1.0))
     except OverflowError:
@@ -211,10 +199,7 @@ def gamma_factor(alpha: float, eps: float) -> float:
 
     with q = (a/(a-1))^{a-1}; decreasing in eps, equal to 1.5 at (2, 1).
     """
-    if not (1.0 < alpha <= 2.0):
-        raise InputError("alpha must lie in (1, 2]")
-    if not (0.0 < eps <= 1.0):
-        raise InputError("eps must lie in (0, 1]")
+    alpha, eps = _real("alpha", alpha, "(1, 2]"), _real("eps", eps, "(0, 1]")
     q = (alpha / (alpha - 1.0)) ** (alpha - 1.0)
     bracket = (1.0 + math.log(1.0 / eps) / q) ** ((alpha - 1.0) / alpha)
     return (alpha - 1.0) / alpha + (1.0 / alpha) * q * bracket
@@ -353,17 +338,16 @@ def bound_cov_uniform_rho(emp: float, logN, params: BoundParams, solver: str = "
 # peeling-complexity families
 
 
-def check_peeling_m(name: str, m: int) -> None:
-    """The peeling families' confidence term log log m needs m >= 3; ``name``
-    is what the caller's input calls m."""
+def check_peeling_m(m: int) -> None:
+    """The peeling families' confidence term log log m needs m >= 3."""
     if m < 3:
-        raise InputError(f"peeling families need {name} >= 3 so that log log m is defined")
+        raise InputError(f"peeling families need params.m >= 3 so that log log m is defined, got {m!r}")
 
 
 def _peeling_confidence(params: BoundParams) -> tuple[float, float]:
     """log log m and log(16/delta), the confidence terms of the peeling
     families; needs m >= 3."""
-    check_peeling_m("m", params.m)
+    check_peeling_m(params.m)
     return math.log(math.log(params.m)), math.log(16.0 / params.delta)
 
 
@@ -378,8 +362,7 @@ def _nonnegative_budget(name: str, value: float) -> float:
 def rad_budget(rm_value: float, params: BoundParams) -> float:
     """B = (rm + log log m + log(16/delta)) / m; needs m >= 3."""
     loglog, confidence = _peeling_confidence(params)
-    if rm_value < 0:
-        raise InputError("the complexity value must be nonnegative")
+    rm_value = _real("rm", rm_value, "[0, inf)")
     return _nonnegative_budget("B = (rm + log log m + log(16/delta)) / m", (rm_value + loglog + confidence) / params.m)
 
 
@@ -439,11 +422,9 @@ def rad_all_alpha_value(emp, rm: float, params: BoundParams, alpha_grid):
     """The least over the alpha grid of the implicit bound with coefficient
     32 sqrt(2) B^{1-1/alpha} (simultaneous in alpha); ``params.alpha`` is
     not used."""
-    grid = [float(a) for a in alpha_grid]
+    grid = [_real("alpha_grid entries", a, "(1, 2]") for a in alpha_grid]
     if not grid:
         raise InputError("alpha grid must be nonempty")
-    if any(not (1.0 < a <= 2.0) for a in grid):
-        raise InputError("alpha grid entries must lie in (1, 2]")
     budget = rad_budget(rm, params)
     per_alpha = {a: _rad_implicit(emp, budget, a, 32.0 * math.sqrt(2.0))[0] for a in grid}
     return np.minimum.reduce(list(per_alpha.values())), {"budget": budget, "per_alpha": per_alpha}
@@ -492,8 +473,7 @@ def bound_rad_smooth(emp: float, rmax: float, params: BoundParams) -> BoundRepor
 def unbounded_value(emp_loss, log_n: float, params: BoundParams, moment: float, addend: float = 0.0):
     """emp + Gamma_0(alpha, e) moment^{1/alpha} e + rho, affine in emp, with
     e the ``_deviation_scale``; raises ApplicabilityError when e > 1."""
-    if not (moment >= 0 and math.isfinite(moment)):
-        raise InputError("the loss moment must be finite and nonnegative")
+    _real("moment", moment, "[0, inf)")
     a = params.alpha
     eps_hat, _ = _deviation_scale(log_n, params, addend)
     if eps_hat > 1.0:
@@ -523,7 +503,7 @@ def bound_unbounded_uniform_rho(
     """Minimum over a rho grid of the finite-moment bound with the uniform-rho
     log(log2(2r/rho)) addend (>= 0, so never below ``bound_unbounded`` at the
     same rho); the cover callable is evaluated at radius rho/2."""
-    grid = [float(rho) for rho in rho_grid]
+    grid = [_real("rho_grid entries", rho, "(0, inf)") for rho in rho_grid]
     if not grid:
         raise InputError("rho grid must be nonempty")
     addends = {rho: _uniform_rho_addend(params.r, rho) for rho in grid}

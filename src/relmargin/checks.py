@@ -11,7 +11,7 @@ import math
 import numpy as np
 from scipy.stats import binom
 
-from .errors import InputError, _count
+from .errors import _count, _real
 from .rng import substream
 
 __all__ = ["deviation_ratio", "verify_binomial_lemma", "verify_monotone_ratio"]
@@ -28,8 +28,8 @@ def verify_binomial_lemma(m_max: int, grid_size: int = 200) -> dict:
     Pr[X <= m p] > 1/4 for p < 1 - 1/m, over all 2 <= m <= m_max and
     interior p grids (the boundary values are excluded: the facts are
     strict, and m = 1 has no interior p)."""
-    if not (2 <= m_max <= MAX_BINOMIAL_M):
-        raise InputError(f"m_max must lie in [2, {MAX_BINOMIAL_M}], got {m_max!r}")
+    _real("m_max", m_max, f"[2, {MAX_BINOMIAL_M}]")
+    _count("m_max", m_max, 2)
     _count("grid_size", grid_size, 1)
     worst_ge = (math.inf, None, None)
     worst_le = (math.inf, None, None)
@@ -71,8 +71,8 @@ def verify_monotone_ratio(n_points: int = 10000, delta: float = 1e-6, seed: int 
     """Check that the deviation ratio strictly increases in x and strictly
     decreases in y at n random (x, y, eta, alpha) points under a
     delta-perturbation."""
-    if n_points < 1 or not 0 < delta < math.inf:
-        raise InputError(f"need n_points >= 1 and a finite delta > 0, got delta {delta!r}")
+    _count("n_points", n_points, 1)
+    _real("delta", delta, "(0, inf)")
     rng = substream(seed, "monotone")
     x = rng.uniform(0.01, 10.0, n_points)
     y = rng.uniform(0.01, 10.0, n_points)

@@ -18,7 +18,7 @@ from dataclasses import replace
 import numpy as np
 
 from .bounds import _empirical_input, cov_fat_class_value, loss_factored_value
-from .errors import InputError, _count
+from .errors import _count, _real
 from .fatdim import FatDimParams
 
 __all__ = ["tightness_row", "compare_tightness_direct", "compare_tightness"]
@@ -26,16 +26,12 @@ __all__ = ["tightness_row", "compare_tightness_direct", "compare_tightness"]
 _SCHEMA = "relmargin/tightness-report/v1"
 
 
-def _check(emps, betas, c_prime) -> None:
-    """Each emp a finite number in [0, 1], each beta finite and nonnegative,
-    and c' finite and positive; an InputError names the field otherwise."""
-    for emp in emps:
-        _empirical_input(emp)
-    for beta in betas:
-        if not (math.isfinite(beta) and beta >= 0.0):
-            raise InputError(f"beta must be finite and nonnegative, got {beta!r}")
-    if not (math.isfinite(c_prime) and c_prime > 0.0):
-        raise InputError(f"c_prime must be finite and positive, got {c_prime!r}")
+def _check(emps, betas, c_prime) -> tuple[list, list]:
+    """The emps, each in [0, 1], and the betas, each finite and nonnegative,
+    as floats, once c' is found finite and positive; an InputError names
+    the field otherwise."""
+    _real("c_prime", c_prime, "(0, inf)")
+    return [_empirical_input(emp) for emp in emps], [_real("beta", beta, "[0, inf)") for beta in betas]
 
 
 def _row(emp: float, beta: float, new_bound: float, c_prime: float) -> dict:
@@ -54,14 +50,13 @@ def _row(emp: float, beta: float, new_bound: float, c_prime: float) -> dict:
 def tightness_row(emp: float, beta: float, *, c_prime: float = 1.0) -> dict:
     """Both forms at one (emp, beta) with beta' = beta; the new form is
     ``loss_factored_value``."""
-    _check((emp,), (beta,), c_prime)
+    (emp,), (beta,) = _check((emp,), (beta,), c_prime)
     return _row(emp, beta, float(loss_factored_value(emp, beta)), c_prime)
 
 
 def compare_tightness_direct(emp_grid, beta_grid, c_prime: float = 1.0) -> dict:
     """Tabulate both forms on explicit (emp, beta) grids with beta' = beta."""
-    emps, betas = [float(e) for e in emp_grid], [float(b) for b in beta_grid]
-    _check(emps, betas, c_prime)
+    emps, betas = _check(emp_grid, beta_grid, c_prime)
     rows = [tightness_row(e, b, c_prime=c_prime) for e in emps for b in betas]
     return {
         "schema": _SCHEMA,
@@ -83,19 +78,18 @@ def compare_tightness(
 ) -> dict:
     """Tabulate both forms over (m, rho, emp), with the new form and beta =
     beta' from ``cov_fat_class_value``: the cov-fat bound and its cover term."""
-    emps = [float(emp) for emp in emp_grid]
-    _check(emps, (), c_prime)
+    emps, _ = _check(emp_grid, (), c_prime)
+    _real("delta", delta, "(0, inf)")
     ms = [_count("m_grid", m, 1) for m in m_grid]
     rows = []
     for m in ms:
         for rho in rho_grid:
-            values, terms = cov_fat_class_value(
-                np.array(emps), replace(class_params, rho=float(rho)), m, delta
-            )
+            rho = _real("rho_grid entries", rho, "(0, inf)")
+            values, terms = cov_fat_class_value(np.array(emps), replace(class_params, rho=rho), m, delta)
             beta, d = terms["term"], terms["fat_dimension"]
             for emp, value in zip(emps, values.tolist()):
                 row = _row(emp, beta, value, c_prime)
-                row.update({"m": m, "rho": float(rho), "fat_dimension": d})
+                row.update({"m": m, "rho": rho, "fat_dimension": d})
                 rows.append(row)
     return {
         "schema": _SCHEMA,

@@ -32,7 +32,7 @@ import math
 import numpy as np
 
 from . import kernels
-from .errors import CapabilityError, InputError, _count
+from .errors import CapabilityError, InputError, _count, _real
 from .estimates import ComplexityEstimate
 from .lossmatrix import LossMatrix, distinct_index
 
@@ -128,13 +128,14 @@ def covering_number(
     """Minimum (exact) or greedily found (greedy) number of pool columns
     covering every column within eps, of a ``LossMatrix`` or of the columns
     of a ``kernels.Rows`` reader."""
-    if not (eps >= 0):
-        raise InputError("eps must be nonnegative")
+    eps = _real("eps", eps, "[0, inf)")
     if mode not in ("exact", "greedy"):
         raise InputError(f"unknown cover mode {mode!r}")
     if metric not in ("linf", "l2"):
         raise InputError(f"unknown metric {metric!r}")
     _count("exact_cap", exact_cap, 1)
+    if not isinstance(matrix, (LossMatrix, kernels.Rows)):
+        raise InputError(f"matrix must be a LossMatrix or a kernels.Rows, got a {type(matrix).__name__}")
     rows = matrix if isinstance(matrix, kernels.Rows) else kernels.Rows.of(matrix.values)
     p = rows.shape[1]
     if mode == "exact" and p > exact_cap:
@@ -149,7 +150,7 @@ def covering_number(
     return ComplexityEstimate(
         value=float(_cover_size(within, mode == "exact")),
         method="exact-enumeration" if mode == "exact" else "greedy-upper",
-        details={"metric": metric, "eps": float(eps), "pool": p, "distinct": len(index)},
+        details={"metric": metric, "eps": eps, "pool": p, "distinct": len(index)},
     )
 
 

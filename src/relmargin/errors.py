@@ -3,6 +3,14 @@ the one rule of its JSON formats: a type's keys are its dataclass fields.
 
 The CLI maps these onto exit codes: InputError (and subclasses) -> 2,
 CapabilityError -> 3, ApplicabilityError -> 4.
+
+Input errors.  Every number an exported callable takes goes through
+``_real`` (a finite float in an interval) or ``_count`` (an integer >= a
+least value).  Both reject booleans, non-numbers, NaN and +-inf, so a bad
+input raises ``InputError`` (or its subclass ``DataError`` for an empirical
+or complexity term), and never becomes a NaN or infinite bound; the CLI
+exits 2 on it.  Each message reads ``{name} must be {condition}, got
+{value!r}``, for example ``params.m must be an integer >= 1, got 0``.
 """
 
 import inspect
@@ -87,15 +95,29 @@ def _fields_from_json(name: str, cls, data, checks) -> dict:
     return {k: checks[k](f"{name}.{k}", data[k]) if k in checks else data[k] for k in names if k in data}
 
 
-def _number(name: str, value) -> None:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise InputError(f"{name} must be a number, got {value!r}")
-
-
-def _finite(name: str, value) -> None:
-    _number(name, value)
-    if not math.isfinite(value):
-        raise InputError(f"{name} must be finite, got {value!r}")
+def _real(name: str, value, interval: str = "(-inf, inf)", error=InputError) -> float:
+    """``value`` as a finite float in ``interval``, written as in ``"(0, 1]"``
+    with ``inf`` for an unbounded end.  Booleans, non-numbers, NaN and +-inf
+    raise ``error``: ``{name} must be a number`` or ``{name} must be
+    {condition}``, the condition being "finite", "finite and > lo" (or
+    ">= lo") or "in {interval}"."""
+    lo, hi = (float(end) for end in interval[1:-1].split(","))
+    open_lo, open_hi = interval[0] == "(", interval[-1] == ")"
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise error(f"{name} must be a number, got {value!r}")
+    try:
+        x = float(value)
+    except OverflowError:  # an int beyond the float range, as JSON can hold
+        x = math.inf
+    if not (math.isfinite(x) and (lo < x if open_lo else lo <= x) and (x < hi if open_hi else x <= hi)):
+        if hi < math.inf:
+            condition = f"in {interval}"
+        elif lo == -math.inf:
+            condition = "finite"
+        else:
+            condition = f"finite and {'>' if open_lo else '>='} {lo:g}"
+        raise error(f"{name} must be {condition}, got {value!r}")
+    return x
 
 
 def _count(name: str, value, least: int) -> int:
@@ -144,9 +166,9 @@ def _options(section: str, declared, values, skip=()) -> dict:
                 raise InputError(f"{name} must be an integer >= 0, got {value!r}")
         elif kind == "list[float]":
             for item in value:
-                _finite(name, item)
+                _real(name, item)
         elif kind == "float" or kind == "float | None" and value is not None:
-            _finite(name, value)
+            _real(name, value)
         elif kind != "float | None":
             raise TypeError(f"no check for the annotation {kind!r} of {name}")
     return options

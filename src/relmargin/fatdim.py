@@ -14,7 +14,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import CapabilityError, DomainError, InputError, _finite
+from .errors import CapabilityError, DomainError, InputError, _count, _real
 from .lossmatrix import LossMatrix
 
 __all__ = [
@@ -54,14 +54,11 @@ class FatDimParams:
     def __post_init__(self):
         if self.kind not in FAT_KINDS:
             raise InputError(f"unknown class kind {self.kind!r}")
-        if self.depth is not None and self.depth < 1:
-            raise InputError("depth must be at least 1")
+        if self.depth is not None:
+            object.__setattr__(self, "depth", _count("depth", self.depth, 1))
         for name in ("radius", "rho", "vc_dim", "lipschitz", "input_dim", "r21", "constant"):
-            v = getattr(self, name)
-            if v is not None:
-                _finite(name, v)
-                if v <= 0:
-                    raise InputError(f"{name} must be positive when provided")
+            if getattr(self, name) is not None:
+                _real(name, getattr(self, name), "(0, inf)")
 
 
 def fat_dim_formula(params: FatDimParams) -> float:
@@ -95,10 +92,7 @@ def fat_dim_formula(params: FatDimParams) -> float:
 def cover_log_bound_from_fat(d: float, m: int) -> float:
     """Cap on the log (base e) sup-distance cover: 1 + d log2(2 c^2 m) log2(2 c e m / d)
     with c = ``FAT_COVER_CONSTANT``."""
-    if not d >= 1:
-        raise InputError(f"dimension value must be at least 1, got {d!r}")
-    if m < 1:
-        raise InputError("m must be at least 1")
+    d, m = _real("d", d, "[1, inf)"), _count("m", m, 1)
     c = FAT_COVER_CONSTANT
     arg = 2.0 * c * math.e * m / d
     if arg <= 1.0:
@@ -175,8 +169,7 @@ def fat_shattering_exact(matrix: LossMatrix, gamma: float, witness_grid=None) ->
     distinct outputs).  A lower bound on the true dimension; exact when the
     relevant witnesses lie on the grid.
     """
-    if not (gamma > 0):
-        raise InputError("gamma must be positive")
+    _real("gamma", gamma, "(0, inf)")
     if matrix.m > MAX_SHATTER_M or matrix.pool_size > MAX_SHATTER_POOL:
         raise CapabilityError(
             f"exact shattering search is capped at m = {MAX_SHATTER_M}, pool = {MAX_SHATTER_POOL}"

@@ -9,12 +9,11 @@ construction so downstream formula code may assume them.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError, _dataclass_keys, _fields_json, _mapping
+from .errors import InputError, _count, _dataclass_keys, _fields_json, _mapping, _real
 
 __all__ = [
     "Hypothesis",
@@ -71,8 +70,7 @@ class LinearHypothesis(Hypothesis):
 
     def __post_init__(self):
         w = _vector(self.w)
-        if not (self.norm_cap > 0):
-            raise InputError("norm_cap must be positive")
+        _real("norm_cap", self.norm_cap, "(0, inf)")
         nrm = float(np.linalg.norm(w))
         if nrm > self.norm_cap:
             w = w * (self.norm_cap / nrm)
@@ -98,10 +96,10 @@ class DecisionStump(Hypothesis):
     kind = "stump"
 
     def __post_init__(self):
-        if self.polarity not in (-1, 1):
-            raise InputError("stump polarity must be -1 or +1")
-        if self.feature < 0:
-            raise InputError("stump feature index must be nonnegative")
+        if isinstance(self.polarity, bool) or self.polarity not in (-1, 1):
+            raise InputError(f"polarity must be -1 or +1, got {self.polarity!r}")
+        object.__setattr__(self, "feature", _count("feature", self.feature, 0))
+        _real("threshold", self.threshold)
 
     def predict(self, x) -> np.ndarray:
         arr = np.asarray(x, dtype=np.float64)
@@ -167,8 +165,7 @@ class FFNNHypothesis(Hypothesis):
     def __post_init__(self):
         if self.activation not in ("tanh", "relu"):
             raise InputError("activation must be 'tanh' or 'relu'")
-        if not (self.row_cap > 0):
-            raise InputError("row_cap must be positive")
+        _real("row_cap", self.row_cap, "(0, inf)")
         mats = []
         prev = None
         for mat in self.layers:
@@ -244,8 +241,7 @@ class TruncatedHypothesis(Hypothesis):
     kind = "truncated"
 
     def __post_init__(self):
-        if not (0 < self.rho < math.inf):
-            raise InputError(f"truncation rho must be finite and positive, got {self.rho!r}")
+        object.__setattr__(self, "rho", _real("rho", self.rho, "(0, inf)"))
 
     def predict(self, x) -> np.ndarray:
         return np.clip(self.base.predict(x), -self.rho, self.rho)
@@ -258,13 +254,13 @@ def truncate(h: Hypothesis, rho: float) -> TruncatedHypothesis:
     changes neither the binary loss 1[yh(x) <= 0] nor the margin loss
     1[yh(x) < rho].
     """
-    return TruncatedHypothesis(base=h, rho=float(rho))
+    return TruncatedHypothesis(base=h, rho=rho)
 
 
 def margin(h: Hypothesis, point, label) -> float:
     """Confidence margin y * h(x) for a single labeled point."""
-    if label not in (-1, 1):
-        raise InputError("label must be -1 or +1")
+    if isinstance(label, bool) or label not in (-1, 1):
+        raise InputError(f"label must be -1 or +1, got {label!r}")
     return float(label * h.predict(np.asarray(point, dtype=np.float64))[0])
 
 

@@ -72,14 +72,6 @@ class LossMatrix:
     def from_json(cls, data: dict) -> "LossMatrix":
         return cls(**_fields_from_json("matrix", cls, data, {"values": _floats}))
 
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["index"] + [f"c{j}" for j in range(self.pool_size)])
-        for i in range(self.m):
-            writer.writerow([i] + [repr(float(v)) for v in self.values[i]])
-        return buf.getvalue()
-
     @classmethod
     def from_csv(cls, text: str, range_tag: str = "real") -> "LossMatrix":
         reader = csv.reader(io.StringIO(text))

@@ -24,7 +24,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from . import kernels
-from .errors import CapabilityError, DomainError, InputError, _count
+from .errors import CapabilityError, DomainError, InputError, _count, _real
 from .estimates import ComplexityEstimate
 from .lossmatrix import LossMatrix, count_dichotomies, distinct_index, peel, shell_index
 from .covers import DEFAULT_EXACT_CAP, covering_number_l2
@@ -238,6 +238,7 @@ def rm_upper_dudley(
     contributes 1/16.
     """
     _count("k", k, 0)
+    _count("exact_cap", exact_cap, 1)
     grid = np.asarray(eps_grid, dtype=np.float64)
     m = matrix.m
     if not np.isfinite(grid).all():
@@ -270,10 +271,9 @@ def rm_upper_smooth(rho: float, m: int, rmax: float) -> float:
     """Smoothed-loss cap on the peeling complexity:
     (16 pi^2 m / rho^2) * rmax^2 * (2 log^{3/2}(m/rmax) - log^{3/2}(2 pi m / (rho rmax)))^2.
     """
-    if not (0 < rmax < m):
-        raise InputError("requires 0 < rmax < m")
-    if not (rho > 0):
-        raise InputError("rho must be positive")
+    rho, m, rmax = _real("rho", rho, "(0, inf)"), _count("m", m, 1), _real("rmax", rmax, "(0, inf)")
+    if not rmax < m:
+        raise InputError(f"rmax must be < m, got rmax = {rmax!r} with m = {m!r}")
     a = m / rmax
     b = 2.0 * math.pi * m / (rho * rmax)
     if a <= 1.0 or b <= 1.0:
@@ -289,16 +289,15 @@ def worst_case_rademacher(params, m: int) -> float:
     depth^{3/2} R R21 (R L)^depth / (rho^depth sqrt(m)), with all suppressed
     constants set to one.
     """
-    if m < 1:
-        raise InputError("m must be at least 1")
+    m = _count("m", m, 1)
     kind = getattr(params, "kind", None)
     if kind == "linear":
-        if not (params.radius and params.radius > 0):
+        if params.radius is None:
             raise InputError("linear class needs a positive radius")
         return params.radius / math.sqrt(m)
     if kind == "ffnn-spectral":
         d = params.depth
-        if not (d and d >= 1 and params.radius > 0 and params.r21 > 0 and params.rho > 0 and params.lipschitz > 0):
+        if None in (d, params.radius, params.r21, params.rho, params.lipschitz):
             raise InputError("ffnn-spectral needs depth >= 1 and positive radius, r21, rho, lipschitz")
         return (
             d**1.5

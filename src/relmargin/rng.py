@@ -27,7 +27,7 @@ import zlib
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, _count
 
 __all__ = ["substream", "substreams", "sign_rows", "coin_signs", "child_seed"]
 
@@ -49,18 +49,20 @@ def _encode(part) -> int:
     raise TypeError(f"substream path parts must be int or str, got {type(part)!r}")
 
 
+def _sequence(seed: int, path: tuple) -> np.random.SeedSequence:
+    """The seed sequence of (seed, *path); ``seed`` is an integer >= 0."""
+    key = tuple(_encode(p) for p in path)
+    return np.random.SeedSequence(entropy=_count("seed", seed, 0), spawn_key=key)
+
+
 def substream(seed: int, *path) -> np.random.Generator:
     """Generator for the substream addressed by (seed, *path)."""
-    key = tuple(_encode(p) for p in path)
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=key)
-    return np.random.Generator(np.random.Philox(ss))
+    return np.random.Generator(np.random.Philox(_sequence(seed, path)))
 
 
 def child_seed(seed: int, *path) -> int:
     """Stable 63-bit integer seed for handing to seed-taking callables."""
-    key = tuple(_encode(p) for p in path)
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=key)
-    return int(ss.generate_state(1, dtype=np.uint64)[0] >> 1)
+    return int(_sequence(seed, path).generate_state(1, dtype=np.uint64)[0] >> 1)
 
 
 def _words(n: int) -> list:

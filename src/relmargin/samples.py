@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import norm
 
-from .errors import CapabilityError, DataError, InputError, _choice, _count, _fields_from_json, _fields_json, _floats, _mapping, _options
+from .errors import CapabilityError, DataError, InputError, _choice, _count, _fields_from_json, _fields_json, _floats, _mapping, _options, _real
 from .hypotheses import LinearHypothesis
 from .rng import coin_signs, substream
 
@@ -49,6 +49,7 @@ class LabeledSample:
         labs.flags.writeable = False
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "labels", labs)
+        object.__setattr__(self, "seed", _count("seed", self.seed, 0))
 
     @property
     def m(self) -> int:
@@ -70,16 +71,6 @@ class LabeledSample:
             "generator_id": lambda _, v: str(v),
         }
         return cls(**_fields_from_json("sample", cls, data, checks))
-
-
-def _at_least(key: str, value, least) -> None:
-    if not (value >= least):
-        raise InputError(f"distribution.{key} must be >= {least}, got {value!r}")
-
-
-def _positive(key: str, value) -> None:
-    if not (value > 0):
-        raise InputError(f"distribution.{key} must be > 0, got {value!r}")
 
 
 # least acceptance probability of MarginSeparable's rejection loop
@@ -124,16 +115,16 @@ class TwoGaussianMixture:
     analytic_risk_available = True
 
     def __post_init__(self):
-        _at_least("dim", self.dim, 1)
-        _positive("sigma", self.sigma)
-        _at_least("separation", self.separation, 0)
+        object.__setattr__(self, "dim", _count("distribution.dim", self.dim, 1))
+        _real("distribution.sigma", self.sigma, "(0, inf)")
+        _real("distribution.separation", self.separation, "[0, inf)")
         if self.radius is None:
             object.__setattr__(
                 self,
                 "radius",
                 float(self.separation + self.sigma * (np.sqrt(self.dim) + 8.0)),
             )
-        _positive("radius", self.radius)
+        _real("distribution.radius", self.radius, "(0, inf)")
 
     @property
     def generator_id(self) -> str:
@@ -184,11 +175,10 @@ class MarginSeparable:
     analytic_risk_available = False
 
     def __post_init__(self):
-        _at_least("dim", self.dim, 1)
-        _positive("sigma", self.sigma)
-        _at_least("gap", self.gap, 0)
-        if not (0 <= self.noise_rate <= 1):
-            raise InputError(f"distribution.noise_rate must lie in [0, 1], got {self.noise_rate!r}")
+        object.__setattr__(self, "dim", _count("distribution.dim", self.dim, 1))
+        _real("distribution.sigma", self.sigma, "(0, inf)")
+        _real("distribution.gap", self.gap, "[0, inf)")
+        _real("distribution.noise_rate", self.noise_rate, "[0, 1]")
         accept = self.acceptance
         if accept < _ACCEPT_FLOOR:
             raise InputError(
@@ -199,6 +189,7 @@ class MarginSeparable:
             object.__setattr__(
                 self, "radius", float(self.sigma * (np.sqrt(self.dim) + 8.0) + self.gap)
             )
+        _real("distribution.radius", self.radius, "(0, inf)")
         if not (self.radius > self.gap):
             raise InputError(f"distribution.radius must exceed distribution.gap = {self.gap!r}, got {self.radius!r}")
 
@@ -272,11 +263,9 @@ def make_distribution(spec: dict):
 
 def generate(dist, m: int, seed: int) -> LabeledSample:
     """Draw m i.i.d. labeled points; reproducible per (distribution, m, seed)."""
-    if m < 1:
-        raise InputError("m must be at least 1")
     rng = substream(seed, "sample")
-    x, y = dist.sample(int(m), rng)
-    return LabeledSample(points=x, labels=y, seed=int(seed), generator_id=dist.generator_id)
+    x, y = dist.sample(_count("m", m, 1), rng)
+    return LabeledSample(points=x, labels=y, seed=seed, generator_id=dist.generator_id)
 
 
 def analytic_risk(h, dist) -> float:

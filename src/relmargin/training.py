@@ -8,11 +8,9 @@ descend through one projected-subgradient loop, ``_descend``.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .errors import InputError, _count, _options
+from .errors import InputError, _count, _options, _real
 from .hypotheses import DecisionStump, EnsembleHypothesis, FFNNHypothesis, LinearHypothesis
 from .rng import substream
 from .samples import LabeledSample
@@ -32,11 +30,6 @@ def _signed_points(sample: LabeledSample) -> np.ndarray:
     return sample.labels[:, None] * sample.points
 
 
-def _positive(name: str, value: float) -> None:
-    if not (math.isfinite(value) and value > 0):
-        raise InputError(f"{name} must be finite and > 0, got {value!r}")
-
-
 def _project(w: np.ndarray) -> np.ndarray:
     """``w`` scaled onto the unit ball when it lies outside it."""
     nrm = np.linalg.norm(w)
@@ -53,7 +46,7 @@ def _descend(signed: np.ndarray, w: np.ndarray, steps: int, step0: float, object
     """
     value, grad = objective(signed @ w)
     best_w, best_value = w, value
-    for t in range(1, int(steps) + 1):
+    for t in range(1, _count("steps", steps, 0) + 1):
         w = _project(w - (step0 / np.sqrt(t)) * grad)
         value, grad = objective(signed @ w)
         if value < best_value:
@@ -65,7 +58,7 @@ def train_hinge_linear(
     sample: LabeledSample, steps: int = 2000, seed: int = 0, step0: float = 1.0
 ) -> LinearHypothesis:
     """Projected subgradient descent on the mean hinge loss, ||w|| <= 1."""
-    _positive("step0", step0)
+    _real("step0", step0, "(0, inf)")
     signed = _signed_points(sample)
     m, n = signed.shape
     rng = substream(seed, "hinge-init")
@@ -109,6 +102,7 @@ def train_boost_stumps(sample: LabeledSample, rounds: int = 10, seed: int = 0) -
     """AdaBoost over decision stumps; the returned ensemble's weights are the
     round coefficients renormalized to sum to one."""
     rounds = _count("rounds", rounds, 1)
+    _count("seed", seed, 0)
     x, y = sample.points, sample.labels
     m = sample.m
     weights = np.full(m, 1.0 / m)
@@ -143,14 +137,14 @@ def train_tiny_mlp(
     layer and the activation is applied at every layer including the last.
     """
     width = _count("width", width, 1)
-    _positive("lr", lr)
+    _real("lr", lr, "(0, inf)")
     x, y = sample.points, sample.labels
     m, n = x.shape
     rng = substream(seed, "mlp-init")
     w1 = rng.standard_normal((width, n + 1))
     w2 = rng.standard_normal((1, width + 1))
     xb = np.hstack([x, np.ones((m, 1))])
-    for _ in range(int(steps)):
+    for _ in range(_count("steps", steps, 0)):
         z1 = xb @ w1.T
         a1 = np.tanh(z1)
         a1b = np.hstack([a1, np.ones((m, 1))])
@@ -197,13 +191,10 @@ def train_bound_min(
     1/sqrt(t) step schedule.  Returns the best (hypothesis, rho) pair and a
     record of initial/final objectives per restart.
     """
-    grid = [float(r) for r in rho_grid]
+    grid = [_real("rho_grid entries", rho, "(0, inf)") for rho in rho_grid]
     if not grid:
         raise InputError("rho_grid must be nonempty")
-    for rho in grid:
-        _positive("rho_grid entries", rho)
-    if not (math.isfinite(lam) and lam >= 0):
-        raise InputError(f"lam must be finite and >= 0, got {lam!r}")
+    _real("lam", lam, "[0, inf)")
     restarts = _count("restarts", restarts, 1)
     signed = _signed_points(sample)
     m, n = signed.shape

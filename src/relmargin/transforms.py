@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, InputError, _choice, _count, _fields_json
+from .errors import DataError, InputError, _choice, _count, _fields_json, _real
 from .hypotheses import Hypothesis, margins
 from .rng import substream
 from .samples import LabeledSample, analytic_risk
@@ -49,8 +49,7 @@ class MarginTransform:
     def __post_init__(self):
         if self.kind not in TRANSFORM_KINDS:
             raise InputError(f"unknown transform kind {self.kind!r}")
-        if not (self.rho > 0):
-            raise InputError("transform requires rho > 0")
+        _real("rho", self.rho, "(0, inf)")
 
     def __call__(self, u) -> np.ndarray:
         u = np.asarray(u, dtype=np.float64)
@@ -134,8 +133,7 @@ def holdout_error_rate(predict, dist, n: int, rng):
 
 def loss_moment(losses, alpha: float) -> float:
     """Empirical alpha-th moment (1/m) sum L_i^alpha for alpha in (1, 2]."""
-    if not (1.0 < alpha <= 2.0):
-        raise InputError("alpha must lie in (1, 2]")
+    _real("alpha", alpha, "(1, 2]")
     arr = np.asarray(losses, dtype=np.float64)
     if arr.size == 0:
         raise InputError("loss moment of an empty sample is undefined")

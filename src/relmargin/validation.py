@@ -34,7 +34,7 @@ from scipy.stats import beta as beta_dist
 
 from . import __version__ as _pkg_version
 from .bounds import FAMILIES, BoundParams, check_cov_alpha2, check_peeling_m, cov_fat_dimension
-from .errors import InputError, _choice, _count, _dataclass_keys, _mapping, _number
+from .errors import InputError, _choice, _count, _dataclass_keys, _mapping
 from .estimates import ComplexityEstimate
 from .fatdim import FatDimParams
 from .hypotheses import LinearHypothesis, truncate
@@ -98,13 +98,7 @@ class ExperimentConfig:
         pool["size"] = _count("pool.size", pool["size"], 1)
         put("pool", pool)
         if not isinstance(self.params, BoundParams):
-            params = _mapping("params", self.params, *_dataclass_keys(BoundParams))
-            for key, value in params.items():
-                if key == "m":
-                    params[key] = _count("params.m", value, 1)
-                elif not (key == "r" and value is None):
-                    _number(f"params.{key}", value)
-            put("params", BoundParams(**params))
+            put("params", BoundParams(**_mapping("params", self.params, *_dataclass_keys(BoundParams))))
         if not isinstance(self.families, (list, tuple)) or not self.families:
             raise InputError("families must be a nonempty list of bound families")
         judged = ", ".join(SUPPORTED_FAMILIES)
@@ -121,7 +115,7 @@ class ExperimentConfig:
         if "cov-alpha2" in self.families:
             check_cov_alpha2(self.params)
         if "rad" in self.families:
-            check_peeling_m("params.m", self.params.m)
+            check_peeling_m(self.params.m)
         put("trials", _count("trials", self.trials, 1))
         put("seed", _count("seed", self.seed, 0))
         complexity = {**_COMPLEXITY_DEFAULTS, **_mapping("complexity", self.complexity, _COMPLEXITY_DEFAULTS)}
@@ -166,8 +160,9 @@ class ValidityReport:
 
 def exact_binomial_ci(k: int, n: int) -> tuple[float, float]:
     """95% Clopper-Pearson interval for a binomial proportion."""
-    if not (0 <= k <= n) or n < 1:
-        raise InputError("need 0 <= k <= n with n >= 1")
+    k, n = _count("k", k, 0), _count("n", n, 1)
+    if k > n:
+        raise InputError(f"k must be <= n, got k = {k!r} with n = {n!r}")
     tail = (1.0 - 0.95) / 2.0
     lo = 0.0 if k == 0 else float(beta_dist.ppf(tail, k, n - k + 1))
     hi = 1.0 if k == n else float(beta_dist.ppf(1.0 - tail, k + 1, n - k))
@@ -270,6 +265,7 @@ def _margin_counts(w_stack: np.ndarray, x: np.ndarray, y: np.ndarray, rho: float
 def validate_bounds(cfg: ExperimentConfig, threads: int = 1) -> ValidityReport:
     """Run the campaign and report per-family violation rates with exact
     binomial 95% confidence intervals."""
+    threads = _count("threads", threads, 1)
     dist = cfg.distribution
     pool = _build_pool(cfg, dist)
     p = cfg.params
@@ -309,7 +305,7 @@ def validate_bounds(cfg: ExperimentConfig, threads: int = 1) -> ValidityReport:
 
     jobs = range(0, trials, block)
     if threads > 1:
-        with ThreadPoolExecutor(max_workers=int(threads)) as pool_exec:
+        with ThreadPoolExecutor(max_workers=threads) as pool_exec:
             list(pool_exec.map(draw, jobs))
     else:
         list(map(draw, jobs))

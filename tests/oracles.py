@@ -741,3 +741,46 @@ def bound_min_oracle(sample, lam, rho_grid, restarts: int = 4, seed: int = 0, st
                 best = (obj_best, w_best, rho)
     objective, w, rho = best
     return LinearHypothesis(w), rho, {"objective": objective, "rho": rho, "restarts": record, "norm": float(np.linalg.norm(w))}
+
+
+def loss_matrix_csv(matrix) -> str:
+    """The CSV that ``LossMatrix.from_csv`` reads: an ``index`` column, then
+    one column ``c{j}`` per pool member, each value as its float repr."""
+    import csv
+    import io
+
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["index"] + [f"c{j}" for j in range(matrix.pool_size)])
+    for i in range(matrix.m):
+        writer.writerow([i] + [repr(float(v)) for v in matrix.values[i]])
+    return buf.getvalue()
+
+
+def exact_violation_bracket(table, ws, m: int, rho: float, separation: float, sigma: float, radius: float):
+    """Bounds [lo, hi] on the probability that a campaign on a two-Gaussian
+    mixture violates the family whose bound at margin count k is
+    ``table[k]``, for some member of the linear pool ``ws`` (one row each).
+
+    Unclipped, the margin y w.x of member j is N(w1 separation, sigma^2
+    ||w||^2), so its risk is R_j = P(margin <= 0) and its count of the m
+    points with margin < rho is Binomial(m, q_j), q_j = P(margin < rho).
+    With the table nondecreasing, j is violated iff its count is at most
+    k*_j, the largest k with table[k] < R_j, which has probability P_j =
+    bdtr(k*_j, m, q_j); the uniform event lies in [max_j P_j, sum_j P_j].
+    Clipping moves a margin only for a point beyond ``radius``, so both ends
+    widen by m P(||x|| > radius), a noncentral chi-square tail.
+    """
+    import numpy as np
+    from scipy.special import bdtr
+    from scipy.stats import ncx2, norm
+
+    table, ws = np.asarray(table, dtype=np.float64), np.asarray(ws, dtype=np.float64)
+    assert np.all(np.diff(table) >= 0), "the bracket needs a table nondecreasing in the count"
+    scale = sigma * np.linalg.norm(ws, axis=1)
+    risks = norm.cdf(-ws[:, 0] * separation / scale)
+    q = norm.cdf((rho - ws[:, 0] * separation) / scale)
+    k_star = np.searchsorted(table, risks, side="left") - 1
+    p = np.where(k_star >= 0, bdtr(np.maximum(k_star, 0), m, q), 0.0)
+    clip = m * float(ncx2.sf((radius / sigma) ** 2, ws.shape[1], (separation / sigma) ** 2))
+    return max(0.0, float(p.max()) - clip), min(1.0, float(p.sum()) + clip)

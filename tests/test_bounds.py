@@ -113,7 +113,7 @@ def test_solve_relative_overflow_is_inf():
 
 def test_solve_relative_rejects_negative_or_nan_inputs():
     for b, c in ((-0.1, 1.0), (np.array([0.1, math.nan]), 1.0), (0.1, -1.0), (0.1, math.nan)):
-        with pytest.raises(InputError, match="nonnegative"):
+        with pytest.raises(InputError, match="must be finite and >= 0"):
             solve_relative(b, c, 1.5)
 
 

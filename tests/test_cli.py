@@ -111,13 +111,13 @@ def test_complexity_formula_ops(capsys):
     assert json.loads(out)["value"] == pytest.approx(4.0)
     for value in ("inf", "nan"):
         assert main(["complexity", "--op", "fat-formula", "--class-kind", "linear", "--radius", value]) == 2
-        assert f"input error: radius must be finite, got {value}" in capsys.readouterr().err
+        assert f"input error: radius must be finite and > 0, got {value}" in capsys.readouterr().err
 
     code, out, _ = run_cli("complexity", "--op", "cover-log-fat", "--fat-d", "1", "--m", "1")
     assert code == 0
     assert json.loads(out)["value"] == pytest.approx(60.91371326362413, rel=1e-12)
     assert main(["complexity", "--op", "cover-log-fat", "--fat-d", "nan", "--m", "10"]) == 2
-    assert capsys.readouterr().err == "input error: dimension value must be at least 1, got nan\n"
+    assert capsys.readouterr().err == "input error: d must be finite and >= 1, got nan\n"
 
 
 def test_remaining_bound_families_wiring():
@@ -428,8 +428,8 @@ _NO_HOLDOUT = "risk.n is the holdout size, and risk.mode 'analytic' draws no hol
         (["distribution.dim=3.0"], 2, "distribution.dim must be an integer >= 0, got 3.0"),
         (["distribution.dim=true"], 2, "distribution.dim must be an integer >= 0, got True"),
         (["distribution.radius=x"], 2, "distribution.radius must be a number, got 'x'"),
-        (["distribution.radius=-1"], 2, "distribution.radius must be > 0, got -1"),
-        (["distribution.radius=0"], 2, "distribution.radius must be > 0, got 0"),
+        (["distribution.radius=-1"], 2, "distribution.radius must be finite and > 0, got -1"),
+        (["distribution.radius=0"], 2, "distribution.radius must be finite and > 0, got 0"),
         (["distribution.separation=Infinity"], 2, "distribution.separation must be finite, got inf"),
         (["distribution.sigma=NaN"], 2, "distribution.sigma must be finite, got nan"),
         (['distribution={"kind": "margin-separable-with-noise", "gap": 10.0}', 'risk={"mode": "holdout"}'],
@@ -865,7 +865,7 @@ def test_compare_rejects_an_m_grid_value_that_is_not_a_count(capsys, value):
 @pytest.mark.parametrize("value", ["nan", "inf", "0"])
 def test_verify_monotone_rejects_a_delta_that_is_not_finite_and_positive(capsys, value):
     assert main(["verify", "monotone", "--seed", "1", "--n", "10", "--delta", value]) == 2
-    expected = f"input error: need n_points >= 1 and a finite delta > 0, got delta {float(value)!r}\n"
+    expected = f"input error: delta must be finite and > 0, got {float(value)!r}\n"
     assert capsys.readouterr().err == expected
 
 
@@ -879,7 +879,7 @@ def test_verify_binomial_rejects_a_grid_size_below_1(capsys, value):
 def test_verify_binomial_rejects_an_m_max_with_no_points_or_past_the_cap(capsys, value):
     # the check starts at m = 2, so m_max = 1 would pass with 0 points checked
     assert main(["verify", "binomial", "--m-max", value, "--grid-size", "5"]) == 2
-    assert capsys.readouterr().err == f"input error: m_max must lie in [2, 2000], got {value}\n"
+    assert capsys.readouterr().err == f"input error: m_max must be in [2, 2000], got {value}\n"
     assert main(["verify", "binomial", "--m-max", "2", "--grid-size", "5"]) == 0
     assert json.loads(capsys.readouterr().out)["points_checked"] == 10
 

@@ -77,7 +77,7 @@ def test_unknown_kind_rejected():
 @pytest.mark.parametrize("field", ["radius", "rho", "vc_dim", "lipschitz", "input_dim", "r21", "constant"])
 @pytest.mark.parametrize("value", [math.inf, math.nan])
 def test_non_finite_class_parameter_rejected_naming_it(field, value):
-    with pytest.raises(InputError, match=f"{field} must be finite, got {value}"):
+    with pytest.raises(InputError, match=f"{field} must be finite and > 0, got {value}"):
         FatDimParams(kind="linear", **{field: value})
 
 

@@ -16,7 +16,7 @@ from relmargin import (
     step,
     transform_matrix,
 )
-from oracles import distinct_columns
+from oracles import distinct_columns, loss_matrix_csv
 from relmargin.lossmatrix import distinct_index, shell_index
 
 
@@ -159,7 +159,7 @@ def test_transform_matrix_tags_and_values():
 def test_csv_and_json_round_trip():
     vals = np.array([[0.125, 1.0], [0.5, 0.25]])
     mat = LossMatrix(vals, "unit-interval")
-    text = mat.to_csv()
+    text = loss_matrix_csv(mat)
     assert text.splitlines()[0] == "index,c0,c1"
     back = LossMatrix.from_csv(text, "unit-interval")
     assert np.array_equal(back.values, vals)

@@ -1,3 +1,5 @@
+import dataclasses
+import json
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +22,7 @@ from relmargin.reportio import canonical_json
 from relmargin.bounds import FAMILIES
 from relmargin.validation import SUPPORTED_FAMILIES, family_bound_values
 
-from oracles import per_trial_campaign
+from oracles import exact_violation_bracket, per_trial_campaign
 
 REFERENCE_CAMPAIGN = Path(__file__).parent.parent / "configs/reference-campaign.json"
 
@@ -77,7 +79,7 @@ def test_rad_rejects_m_below_3_in_a_campaign_and_a_report():
     # the config is refused when it is built, before any draw
     with pytest.raises(InputError, match="peeling families need params.m >= 3"):
         _config(families=("cov-alpha2", "rad"), params=params)
-    with pytest.raises(InputError, match="peeling families need m >= 3"):
+    with pytest.raises(InputError, match="peeling families need params.m >= 3"):
         bound_rad(0.1, 1.0, BoundParams(**params))
     assert _config(families=("cov-alpha2",), params=params).params.m == 2
     assert _config(families=("rad",), m=3).params.m == 3
@@ -345,3 +347,82 @@ def test_margin_counts_match_the_m_by_pool_count():
             for b in range(n):
                 margins = (ys[b][:, None] * xs[b]) @ w_stack.T
                 assert np.array_equal(counts[b], np.count_nonzero(margins < rho, axis=0))
+
+
+# the families of the weakened-bound harness, as the package defines them
+_UNWEAKENED = {fam: FAMILIES[fam] for fam in ("cov-alpha", "cov-alpha2", "rad")}
+
+
+def _weakened_campaigns(monkeypatch, scales, threads):
+    """{s: the report} of the reference pool's campaign at m = 1000, rho =
+    0.01, separation 4 and sigma 1 (300 trials, 4 + 4 draws), with each
+    family's deviation from emp scaled by s before the clamp: its value is
+    emp + s (raw - emp).  Each report's families also carry the exact
+    violation bracket of the family's table under ``"bracket"``."""
+    data = json.loads(REFERENCE_CAMPAIGN.read_text())
+    data["distribution"]["separation"] = 4.0
+    data["params"].update(m=1000, rho=0.01)
+    data["complexity"].update(cover_draws=4, peel_draws=4)
+    cfg = ExperimentConfig.from_json({**data, "families": list(_UNWEAKENED), "trials": 300})
+    p, dist = cfg.params, cfg.distribution
+    ws = np.stack([h.w for h in validation._build_pool(cfg, dist)])
+
+    def weakened(record, s):
+        def value(emp, complexity, params):
+            raw, terms = record.value(emp, complexity, params)
+            return emp + s * (raw - emp), terms
+
+        return dataclasses.replace(record, value=value)
+
+    reports = {}
+    for s in scales:
+        for fam, record in _UNWEAKENED.items():
+            monkeypatch.setitem(FAMILIES, fam, weakened(record, s))
+        report = validate_bounds(cfg, threads=threads)
+        for fam, out in report.families.items():
+            table = family_bound_values(fam, np.arange(p.m + 1) / p.m, out["complexity"]["value"], p)
+            out["bracket"] = exact_violation_bracket(table, ws, p.m, p.rho, dist.separation, dist.sigma, dist.radius)
+        reports[s] = report
+    return reports
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_a_campaign_catches_a_family_weakened_by_a_fixed_scale(monkeypatch, threads):
+    """A family whose deviation is scaled down by a fixed s must be caught:
+    cov-alpha and cov-alpha2 at s = 0.25, with a violation CI above delta.
+    rad is caught only at s = 0.001 of the grid, about 10^3 times looser
+    than a failure needs; a change to rad that moves this updates the
+    assertion.  Every Monte-Carlo CI meets the exact violation bracket.
+
+    cov-fat stays out: at rho = 0.01 its table raises DomainError (2 c e m /
+    d <= 1), and at every shape tried it reads 1 on every row, so no scale
+    can be caught there."""
+    rad_grid = (0.1, 0.03, 0.01, 0.003, 0.001)
+    reports = _weakened_campaigns(monkeypatch, (1, 0.25, *rad_grid), threads)
+    violations = {s: {fam: out["violations"] for fam, out in r.families.items()} for s, r in reports.items()}
+    assert violations[1] == {"cov-alpha": 0, "cov-alpha2": 0, "rad": 0}
+    assert violations[0.25] == {"cov-alpha": 102, "cov-alpha2": 60, "rad": 0}
+    assert violations[0.1] == {"cov-alpha": 288, "cov-alpha2": 271, "rad": 0}
+    delta = reports[0.25].environment["delta"]
+    assert reports[0.25].families["cov-alpha"]["ci95"][0] > delta
+    assert reports[0.25].families["cov-alpha2"]["ci95"][0] > delta
+    assert max(s for s in rad_grid if violations[s]["rad"]) == 0.001
+    assert (violations[0.003]["rad"], violations[0.001]["rad"]) == (0, 164)
+    for report in reports.values():
+        for out in report.families.values():
+            (lo, hi), (ci_lo, ci_hi) = out["bracket"], out["ci95"]
+            assert ci_lo <= hi and lo <= ci_hi
+
+
+def test_the_exact_bracket_of_the_weakened_families(monkeypatch):
+    reports = _weakened_campaigns(monkeypatch, (1, 0.25, 0.1), threads=1)
+    want = {
+        1: {"cov-alpha": (2.7e-10, 2.2e-9), "cov-alpha2": (2.7e-13, 1.8e-12)},
+        0.25: {"cov-alpha": (0.0335, 0.565), "cov-alpha2": (0.0171, 0.269)},
+        0.1: {"cov-alpha": (0.208, 1.0), "cov-alpha2": (0.169, 1.0)},
+    }
+    for s, brackets in want.items():
+        for fam, bracket in brackets.items():
+            assert reports[s].families[fam]["bracket"] == pytest.approx(bracket, rel=0.02)
+    # the clip widens rad's empty bracket to m P(||x|| > radius) = 5.0e-20
+    assert reports[1].families["rad"]["bracket"] == pytest.approx((0.0, 5.0e-20), rel=0.01)
