@@ -39,7 +39,7 @@ from .rademacher import (
     rm_upper_smooth,
     worst_case_rademacher,
 )
-from .reportio import canonical_json, format_float, report_csv
+from .reportio import csv_pieces, format_float, json_pieces
 from .samples import LabeledSample
 from .training import METHODS, train_bound_min
 from .validation import ExperimentConfig, validate_bounds
@@ -50,15 +50,14 @@ EXIT_CAPABILITY = 3
 EXIT_APPLICABILITY = 4
 
 
-# characters of a report per write, so that no encoded copy of a whole report is made
-_WRITE_CHARS = 2**16
-
-
 def _emit(report, fmt: str, out: str | None) -> None:
-    text = canonical_json(report) if fmt == "json" else report_csv(report)
+    # each piece is written as it is made, and no whole text held; every check
+    # has run by the first piece, so a report that cannot be written leaves no file
+    pieces = json_pieces(report) if fmt == "json" else csv_pieces(report)
+    first = next(pieces)
     with open(out, "w") if out else contextlib.nullcontext(sys.stdout) as stream:
-        for lo in range(0, len(text), _WRITE_CHARS):
-            stream.write(text[lo : lo + _WRITE_CHARS])
+        stream.write(first)
+        stream.writelines(pieces)
     if out:
         print(f"wrote {out}", file=sys.stderr)
 

@@ -121,10 +121,14 @@ def _real(name: str, value, interval: str = "(-inf, inf)", error=InputError) -> 
 
 
 def _count(name: str, value, least: int) -> int:
-    """``value`` as an int >= ``least``; integral floats (JSON ``1e5``) and
-    numpy integers pass."""
+    """``value`` as an int >= ``least`` that a float can hold; integral floats
+    (JSON ``1e5``) and numpy integers pass."""
     number = isinstance(value, (int, float, np.integer)) and not isinstance(value, bool)
-    if not (number and float(value).is_integer() and value >= least):
+    try:
+        integral = number and float(value).is_integer()
+    except OverflowError:  # an int beyond the float range, as JSON can hold
+        raise InputError(f"{name} must be an integer >= {least} within the float range, got {value!r}") from None
+    if not (integral and value >= least):
         raise InputError(f"{name} must be an integer >= {least}, got {value!r}")
     return int(value)
 

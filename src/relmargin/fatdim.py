@@ -62,30 +62,34 @@ class FatDimParams:
 
 
 def fat_dim_formula(params: FatDimParams) -> float:
-    """Closed-form fat-shattering cap; callers ceil when an integer is needed."""
+    """Closed-form fat-shattering cap; callers ceil when an integer is needed.
+    A cap beyond the float range is inf, as ``bounds.explicit_lemma_d1``'s."""
     k = params.kind
-    if k == "linear":
-        if params.radius is None or params.rho is None:
-            raise InputError("linear class needs radius and rho")
-        return (params.radius / params.rho) ** 2
-    if k == "ensemble":
-        if params.vc_dim is None or params.rho is None:
-            raise InputError("ensemble class needs vc_dim and rho")
-        if params.rho >= 1.0:
-            raise DomainError("ensemble formula needs rho < 1 (log(1/rho) must be positive)")
-        return params.constant * (params.vc_dim / params.rho) ** 2 * math.log(1.0 / params.rho)
-    if k == "ffnn-fat":
-        if None in (params.radius, params.lipschitz, params.depth, params.rho, params.input_dim):
-            raise InputError("ffnn-fat class needs radius, lipschitz, depth, rho, input_dim")
-        if params.input_dim <= 1.0:
-            raise DomainError("ffnn-fat formula needs input_dim > 1 (log n must be positive)")
-        d = params.depth
-        return (
-            params.constant ** (d * d)
-            * (params.radius * params.lipschitz) ** (d * (d + 1))
-            / params.rho ** (2 * d)
-            * math.log(params.input_dim)
-        )
+    try:
+        if k == "linear":
+            if params.radius is None or params.rho is None:
+                raise InputError("linear class needs radius and rho")
+            return (params.radius / params.rho) ** 2
+        if k == "ensemble":
+            if params.vc_dim is None or params.rho is None:
+                raise InputError("ensemble class needs vc_dim and rho")
+            if params.rho >= 1.0:
+                raise DomainError("ensemble formula needs rho < 1 (log(1/rho) must be positive)")
+            return params.constant * (params.vc_dim / params.rho) ** 2 * math.log(1.0 / params.rho)
+        if k == "ffnn-fat":
+            if None in (params.radius, params.lipschitz, params.depth, params.rho, params.input_dim):
+                raise InputError("ffnn-fat class needs radius, lipschitz, depth, rho, input_dim")
+            if params.input_dim <= 1.0:
+                raise DomainError("ffnn-fat formula needs input_dim > 1 (log n must be positive)")
+            d = params.depth
+            return (
+                params.constant ** (d * d)
+                * (params.radius * params.lipschitz) ** (d * (d + 1))
+                / params.rho ** (2 * d)
+                * math.log(params.input_dim)
+            )
+    except OverflowError:  # float ** raises where * and / give inf
+        return math.inf
     raise CapabilityError(f"no fat-shattering formula for kind {k!r}")
 
 

@@ -127,16 +127,17 @@ class Rows:
 
     @classmethod
     def computed(cls, m: int, p: int, compute) -> "Rows":
-        held = np.empty((0, p))
+        # one array for all the rows, so that no block copies those before it
+        held, n = np.empty((m, p)), 0
 
         def read(stop: int) -> np.ndarray:
-            nonlocal held
-            n = len(held)
+            nonlocal n
             if n < min(stop, m):
                 granules = -(-max(stop, 2 * n) // _ROW_GRANULE)
                 hi = min(m, granules * _ROW_GRANULE)
                 hi = m if m - hi == 1 else hi
-                held = np.concatenate((held, compute(n, hi)))
+                held[n:hi] = compute(n, hi)
+                n = hi
             return held[:stop]
 
         return cls(read, m, np.arange(p))

@@ -8,6 +8,9 @@ per leaf) of the same canonical form, each cell written by one rule.  Both
 formats write a ``Table`` of rows column by column, one chunk of
 ``_TABLE_ROWS`` rows at a time: each column's distinct values are found and
 written once, and a chunk's cells are gathered from those texts.
+``json_pieces`` and ``csv_pieces`` give a report's text in such pieces, after
+every check that can refuse the report; the CLI writes each piece as it is
+made, and ``canonical_json`` and ``report_csv`` join them.
 """
 
 from __future__ import annotations
@@ -27,7 +30,9 @@ __all__ = [
     "format_float",
     "canonical",
     "canonical_json",
+    "json_pieces",
     "report_csv",
+    "csv_pieces",
 ]
 
 
@@ -103,11 +108,16 @@ def canonical(obj, _tables: bool = False):
 
 def canonical_json(obj) -> str:
     """``json.dumps(canonical(obj), sort_keys=True, indent=2) + "\\n"``, with
-    each ``Table`` written column by column.  ``json.dumps`` writes a table as
-    a bare ``NaN``, which no canonical value gives; the text is then one
-    ``"".join`` of the pieces of ``json.dumps``'s text around each ``NaN`` and
-    the table's rows in its place, at the indentation of its line, joined
-    ``_TABLE_ROWS`` rows to a piece."""
+    each ``Table`` written column by column: the join of ``json_pieces``."""
+    return "".join(json_pieces(obj))
+
+
+def json_pieces(obj):
+    """The pieces of ``canonical_json(obj)``, in order.  ``json.dumps`` writes
+    a table as a bare ``NaN``, which no canonical value gives; the pieces are
+    those of ``json.dumps``'s text around each ``NaN`` and, in its place, the
+    table's rows at the indentation of its line, ``_TABLE_ROWS`` rows to a
+    piece."""
     tables = []
 
     def table(t: Table) -> float:
@@ -116,40 +126,38 @@ def canonical_json(obj) -> str:
         return math.nan
 
     text = json.dumps(canonical(obj, True), sort_keys=True, indent=2, default=table)
-    pieces, end = [], 0
+    # every table's cells are checked before the first piece
+    chunks, end = [_table_chunks(t, _json_texts) for t in tables], 0
     # strings are quoted and canonical floats finite: only a table ends a line in NaN
-    for t, m in zip(tables, re.finditer(r"(?m)^( *).*(NaN)(?=,?$)", text)):
-        pieces.append(text[end : m.start(2)])
-        pieces.extend(_table_json(t, m[1]))
+    for rows, m in zip(chunks, re.finditer(r"(?m)^( *).*(NaN)(?=,?$)", text)):
+        yield text[end : m.start(2)]
+        yield from _table_json(rows, m[1])
         end = m.end(2)
-    pieces += [text[end:], "\n"]
-    return "".join(pieces)
+    yield text[end:]
+    yield "\n"
 
 
 # rows of a table that the writers format, and join, at a time
 _TABLE_ROWS = 4096
 
 
-def _table_json(t: Table, indent: str):
-    """The pieces of the JSON text of a table, as ``json.dumps`` indents it on
-    a line that starts with ``indent``."""
-    if not len(t):
-        yield "[]"
-        return
+def _table_json(chunks, indent: str):
+    """The pieces of the JSON text of a table, given as its ``_table_chunks``,
+    as ``json.dumps`` indents it on a line that starts with ``indent``."""
     row, cell = "\n" + indent + "  ", "\n" + indent + "    "
     between = row + "]," + row + "[" + cell
-    yield "[" + row + "[" + cell
-    for n, cells in enumerate(_table_chunks(t, _json_texts)):
-        if n:
-            yield between
+    opening = "[" + row + "[" + cell
+    for cells in chunks:
+        yield opening
         yield between.join(map(("," + cell).join, zip(*cells)))
-    yield row + "]\n" + indent + "]"
+        opening = between
+    yield row + "]\n" + indent + "]" if opening is between else "[]"
 
 
 def _table_chunks(t: Table, texts):
     """Per chunk of ``_TABLE_ROWS`` rows, one list of cell texts per column.
     ``texts`` maps a list of distinct canonical values to their texts; a
-    column's distinct values are found, and written, once for the table.
+    column's distinct values are found, and written, once, at the call.
     Floats are told apart by their bits, so -0.0 keeps its sign."""
     columns = []
     for c in t.columns:
@@ -158,8 +166,8 @@ def _table_chunks(t: Table, texts):
         values = canonical(keys.view(np.float64).tolist()) if floats else _items(keys)
         # each row's index into the texts, at the least width that holds it
         columns.append((np.array(texts(values), dtype=object), inverse.astype(np.min_scalar_type(len(keys)))))
-    for lo in range(0, len(t), _TABLE_ROWS):
-        yield [cells[at[lo : lo + _TABLE_ROWS]].tolist() for cells, at in columns]
+    starts = range(0, len(t), _TABLE_ROWS)
+    return ([cells[at[lo : lo + _TABLE_ROWS]].tolist() for cells, at in columns] for lo in starts)
 
 
 def _json_texts(values: list) -> list:
@@ -221,23 +229,21 @@ def _nested_text(v) -> str:
     return repr(v)
 
 
-def _write_rows(header, rows) -> str:
+def _csv_rows(header, rows):
+    """The pieces of the CSV text of ``header`` and ``rows``."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    if not isinstance(rows, Table):
-        for row in rows:
-            writer.writerow([_csv_cell(v) for v in row])
-        return buf.getvalue()
-    # one piece of text per chunk of rows, so that no buffer holds, or copies, the whole text
-    pieces = []
-    for cells in _table_chunks(rows, lambda values: list(map(_csv_cell, values))):
-        writer.writerows(zip(*cells))
-        pieces.append(buf.getvalue())
-        buf.seek(0)
-        buf.truncate()
-    pieces.append(buf.getvalue())
-    return "".join(pieces)
+    if isinstance(rows, Table):
+        # one piece per chunk of rows, so that no buffer holds, or copies, the whole text
+        for cells in _table_chunks(rows, lambda values: list(map(_csv_cell, values))):
+            writer.writerows(zip(*cells))
+            yield buf.getvalue()
+            buf.seek(0)
+            buf.truncate()
+    else:
+        writer.writerows([_csv_cell(v) for v in row] for row in rows)
+    yield buf.getvalue()
 
 
 def _leaves(value, prefix: str = ""):
@@ -250,10 +256,15 @@ def _leaves(value, prefix: str = ""):
 
 
 def report_csv(report) -> str:
-    """CSV rendering of a report's ``canonical`` form, keyed by its schema
-    tag: the declared columns of its schema, the validity rows, or else one
-    key,value row per leaf.  Validity rows given as a ``Table``, or held as
-    one by the report object, are written as one, column by column."""
+    """CSV rendering of a report's ``canonical`` form: the join of ``csv_pieces``."""
+    return "".join(csv_pieces(report))
+
+
+def csv_pieces(report):
+    """The pieces of ``report_csv(report)``, in order, keyed by the report's
+    schema tag: the declared columns of its schema, the validity rows, or
+    else one key,value row per leaf.  Validity rows given as a ``Table``, or
+    held as one by the report object, are written as one, column by column."""
     validity = isinstance(getattr(report, "rows", None), Table) or (
         isinstance(report, dict) and report.get("schema") == _VALIDITY_SCHEMA
     )
@@ -262,8 +273,7 @@ def report_csv(report) -> str:
     if schema in _CSV_COLUMNS:
         keys = _CSV_COLUMNS[schema]
         rows = ([dict(_leaves(r)).get(k) for k in keys] for r in data.get("rows", [data]))
-        return _write_rows([k.split(".")[-1] for k in keys], rows)
+        return _csv_rows([k.split(".")[-1] for k in keys], rows)
     if schema == _VALIDITY_SCHEMA:
-        return _write_rows(_VALIDITY_HEADER, data["rows"])
-    return _write_rows(["key", "value"], _leaves(data))
-
+        return _csv_rows(_VALIDITY_HEADER, data["rows"])
+    return _csv_rows(["key", "value"], _leaves(data))

@@ -195,6 +195,7 @@ def _estimate_log_cover(cfg, dist, pool) -> ComplexityEstimate:
         x, _ = dist.sample(2 * p.m, rng)
         rows = Rows.computed(2 * p.m, len(truncated), lambda lo, hi: outputs_matrix(truncated, x[lo:hi]).values)
         counts[t] = covering_number_linf(rows, p.rho / 2.0, mode=mode, exact_cap=cap).value
+        del rows  # this draw's rows, freed before the next draw allocates its own
     mean = float(counts.mean())
     stderr = float(counts.std(ddof=1) / (mean * math.sqrt(draws))) if draws > 1 else 0.0
     return ComplexityEstimate(

@@ -2,12 +2,13 @@
 exported from ``relmargin`` takes is checked where it enters.
 
 Each numeric argument is tried at NaN, +inf, -inf, -1 and ``True``, and
-also at 1.5 where it is a zero-one term and at 2.5 where it is a count.  A
-call must raise a ``RelmarginError`` or return a finite result that
-``VALID`` names; a NaN or infinite result, a RuntimeWarning or a bare
-``TypeError``, ``ValueError``, ``AttributeError`` or ``OverflowError``
-fails.  A grid argument whose entries the callable checks one by one is
-tried as a one-entry grid; arrays keep their own checks and are not tried.
+also at 1.5 where it is a zero-one term and, where it is a count, at 2.5
+and at 10**400, an int beyond the float range.  A call must raise a
+``RelmarginError`` or return a finite result that ``VALID`` names; a NaN or
+infinite result, a RuntimeWarning or a bare ``TypeError``, ``ValueError``,
+``AttributeError`` or ``OverflowError`` fails.  A grid argument whose
+entries the callable checks one by one is tried as a one-entry grid; arrays
+keep their own checks and are not tried.
 """
 
 import dataclasses
@@ -83,7 +84,7 @@ REAL, ZERO_ONE, COUNT = "real", "zero-one", "count"
 BAD = {
     REAL: (math.nan, math.inf, -math.inf, -1, True),
     ZERO_ONE: (math.nan, math.inf, -math.inf, -1, True, 1.5),
-    COUNT: (math.nan, math.inf, -math.inf, -1, True, 2.5),
+    COUNT: (math.nan, math.inf, -math.inf, -1, True, 2.5, 10**400),
 }
 
 SAMPLE = LabeledSample(
@@ -341,7 +342,7 @@ def _finite(result) -> bool:
 
 
 TRIES = [
-    pytest.param(case, arg, value, id=f"{case}-{arg}-{value!r}")
+    pytest.param(case, arg, value, id=f"{case}-{arg}-{'10**400' if value == 10**400 else repr(value)}")
     for case, (_, args) in CASES.items()
     for arg, kind in args.items()
     for value in BAD[kind]

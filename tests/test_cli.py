@@ -655,21 +655,27 @@ def test_csv_emit_matches_json_round_trip(capsys):
 
 
 def test_emit_writes_a_report_in_slices_whole(monkeypatch, capsys, tmp_path):
-    from relmargin import cli
-    from relmargin.reportio import canonical_json, report_csv
+    from relmargin import cli, reportio
+    from relmargin.reportio import Table, canonical_json, report_csv
 
     report = {"schema": "relmargin/value/v1", "op": "x", "value": 1 / 3, "note": "caf\u00e9 \u2264", "n": list(range(40))}
-    # slices of 7 characters, of the default size, and one slice
-    for chars in (7, cli._WRITE_CHARS, 10**6):
-        monkeypatch.setattr(cli, "_WRITE_CHARS", chars)
+    # a table of 40 rows, written 7 rows to a piece
+    table = Table(np.array(["caf\u00e9", "\u2264"])[np.arange(40) % 2], np.arange(40) / 3)
+    monkeypatch.setattr(reportio, "_TABLE_ROWS", 7)
+    validity = {"schema": "relmargin/validity-report/v1", "note": "caf\u00e9", "rows": table}
+    for report in (report, validity):
         for fmt, text in (("json", canonical_json(report)), ("csv", report_csv(report))):
-            assert len(text) > 7 and len(text) % 7
-            out = tmp_path / f"report-{chars}.{fmt}"
+            out = tmp_path / f"report.{fmt}"
             cli._emit(report, fmt, str(out))
             cli._emit(report, fmt, None)
             captured = capsys.readouterr()
             assert out.read_text() == captured.out == text
             assert captured.err == f"wrote {out}\n"
+    # the text before the table, its opening, 6 chunks and the 5 joins
+    # between them, its closing, the text after it and the last newline
+    assert len(list(reportio.json_pieces(validity))) == 1 + 1 + 6 + 5 + 1 + 1 + 1
+    # the header with the first chunk, the other 5 chunks, and an empty rest
+    assert [piece == "" for piece in reportio.csv_pieces(validity)] == [False] * 6 + [True]
 
 
 # ---------------------------------------------------------------------------

@@ -81,6 +81,33 @@ def test_non_finite_class_parameter_rejected_naming_it(field, value):
         FatDimParams(kind="linear", **{field: value})
 
 
+# each kind with a closed form, at finite parameters whose cap overflows a
+# float in a power: the class flags, and their FatDimParams fields
+_OVERFLOWING_CLASSES = {
+    "linear": ["--radius", "1e200", "--rho", "1"],
+    "ensemble": ["--vc-dim", "1e200", "--rho", "0.5"],
+    "ffnn-fat": ["--radius", "1e100", "--lipschitz", "1e100", "--depth", "2", "--rho", "0.5", "--input-dim", "3"],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_OVERFLOWING_CLASSES))
+def test_a_closed_form_beyond_the_float_range_is_inf(kind, capsys):
+    from relmargin.cli import main
+
+    flags = _OVERFLOWING_CLASSES[kind]
+    fields = {flag[2:].replace("-", "_"): float(v) for flag, v in zip(flags[::2], flags[1::2])}
+    assert fat_dim_formula(FatDimParams(kind, **fields)) == math.inf
+    with pytest.raises(InputError, match="d must be finite and >= 1, got inf"):
+        cover_log_bound_from_fat(math.inf, 1000)
+    assert main(["complexity", "--op", "fat-formula", "--class-kind", kind, *flags]) == 0
+    assert '"value": "Infinity"' in capsys.readouterr().out
+    # compare reads each --rho-grid entry as the class's rho
+    at = flags.index("--rho")
+    compare = flags[:at] + ["--rho-grid", flags[at + 1]] + flags[at + 2 :]
+    assert main(["compare", "--class-kind", kind, *compare, "--emp-grid", "0.1", "--m-grid", "1000"]) == 2
+    assert "d must be finite and >= 1, got inf" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # exact shattering search
 

@@ -22,6 +22,7 @@ from relmargin import (
     bound_unbounded_uniform_rho,
 )
 from relmargin.bounds import FAMILIES
+from relmargin import cli
 from relmargin.cli import main
 from relmargin.estimates import ComplexityEstimate
 from relmargin import reportio
@@ -432,6 +433,16 @@ def test_table_writer_rejects_nan_as_the_oracle_does():
         report_csv({"schema": _VALIDITY, "rows": table})
 
 
+def test_the_cli_writes_no_file_of_a_report_that_holds_a_nan(tmp_path):
+    # the NaN is in the last table, whose rows come after the first's
+    good, bad = Table(np.array(["a", "b"]), np.array([0.5, 1.5])), Table(np.array(["a", "b"]), np.array([0.5, np.nan]))
+    for fmt, report in (("json", {"a": good, "b": [1.0, bad]}), ("csv", {"schema": _VALIDITY, "rows": bad})):
+        out = tmp_path / f"report.{fmt}"
+        with pytest.raises(InputError, match="reports must not contain NaN"):
+            cli._emit(report, fmt, str(out))
+        assert not out.exists()
+
+
 @pytest.fixture(scope="module")
 def trial_heavy_report():
     """A campaign report of 3 x 10^4 rows (10^4 trials, three families), and
@@ -484,6 +495,23 @@ def test_csv_of_a_campaign_report_object_is_written_from_its_table(trial_heavy_r
         tracemalloc.stop()
     _assert_same_text(text, report_csv(report.to_json(table=True)))
     assert peak <= 3.5 * len(text)
+
+
+@pytest.mark.parametrize("fmt,ratio", [("json", 1.0), ("csv", 2.1)])
+def test_the_cli_writes_a_campaign_report_in_pieces(trial_heavy_report, tmp_path, fmt, ratio):
+    # a whole text, or the pieces of one and their join, would be 1x, or 2x,
+    # the text; what is held is the report's column texts and one chunk
+    report = trial_heavy_report[0]
+    out = tmp_path / f"report.{fmt}"
+    tracemalloc.start()
+    try:
+        cli._emit(report, fmt, str(out))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    text = out.read_text()
+    _assert_same_text(text, canonical_json(report) if fmt == "json" else report_csv(report))
+    assert peak <= ratio * len(text)
 
 
 def test_validity_report_matches_its_schema(tmp_path):

@@ -285,6 +285,26 @@ def test_campaign_memory_grows_with_the_report_not_with_trials_times_pool():
     assert grown < 60, grown
 
 
+def test_a_cover_estimate_holds_one_draw_of_rows_at_a_time():
+    import tracemalloc
+
+    cfg = _config(pool=49, m=5000, params={"m": 5000, "delta": 0.05, "alpha": 2.0, "rho": 0.2},
+                  complexity={"cover_draws": 2, "exact_cap": 50})
+    pool = validation._build_pool(cfg, cfg.distribution)
+    # a duplicated member ties on every row, so each draw reads all 2m rows
+    pool.append(pool[0])
+    tracemalloc.start()
+    try:
+        est = validation._estimate_log_cover(cfg, cfg.distribution, pool)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert est.details["mean_cover"] <= 49
+    # one draw's 10^4 x 50 rows, one block of them in the making, and no
+    # copy of them nor the other draw's
+    assert peak <= 1.8 * (2 * 5000 * 50 * 8), peak
+
+
 def _count_trial_draws(monkeypatch, cls):
     """A list that gets one entry per ``sample_many`` call of ``cls`` on a
     block of trial substreams: the number of trials drawn."""
